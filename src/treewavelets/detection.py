@@ -73,7 +73,6 @@ class DetectionTest:
     sigma: float
     n: int
     delta: float
-    tree_kind: str = "ust"
 
     @cached_property
     def tau(self) -> float:

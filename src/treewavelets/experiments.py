@@ -173,7 +173,7 @@ def run_trial(
     integer rng reproduces the whole trial.
     """
     gen = as_rng(rng)
-    seed = rng if isinstance(rng, int) else -1
+    seed = int(rng) if isinstance(rng, (int, np.integer)) else -1
     tree, tree_seed = tree_source.realize(g, gen)
     basis = build_basis(tree)
     vals = signal_values(x)

@@ -119,6 +119,11 @@ class Graph:
         """Position of each canonical edge in ``edges``."""
         return {e: i for i, e in enumerate(self.edges)}
 
+    @cached_property
+    def component_sizes(self) -> tuple[int, ...]:
+        """Sizes of the connected components, ordered by smallest vertex."""
+        return tuple(len(c) for c in connected_components(self))
+
 
 @dataclass(frozen=True)
 class Signal:
@@ -237,10 +242,13 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def require_connected(g: Graph) -> None:
-    """Raise :class:`DisconnectedGraphError` unless g has one component."""
-    comps = connected_components(g)
-    if len(comps) > 1:
-        raise DisconnectedGraphError([len(c) for c in comps])
+    """Raise :class:`DisconnectedGraphError` unless g has one component.
+
+    The component sizes are cached on the graph, so repeated checks are free.
+    """
+    sizes = g.component_sizes
+    if len(sizes) > 1:
+        raise DisconnectedGraphError(list(sizes))
 
 
 # =============================================================================

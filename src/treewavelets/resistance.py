@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import hitting_steps
 from .errors import WalkLimitError
 from .graphs import (
     EPS_CUT,
@@ -144,6 +143,23 @@ class CommuteEstimate:
     trials: int
 
 
+def _hitting_steps(
+    indptr: np.ndarray, indices: np.ndarray, start: int, target: int, seed: int, max_steps: int
+) -> int:
+    """Steps a random walk takes from start to target; -1 past max_steps."""
+    rand = np.random.RandomState(seed).random_sample
+    cur = start
+    steps = 0
+    while cur != target:
+        if steps >= max_steps:
+            return -1
+        lo = indptr[cur]
+        deg = indptr[cur + 1] - lo
+        cur = indices[lo + int(rand() * deg)]
+        steps += 1
+    return steps
+
+
 def estimate_commute_resistance(
     g: Graph,
     v: int,
@@ -167,8 +183,8 @@ def estimate_commute_resistance(
     indptr, indices = g.csr
     samples = np.empty(trials)
     for t in range(trials):
-        forward = hitting_steps(indptr, indices, v, w, int(gen.integers(2**32)), max_steps)
-        backward = hitting_steps(indptr, indices, w, v, int(gen.integers(2**32)), max_steps)
+        forward = _hitting_steps(indptr, indices, v, w, int(gen.integers(2**32)), max_steps)
+        backward = _hitting_steps(indptr, indices, w, v, int(gen.integers(2**32)), max_steps)
         if forward < 0 or backward < 0:
             raise WalkLimitError(
                 f"hitting walk between {v} and {w} exceeded {max_steps} steps"

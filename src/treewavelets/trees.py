@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import aldous_broder_parents
 from .errors import DisconnectedGraphError
 from .graphs import (
     EPS_CUT,
@@ -128,23 +127,63 @@ def _parents_to_tree(g: Graph, parent: np.ndarray) -> SpanningTree:
     return SpanningTree(graph=g, edges=tuple(edges))
 
 
-def sample_ust(g: Graph, rng: np.random.Generator | int | None = None) -> SpanningTree:
-    """Draw a uniform spanning tree by a first-entry random walk from vertex 0.
+# Uniforms drawn per numpy call by the walk; one call per step would cost
+# more than the step itself.
+_UNIFORM_BLOCK = 4096
 
-    The walk runs until it has covered the graph; the edge on which each
-    vertex is first entered goes into the tree. Connectedness is required.
+
+def _wilson_parents(indptr: np.ndarray, indices: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Parent array of a uniform spanning tree rooted at vertex 0.
+
+    Wilson's algorithm: from each vertex not yet in the tree, taken in index
+    order, walk at random until the tree is hit, then graft the walk's
+    loop-erasure onto the tree. ``nxt[u]`` holds the last exit from u, so
+    later steps overwrite the loops away. The graph must be connected.
+    """
+    ptr = indptr.tolist()
+    deg = np.diff(indptr).tolist()
+    neighbor = indices.item
+    gen = np.random.default_rng(seed)
+    uniforms = gen.random(_UNIFORM_BLOCK).tolist()
+    pos = 0
+    in_tree = [False] * n
+    in_tree[0] = True
+    nxt = [-1] * n
+    for start in range(1, n):
+        u = start
+        while not in_tree[u]:
+            if pos == _UNIFORM_BLOCK:
+                uniforms = gen.random(_UNIFORM_BLOCK).tolist()
+                pos = 0
+            v = neighbor(ptr[u] + int(uniforms[pos] * deg[u]))
+            pos += 1
+            nxt[u] = v
+            u = v
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = True
+            u = nxt[u]
+    return np.asarray(nxt, dtype=np.int64)
+
+
+def sample_ust(g: Graph, rng: np.random.Generator | int | None = None) -> SpanningTree:
+    """Draw a uniform spanning tree by Wilson's loop-erased random walk.
+
+    The tree is rooted at vertex 0; walks start from the remaining vertices
+    in index order, and each walk's loop-erased path to the tree joins it
+    (Wilson, STOC 1996). Connectedness is required.
 
     Parameters
     ----------
     g : Graph
     rng : Generator, int, or None
         Source for the walk's seed. Passing the same seed reproduces the
-        same tree within an environment.
+        same tree.
     """
     require_connected(g)
     seed = int(as_rng(rng).integers(2**32))
     indptr, indices = g.csr
-    parent = aldous_broder_parents(indptr, indices, g.n, seed)
+    parent = _wilson_parents(indptr, indices, g.n, seed)
     return _parents_to_tree(g, parent)
 
 

@@ -210,10 +210,16 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
 
 
 def apply_basis(basis: WaveletBasis, y: Signal | np.ndarray) -> np.ndarray:
-    """Coefficient vector of y in the basis, one entry per element."""
+    """Coefficient vector of y in the basis, one entry per element.
+
+    Raises ValueError when y holds a NaN or an infinity, so that a corrupt
+    observation can never pass the test as a silent accept.
+    """
     vals = signal_values(y)
     if vals.shape != (basis.n,):
         raise ValueError(f"signal has shape {vals.shape}, expected ({basis.n},)")
+    if not np.isfinite(vals).all():
+        raise ValueError("signal holds non-finite values")
     return basis.matrix @ vals
 
 

@@ -9,6 +9,8 @@ from treewavelets import (
     DetectionTest,
     InfeasibleSignalError,
     NoiseModel,
+    apply_basis,
+    bfs_spanning_tree,
     build_basis,
     build_graph,
     build_spanning_tree,
@@ -85,6 +87,18 @@ class TestDetect:
         a = detect(basis, np.array([1.0, -1.0]), tau=0.1)
         b = detect(basis, np.array([-1.0, 1.0]), tau=0.1)
         assert a.statistic == b.statistic and a.reject and b.reject
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observation_raises(self, bad):
+        # A NaN must not turn into reject=False with statistic=nan.
+        basis = build_basis(bfs_spanning_tree(gen_torus(4, 2)))
+        y = np.zeros(16)
+        y[3] = bad
+        y[5] = 100.0
+        with pytest.raises(ValueError, match="non-finite"):
+            detect(basis, y, tau=1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_basis(basis, y)
 
 
 class TestNoiseModel:

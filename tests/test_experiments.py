@@ -83,6 +83,15 @@ class TestRunTrial:
         assert a == b
         assert a.seed == 11 and a.tree_seed >= 0
 
+    def test_numpy_integer_seed_recorded(self):
+        g = gen_torus(4, 2)
+        zeros = np.zeros(g.n)
+        noise = NoiseModel(sigma=1.0)
+        plain = run_trial(g, TreeSource.bfs(), zeros, noise, 0.05, 7)
+        numpy_seed = run_trial(g, TreeSource.bfs(), zeros, noise, 0.05, np.int64(7))
+        assert numpy_seed.seed == 7
+        assert numpy_seed == plain
+
     def test_truth_flag_tracks_energy(self):
         g = gen_torus(4, 2)
         x = gen_two_level_signal(g, 8, 2.0, np.random.default_rng(0))

@@ -97,6 +97,15 @@ class TestComponents:
     def test_connected_graph_passes(self):
         require_connected(gen_torus(3, 2))
 
+    def test_component_sizes_cached(self):
+        g = build_graph(6, [(3, 4), (0, 5), (1, 2), (1, 5)])
+        assert g.component_sizes == (4, 2)
+        assert g.component_sizes is g.component_sizes
+        for _ in range(2):
+            with pytest.raises(DisconnectedGraphError) as exc:
+                require_connected(g)
+            assert exc.value.component_sizes == [4, 2]
+
 
 class TestTorus:
     def test_4x4_matches_enumeration(self):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from helpers import (
     binomial_band,
@@ -135,6 +136,53 @@ class TestSampleUst:
         g = build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
             sample_ust(g, 0)
+
+
+def _matrix_tree_count(g) -> int:
+    """Spanning-tree count by the matrix-tree theorem (reduced Laplacian)."""
+    lap = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        lap[u, v] = lap[v, u] = -1.0
+        lap[u, u] += 1.0
+        lap[v, v] += 1.0
+    return round(np.linalg.det(lap[1:, 1:]))
+
+
+class TestSampleUstExact:
+    """Every spanning tree of a tiny graph is drawn with probability 1/tau(G)."""
+
+    GRAPHS = {
+        "K4": (gen_complete(4), 16),
+        "5-cycle + chord": (
+            build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]),
+            11,
+        ),
+        "2x3 grid": (
+            build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]),
+            15,
+        ),
+    }
+    DRAWS = 6000  # seeds 0..DRAWS-1, fixed once
+
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_enumeration_matches_matrix_tree(self, name):
+        g, count = self.GRAPHS[name]
+        assert len(enumerate_spanning_trees(g.n, g.edges)) == count
+        assert _matrix_tree_count(g) == count
+
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_draw_frequencies_uniform(self, name):
+        # Pearson chi-square against the uniform law on all tau(G) trees,
+        # with tau(G) - 1 degrees of freedom; the test fails when the upper
+        # tail probability falls below 0.001.
+        g, count = self.GRAPHS[name]
+        trees = enumerate_spanning_trees(g.n, g.edges)
+        counts = collections.Counter(sample_ust(g, s).edges for s in range(self.DRAWS))
+        assert set(counts) <= set(trees)
+        observed = np.array([counts[t] for t in trees], dtype=float)
+        expected = self.DRAWS / count
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert stats.chi2.sf(chi2, count - 1) >= 1e-3, (name, chi2)
 
 
 class TestBfsTree:
