@@ -99,7 +99,7 @@ class TreeSource:
         if self.kind == "bfs":
             return bfs_spanning_tree(g, self.root), -1
         assert self.tree is not None
-        if self.tree.graph.edges != g.edges or self.tree.graph.n != g.n:
+        if self.tree.graph != g:
             raise ValueError("fixed tree belongs to a different graph")
         return self.tree, -1
 
@@ -155,6 +155,25 @@ def _trial_row(r: TrialRecord) -> list[str]:
     ]
 
 
+def _trial_statistics(g: Graph, tree_source: TreeSource, draw_shape, sigma: float, mus, rng):
+    """The one trial body: ``(tree_seed, shape, [statistic per mu])``.
+
+    Realizes the tree and builds its basis, then draws the signal shape
+    (``draw_shape(rng)``) and a standard normal noise vector z. The statistic
+    at mu is max |mu * coef(shape) + sigma * coef(z)| over the basis. The
+    basis is built before the shape is drawn, so a trial whose shape proves
+    infeasible still costs its build.
+    """
+    tree, tree_seed = tree_source.realize(g, rng)
+    basis = build_basis(tree)
+    shape = draw_shape(rng)
+    noise = rng.standard_normal(g.n)
+    coef_shape = apply_basis(basis, shape)
+    coef_noise = apply_basis(basis, noise)
+    stats = [float(np.max(np.abs(mu * coef_shape + sigma * coef_noise))) for mu in mus]
+    return tree_seed, shape, stats
+
+
 def run_trial(
     g: Graph,
     tree_source: TreeSource,
@@ -174,12 +193,10 @@ def run_trial(
     """
     gen = as_rng(rng)
     seed = int(rng) if isinstance(rng, (int, np.integer)) else -1
-    tree, tree_seed = tree_source.realize(g, gen)
-    basis = build_basis(tree)
     vals = signal_values(x)
-    y = vals + noise.sample(g.n, gen)
-    coefs = apply_basis(basis, y)
-    stat = float(np.max(np.abs(coefs)))
+    tree_seed, _, (stat,) = _trial_statistics(
+        g, tree_source, lambda _: vals, noise.sigma, (1.0,), gen
+    )
     tau = threshold(noise.sigma, g.n, delta)
     energy = float(np.linalg.norm(vals))
     cut = x.cut if isinstance(x, Signal) and x.cut is not None else -1
@@ -276,36 +293,35 @@ def _trial_rng(master_seed: int, cell_index: int, trial: int) -> np.random.Gener
 def _power_trial(args) -> list[TrialRecord]:
     g, cell, tree_source, sigma, delta, master_seed, cell_index, trial = args
     rng = _trial_rng(master_seed, cell_index, trial)
-    tree, tree_seed = tree_source.realize(g, rng)
-    basis = build_basis(tree)
     try:
-        shape = _draw_signal(cell.sampler, g, cell.rho, 1.0, rng)
+        tree_seed, shape, stats = _trial_statistics(
+            g,
+            tree_source,
+            lambda r: _draw_signal(cell.sampler, g, cell.rho, 1.0, r),
+            sigma,
+            cell.mu_grid,
+            rng,
+        )
     except InfeasibleSignalError:
         return []
-    noise = rng.standard_normal(g.n)
-    coef_shape = apply_basis(basis, shape.values)
-    coef_noise = apply_basis(basis, noise)
     tau = threshold(sigma, g.n, delta)
-    rows = []
-    for mu in cell.mu_grid:
-        stat = float(np.max(np.abs(mu * coef_shape + sigma * coef_noise)))
-        rows.append(
-            TrialRecord(
-                family=cell.family,
-                n=g.n,
-                rho=cell.rho,
-                mu=float(mu),
-                trial=trial,
-                seed=master_seed,
-                tree_seed=tree_seed,
-                cut=shape.cut if mu > 0 else 0,
-                statistic=stat,
-                threshold=tau,
-                reject=stat > tau,
-                truth=mu > 0,
-            )
+    return [
+        TrialRecord(
+            family=cell.family,
+            n=g.n,
+            rho=cell.rho,
+            mu=float(mu),
+            trial=trial,
+            seed=master_seed,
+            tree_seed=tree_seed,
+            cut=shape.cut if mu > 0 else 0,
+            statistic=stat,
+            threshold=tau,
+            reject=stat > tau,
+            truth=mu > 0,
         )
-    return rows
+        for mu, stat in zip(cell.mu_grid, stats)
+    ]
 
 
 def _map_tasks(fn, tasks: list, workers: int) -> list:

@@ -8,6 +8,7 @@ set serialize to identical bytes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -79,17 +80,12 @@ class Graph:
     @cached_property
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) int array (empty graphs get shape (0, 2))."""
-        if not self.edges:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.asarray(self.edges, dtype=np.int64)
+        flat = itertools.chain.from_iterable(self.edges)
+        return np.fromiter(flat, dtype=np.int64, count=2 * self.m).reshape(self.m, 2)
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
     @cached_property
     def max_degree(self) -> int:
@@ -98,20 +94,33 @@ class Graph:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor lists in increasing order, one tuple per vertex."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        indptr, indices = self.csr
+        ptr, nbrs = indptr.tolist(), indices.tolist()
+        return tuple(tuple(nbrs[ptr[v] : ptr[v + 1]]) for v in range(self.n))
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency in CSR form ``(indptr, indices)`` for walk kernels."""
+        """Adjacency in CSR form ``(indptr, indices)``, neighbors increasing.
+
+        Each vertex lists its lower neighbors, then its upper ones. Canonical
+        edge order already groups the upper neighbors by vertex; a stable sort
+        on the second column groups the lower ones.
+        """
+        lo, hi = self.edge_array[:, 0], self.edge_array[:, 1]
+        n_lower = np.bincount(hi, minlength=self.n)
+        n_upper = np.bincount(lo, minlength=self.n)
         indptr = np.zeros(self.n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(self.degrees)
+        np.cumsum(self.degrees, out=indptr[1:])
+        # A vertex's run starts after the runs of all smaller vertices. In
+        # by_hi order a lower entry's rank already counts the smaller
+        # vertices' lower entries, so their upper entries are added; in edge
+        # order an upper entry's rank counts their upper entries, so the lower
+        # entries of the vertex and of all smaller ones are added.
+        rank = np.arange(self.m)
+        by_hi = np.argsort(hi, kind="stable")
         indices = np.empty(2 * self.m, dtype=np.int64)
-        for v, nbrs in enumerate(self.adjacency):
-            indices[indptr[v] : indptr[v + 1]] = nbrs
+        indices[rank + (np.cumsum(n_upper) - n_upper)[hi[by_hi]]] = lo[by_hi]
+        indices[rank + np.cumsum(n_lower)[lo]] = hi
         return indptr, indices
 
     @cached_property
@@ -217,28 +226,28 @@ def connected_components(g: Graph) -> list[list[int]]:
     """Vertex sets of the connected components.
 
     Components are ordered by their smallest vertex, vertices increasing
-    within each.
+    within each. The search reads one vertex's CSR run at a time, so no
+    temporary outgrows a degree even on dense graphs.
     """
-    seen = np.zeros(g.n, dtype=bool)
-    comps: list[list[int]] = []
-    adj = g.adjacency
+    indptr, indices = g.csr
+    ptr = indptr.tolist()
+    label = np.full(g.n, -1, dtype=np.int64)
+    count = 0
     for start in range(g.n):
-        if seen[start]:
+        if label[start] >= 0:
             continue
-        comp = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            nxt: list[int] = []
-            for v in frontier:
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        nxt.append(w)
-            frontier = nxt
-        comps.append(sorted(comp))
-    return comps
+        label[start] = count
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            nbrs = indices[ptr[v] : ptr[v + 1]]
+            new = nbrs[label[nbrs] < 0]
+            label[new] = count
+            stack.extend(new.tolist())
+        count += 1
+    order = np.argsort(label, kind="stable")
+    bounds = np.cumsum(np.bincount(label, minlength=count))[:-1]
+    return [c.tolist() for c in np.split(order, bounds)]
 
 
 def require_connected(g: Graph) -> None:

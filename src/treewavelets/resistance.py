@@ -44,12 +44,10 @@ _RANK_TOL = 1e-9
 
 def laplacian(g: Graph) -> np.ndarray:
     """Dense combinatorial Laplacian: degree on the diagonal, -1 per edge."""
-    lap = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        lap[u, v] -= 1.0
-        lap[v, u] -= 1.0
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
+    lap = np.diag(g.degrees.astype(np.float64))
+    u, v = g.edge_array.T
+    lap[u, v] = -1.0
+    lap[v, u] = -1.0
     return lap
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,8 @@ from .graphs import (
     Graph,
     Signal,
     as_rng,
+    connected_components,
+    cut_size,
     graph_digest,
     read_edge_list,
     read_edge_list_comments,
@@ -44,75 +45,36 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SpanningTree:
-    """A spanning tree of a host graph, edges in canonical order.
+class SpanningTree(Graph):
+    """A spanning tree of the host graph ``graph``, edges in canonical order.
 
-    Construct through :func:`build_spanning_tree` (validating) or one of the
-    samplers; the dataclass itself does not re-check the tree property.
+    The tree is a :class:`Graph` on the host's vertices, so it shares every
+    derived view (degrees, adjacency, CSR). Construct through
+    :func:`build_spanning_tree` (validating) or one of the samplers; the
+    dataclass itself does not re-check the tree property.
     """
 
     graph: Graph
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    @cached_property
-    def max_degree(self) -> int:
-        return int(self.degrees.max()) if self.edges else 0
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
 
 
 def validate_spanning_tree(t: SpanningTree) -> None:
     """Raise ValueError unless t is a spanning tree of its host graph."""
     g = t.graph
-    if len(t.edges) != g.n - 1:
-        raise ValueError(f"spanning tree needs {g.n - 1} edges, got {len(t.edges)}")
+    if t.n != g.n:
+        raise ValueError(f"tree has {t.n} vertices, host graph has {g.n}")
+    if t.m != g.n - 1:
+        raise ValueError(f"spanning tree needs {g.n - 1} edges, got {t.m}")
     for e in t.edges:
         if e not in g.edge_index:
             raise ValueError(f"tree edge {e} is not an edge of the host graph")
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    count = 1
-    adj = t.adjacency
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    nxt.append(w)
-        frontier = nxt
-    if count != g.n:
+    if len(connected_components(t)) != 1:
         raise ValueError("tree edges do not connect all vertices")
 
 
 def build_spanning_tree(g: Graph, edges) -> SpanningTree:
     """Canonicalize an edge list and validate it as a spanning tree of g."""
     canonical = sorted((min(u, v), max(u, v)) for u, v in ((int(a), int(b)) for a, b in edges))
-    t = SpanningTree(graph=g, edges=tuple(canonical))
+    t = SpanningTree(n=g.n, edges=tuple(canonical), graph=g)
     validate_spanning_tree(t)
     return t
 
@@ -124,7 +86,7 @@ def _parents_to_tree(g: Graph, parent: np.ndarray) -> SpanningTree:
         if p >= 0:
             edges.append((p, v) if p < v else (v, p))
     edges.sort()
-    return SpanningTree(graph=g, edges=tuple(edges))
+    return SpanningTree(n=g.n, edges=tuple(edges), graph=g)
 
 
 # Uniforms drawn per numpy call by the walk; one call per step would cost
@@ -212,11 +174,7 @@ def tree_cut_size(t: SpanningTree, x: Signal | np.ndarray, eps: float = EPS_CUT)
     vals = signal_values(x)
     if vals.shape != (t.n,):
         raise ValueError(f"signal has shape {vals.shape}, expected ({t.n},)")
-    count = 0
-    for u, v in t.edges:
-        if abs(vals[u] - vals[v]) > eps:
-            count += 1
-    return count
+    return cut_size(t, vals, eps)
 
 
 # =============================================================================
@@ -397,8 +355,7 @@ _TREE_TAG = "tree-of:"
 
 def write_tree(t: SpanningTree, path: str | Path) -> None:
     """Write tree edges in edge-list format, tagged with the host graph digest."""
-    host = Graph(n=t.n, edges=t.edges)
-    write_edge_list(host, path, comments=[f"{_TREE_TAG} {graph_digest(t.graph)}"])
+    write_edge_list(t, path, comments=[f"{_TREE_TAG} {graph_digest(t.graph)}"])
 
 
 def read_tree(path: str | Path, g: Graph) -> SpanningTree:

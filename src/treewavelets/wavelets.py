@@ -259,9 +259,9 @@ def edge_activations(basis: WaveletBasis, t: SpanningTree) -> np.ndarray:
     (an element is non-constant across every edge leaving its support), and
     that looser count can exceed the budget even on paths.
 
-    The basis must have been built from t (edge sets are compared).
+    The basis must have been built from t (the trees are compared).
     """
-    if basis.tree.edges != t.edges or basis.tree.graph.edges != t.graph.edges:
+    if basis.tree != t:
         raise ValueError("basis was not built from this tree")
     if not t.edges:
         return np.zeros(0, dtype=np.int64)

@@ -19,6 +19,7 @@ from treewavelets import (
     bfs_spanning_tree,
     build_basis,
     build_graph,
+    detect,
     fit_sparsity_points,
     gen_complete,
     gen_torus,
@@ -100,6 +101,21 @@ class TestRunTrial:
         nul = run_trial(g, TreeSource.bfs(), x.scale(0.0), noise, 0.05, 1)
         assert alt.truth and alt.mu == pytest.approx(2.0)
         assert not nul.truth and nul.mu == 0.0
+
+    @pytest.mark.parametrize("source", ["ust", "bfs"])
+    def test_statistic_matches_direct_detection(self, source):
+        g = gen_torus(5, 2)
+        x = gen_two_level_signal(g, 10, 4.0, np.random.default_rng(3))
+        noise = NoiseModel(sigma=1.7)
+        tree_source = TreeSource(kind=source)
+        for seed in range(5):
+            rec = run_trial(g, tree_source, x, noise, 0.05, seed)
+            gen = np.random.default_rng(seed)
+            tree, _ = tree_source.realize(g, gen)
+            y = x.values + noise.sigma * gen.standard_normal(g.n)
+            direct = detect(build_basis(tree), y, rec.threshold)
+            assert abs(rec.statistic - direct.statistic) <= 1e-12
+            assert rec.reject == direct.reject
 
     def test_reject_consistent_with_threshold(self):
         g = gen_torus(4, 2)

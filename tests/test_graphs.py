@@ -83,6 +83,66 @@ class TestIncidenceAndCut:
         assert cut_size(g, np.array([0.0, 1e-6])) == 1
 
 
+def _brute_force_views(g):
+    """Degrees, CSR and neighbor tuples of g from its edges, one at a time."""
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    adjacency = tuple(tuple(sorted(a)) for a in nbrs)
+    degrees = [len(a) for a in adjacency]
+    indptr = [0]
+    for d in degrees:
+        indptr.append(indptr[-1] + d)
+    indices = [w for a in adjacency for w in a]
+    return degrees, indptr, indices, adjacency
+
+
+DERIVED_VIEW_GRAPHS = {
+    "torus": lambda: gen_torus(5, 2),
+    "torus3d": lambda: gen_torus(3, 3),
+    "complete": lambda: gen_complete(9),
+    "knn": lambda: gen_knn(60, 4, 2, 3)[0],
+    "epsilon": lambda: gen_epsilon(60, 0.2, 2, 4)[0],
+    "edgeless": lambda: build_graph(3, []),
+    "single": lambda: build_graph(1, []),
+    "forest": lambda: build_graph(7, [(5, 6), (0, 3), (2, 3)]),
+}
+
+
+class TestDerivedViews:
+    @pytest.mark.parametrize("name", sorted(DERIVED_VIEW_GRAPHS))
+    def test_views_match_brute_force(self, name):
+        g = DERIVED_VIEW_GRAPHS[name]()
+        degrees, indptr, indices, adjacency = _brute_force_views(g)
+        assert g.degrees.dtype == np.int64 and g.degrees.tolist() == degrees
+        got_indptr, got_indices = g.csr
+        assert got_indptr.dtype == got_indices.dtype == np.int64
+        assert got_indptr.tolist() == indptr
+        assert got_indices.tolist() == indices
+        assert g.adjacency == adjacency
+        assert g.max_degree == max(degrees)
+        assert g.edge_array.shape == (g.m, 2)
+        assert [tuple(e) for e in g.edge_array.tolist()] == list(g.edges)
+
+    @pytest.mark.parametrize("name", sorted(DERIVED_VIEW_GRAPHS))
+    def test_components_match_union_find(self, name):
+        g = DERIVED_VIEW_GRAPHS[name]()
+        root = list(range(g.n))
+
+        def find(a):
+            while root[a] != a:
+                a = root[a]
+            return a
+
+        for u, v in g.edges:
+            root[find(u)] = find(v)
+        groups = {}
+        for v in range(g.n):
+            groups.setdefault(find(v), []).append(v)
+        assert connected_components(g) == sorted(groups.values())
+
+
 class TestComponents:
     def test_components_ordered_by_smallest_vertex(self):
         g = build_graph(6, [(3, 4), (0, 5), (1, 2)])

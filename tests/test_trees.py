@@ -1,6 +1,7 @@
 """Spanning trees: balance search, uniform sampling, BFS trees, tree IO."""
 
 import collections
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from helpers import (
 )
 from treewavelets import (
     DisconnectedGraphError,
+    Graph,
+    SpanningTree,
     bfs_spanning_tree,
     build_graph,
     build_spanning_tree,
@@ -57,6 +60,11 @@ class TestValidateSpanningTree:
         g = gen_torus(3, 2)
         t = bfs_spanning_tree(g)
         validate_spanning_tree(t)
+
+    def test_vertex_count_must_match_host(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="vertices"):
+            validate_spanning_tree(SpanningTree(n=2, edges=((0, 1),), graph=g))
 
 
 class TestFindBalance:
@@ -127,6 +135,13 @@ class TestSampleUst:
         band = binomial_band(1 / 3, draws)
         for c in counts.values():
             assert abs(c / draws - 1 / 3) <= band
+
+    def test_tree_is_a_graph_with_its_host(self):
+        g = gen_torus(4, 2)
+        t = sample_ust(g, 3)
+        assert isinstance(t, Graph)
+        assert t.graph is g and t.n == g.n and t.m == g.n - 1
+        assert t.degrees.sum() == 2 * t.m
 
     def test_deterministic_in_seed(self):
         g = gen_torus(4, 2)
@@ -224,6 +239,13 @@ class TestTreeIO:
         write_tree(t, path)
         back = read_tree(path, g)
         assert back.edges == t.edges
+
+    def test_file_is_tag_then_edge_list(self, tmp_path):
+        g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+        path = tmp_path / "tree.txt"
+        write_tree(bfs_spanning_tree(g), path)
+        digest = hashlib.sha256(b"3 3\n0 1\n0 2\n1 2\n").hexdigest()
+        assert path.read_bytes() == f"# tree-of: {digest}\n3 2\n0 1\n0 2\n".encode()
 
     def test_digest_mismatch_rejected(self, tmp_path):
         g = gen_torus(4, 2)
