@@ -90,7 +90,13 @@ class DecisionRecord:
 
 
 def detect(basis: WaveletBasis, y: Signal | np.ndarray, tau: float) -> DecisionRecord:
-    """Run the max-coefficient test: reject iff max |coefficient| > tau."""
+    """Run the max-coefficient test: reject iff max |coefficient| > tau.
+
+    Raises ValueError when tau is negative, NaN or infinite: such a threshold
+    would turn every observation into a silent accept (or reject).
+    """
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ValueError(f"threshold must be finite and >= 0, got {tau}")
     coefs = apply_basis(basis, y)
     mags = np.abs(coefs)
     arg = int(np.argmax(mags))

@@ -13,8 +13,6 @@ logarithmically small for signals with few level changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,145 +22,104 @@ from .graphs import EPS_CUT, Signal, signal_values
 from .trees import SpanningTree, _balance_split, _TreeScratch
 
 __all__ = [
-    "BasisElement",
     "WaveletBasis",
     "activation_bound",
     "apply_basis",
     "basis_sparsity",
     "build_basis",
     "edge_activations",
-    "form_wavelets",
     "write_basis_csv",
 ]
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    """One basis vector in sparse form: values[i] sits at vertices[i]."""
+def _spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lay the integer ranges [starts[i], stops[i]) end to end.
 
-    vertices: np.ndarray
-    values: np.ndarray
-    depth: int = 0
+    Returns, for every entry, the index i of its range and its value.
+    """
+    sizes = stops - starts
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    offsets = np.cumsum(sizes) - sizes
+    return owner, np.arange(int(sizes.sum())) + (starts - offsets)[owner]
 
 
 class WaveletBasis:
-    """All basis elements of one tree, stored back to back in CSR-style arrays.
+    """All basis elements of one tree as ranges over one vertex permutation.
 
-    Elements are ordered: constant first, then the splits in depth-first
-    order. ``indptr`` delimits each element's slice of ``vertices`` and
-    ``values``; ``depths`` records which recursion level emitted it.
+    Element i is positive on ``perm[lo[i]:mid[i]]``, negative on
+    ``perm[mid[i]:hi[i]]`` and zero elsewhere. Element 0 is the constant
+    (``lo = 0``, ``mid = hi = n``); the split elements follow in depth-first
+    order. ``depths`` records which recursion level emitted each element and
+    ``pivots`` the balance vertex of its split (-1 for the constant and for
+    two-vertex subtrees). Every split groups whole components, so every
+    support is a contiguous run of ``perm`` and the ranges nest or are
+    disjoint. ``matrix`` holds the elements as sparse rows.
     """
 
     def __init__(
         self,
         tree: SpanningTree,
-        indptr: np.ndarray,
-        vertices: np.ndarray,
-        values: np.ndarray,
+        perm: np.ndarray,
+        lo: np.ndarray,
+        mid: np.ndarray,
+        hi: np.ndarray,
         depths: np.ndarray,
         pivots: np.ndarray,
     ):
         self.tree = tree
         self.n = tree.n
-        self.indptr = indptr
-        self.vertices = vertices
-        self.values = values
+        self.perm = perm
+        self.lo = lo
+        self.mid = mid
+        self.hi = hi
         self.depths = depths
         self.pivots = pivots
+        self.matrix = self._rows()
 
     def __len__(self) -> int:
-        return len(self.indptr) - 1
+        return len(self.lo)
 
-    def element(self, i: int) -> BasisElement:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return BasisElement(
-            vertices=self.vertices[lo:hi],
-            values=self.values[lo:hi],
-            depth=int(self.depths[i]),
-        )
+    @property
+    def vertices(self) -> np.ndarray:
+        """Column indices of ``matrix``: the vertices of every support, back to back."""
+        return self.matrix.indices
 
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """Elements as rows of a sparse (n, n) matrix."""
-        return sp.csr_matrix(
-            (self.values, self.vertices, self.indptr), shape=(len(self), self.n)
-        )
+    def _rows(self) -> sp.csr_matrix:
+        # On a split of n1 positive against n2 negative vertices the element is
+        # sqrt(n1 n2 / (n1 + n2)) times (1/n1 on the first group, -1/n2 on the
+        # second). A two-vertex subtree (pivot -1) keeps 1/sqrt(2), which
+        # np.sqrt(0.5) misses by one ulp.
+        lo, mid, hi = self.lo, self.mid, self.hi
+        n1, n2 = (mid - lo)[1:], (hi - mid)[1:]
+        pos = np.empty(len(self))
+        neg = np.empty(len(self))
+        pos[0], neg[0] = 1.0 / np.sqrt(self.n), 0.0
+        pos[1:] = np.sqrt(n2 / (n1 * (n1 + n2)))
+        neg[1:] = -np.sqrt(n1 / (n2 * (n1 + n2)))
+        pair = self.pivots < 0
+        pair[0] = False
+        pos[pair] = 1.0 / np.sqrt(2.0)
+        neg[pair] = -1.0 / np.sqrt(2.0)
+        row, k = _spans(lo, hi)
+        indptr = np.concatenate(([0], np.cumsum(hi - lo)))
+        values = np.where(k < mid[row], pos[row], neg[row])
+        matrix = sp.csr_matrix((values, self.perm[k], indptr), shape=(len(self), self.n))
+        matrix.sort_indices()
+        return matrix
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
 
-def form_wavelets(components, depth: int = 0) -> list[BasisElement]:
-    """Lay Haar differences over an ordered list of disjoint vertex groups.
-
-    The first element contrasts the first ceil(p/2) groups against the rest,
-    then each half is treated the same way, giving p-1 orthonormal, zero-sum
-    elements for p groups. Values follow the balanced two-level form: on a
-    split (C1, C2) the element is sqrt(|C1||C2|/(|C1|+|C2|)) times
-    (1/|C1| on C1, -1/|C2| on C2).
-
-    Parameters
-    ----------
-    components : sequence of vertex collections
-        Disjoint, each nonempty; order determines the Haar hierarchy.
-    depth : int
-        Recorded on every produced element.
-    """
-    comps = [list(c) for c in components]
-    if not comps:
-        raise ValueError("need at least one component")
-    seen: set[int] = set()
-    for c in comps:
-        if not c:
-            raise ValueError("components must be nonempty")
-        for v in c:
-            if v in seen:
-                raise ValueError(f"components are not disjoint: vertex {v} repeats")
-            seen.add(v)
-    out: list[BasisElement] = []
-    _haar_over(comps, depth, out)
-    return out
-
-
-def _haar_over(comps: list[list[int]], depth: int, out: list[BasisElement]) -> None:
-    if len(comps) < 2:
-        return
-    h = (len(comps) + 1) // 2
-    left, right = comps[:h], comps[h:]
-    n1 = sum(len(c) for c in left)
-    n2 = sum(len(c) for c in right)
-    pos = np.sqrt(n2 / (n1 * (n1 + n2)))
-    neg = -np.sqrt(n1 / (n2 * (n1 + n2)))
-    verts = np.empty(n1 + n2, dtype=np.int64)
-    vals = np.empty(n1 + n2, dtype=np.float64)
-    i = 0
-    for c in left:
-        verts[i : i + len(c)] = c
-        vals[i : i + len(c)] = pos
-        i += len(c)
-    for c in right:
-        verts[i : i + len(c)] = c
-        vals[i : i + len(c)] = neg
-        i += len(c)
-    order = np.argsort(verts)
-    out.append(BasisElement(vertices=verts[order], values=vals[order], depth=depth))
-    _haar_over(left, depth, out)
-    _haar_over(right, depth, out)
-
-
-def _two_point(a: int, b: int, depth: int) -> BasisElement:
-    lo, hi = (a, b) if a < b else (b, a)
-    r = 1.0 / np.sqrt(2.0)
-    sign = 1.0 if lo == a else -1.0
-    return BasisElement(
-        vertices=np.array([lo, hi], dtype=np.int64),
-        values=np.array([sign * r, -sign * r], dtype=np.float64),
-        depth=depth,
-    )
-
-
 def build_basis(t: SpanningTree) -> WaveletBasis:
     """Construct the full wavelet basis of a spanning tree.
+
+    Each subtree is split at a balance vertex; the vertex joins its smallest
+    component, the components are ordered by smallest vertex and laid out
+    side by side in ``perm``, and Haar differences over that group list give
+    one element per group boundary: the first ceil(p/2) groups against the
+    rest, then each half the same way. Components of two or more vertices
+    are split in turn, a two-vertex subtree giving one final element.
 
     Returns
     -------
@@ -172,41 +129,40 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
     n = t.n
     adj = t.adjacency
     scratch = _TreeScratch(n)
-    elements: list[BasisElement] = [
-        BasisElement(
-            vertices=np.arange(n, dtype=np.int64),
-            values=np.full(n, 1.0 / np.sqrt(n)),
-            depth=0,
-        )
-    ]
-    pivots: list[int] = [-1]
+    perm = [0] * n
+    elements = [(0, n, n, 0, -1)]  # (lo, mid, hi, depth, pivot)
 
-    def process(verts: list[int], depth: int) -> None:
+    def haar(bounds: list[int], depth: int, pivot: int) -> None:
+        if len(bounds) < 3:
+            return
+        h = len(bounds) // 2
+        elements.append((bounds[0], bounds[h], bounds[-1], depth, pivot))
+        haar(bounds[: h + 1], depth, pivot)
+        haar(bounds[h:], depth, pivot)
+
+    def process(lo: int, verts: list[int], depth: int) -> None:
         if len(verts) == 2:
-            elements.append(_two_point(verts[0], verts[1], depth))
-            pivots.append(-1)
+            perm[lo : lo + 2] = verts
+            elements.append((lo, lo + 1, lo + 2, depth, -1))
             return
         v, comps = _balance_split(adj, verts, scratch)
         k = min(range(len(comps)), key=lambda i: len(comps[i]))
         comps[k] = sorted(comps[k] + [v])
         comps.sort(key=lambda c: c[0])
-        before = len(elements)
-        _haar_over(comps, depth, elements)
-        pivots.extend([v] * (len(elements) - before))
+        bounds = [lo]
         for c in comps:
+            bounds.append(bounds[-1] + len(c))
+        haar(bounds, depth, v)
+        for start, c in zip(bounds, comps):
             if len(c) >= 2:
-                process(c, depth + 1)
+                process(start, c, depth + 1)
+            else:
+                perm[start] = c[0]
 
     if n >= 2:
-        process(list(range(n)), 1)
-
-    indptr = np.zeros(len(elements) + 1, dtype=np.int64)
-    for i, e in enumerate(elements):
-        indptr[i + 1] = indptr[i] + len(e.vertices)
-    vertices = np.concatenate([e.vertices for e in elements])
-    values = np.concatenate([e.values for e in elements])
-    depths = np.array([e.depth for e in elements], dtype=np.int64)
-    return WaveletBasis(t, indptr, vertices, values, depths, np.array(pivots, dtype=np.int64))
+        process(0, list(range(n)), 1)
+    lo, mid, hi, depths, pivots = np.array(elements, dtype=np.int64).T.copy()
+    return WaveletBasis(t, np.array(perm, dtype=np.int64), lo, mid, hi, depths, pivots)
 
 
 def apply_basis(basis: WaveletBasis, y: Signal | np.ndarray) -> np.ndarray:
@@ -263,31 +219,43 @@ def edge_activations(basis: WaveletBasis, t: SpanningTree) -> np.ndarray:
     """
     if basis.tree != t:
         raise ValueError("basis was not built from this tree")
-    if not t.edges:
-        return np.zeros(0, dtype=np.int64)
-    ea = np.asarray(t.edges, dtype=np.int64)
-    eu, ev = ea[:, 0], ea[:, 1]
-    member = np.zeros(basis.n, dtype=bool)
-    counts = np.zeros(len(t.edges), dtype=np.int64)
-    for i in range(1, len(basis)):
-        lo, hi = basis.indptr[i], basis.indptr[i + 1]
-        verts = basis.vertices[lo:hi]
-        piv = int(basis.pivots[i])
-        member[verts] = True
-        if piv >= 0:
-            member[piv] = True
-        counts += member[eu] & member[ev]
-        member[verts] = False
-        if piv >= 0:
-            member[piv] = False
-    return counts
+    n, m = basis.n, len(t.edges)
+    at = np.empty(n, dtype=np.int64)
+    at[basis.perm] = np.arange(n)
+    eu, ev = t.edge_array.T
+    lo, hi, pivots = basis.lo[1:], basis.hi[1:], basis.pivots[1:]
+    # Both endpoints inside the range: edges ordered by their first position,
+    # each element scans the edges that start in its range.
+    first = np.minimum(at[eu], at[ev])
+    last = np.maximum(at[eu], at[ev])
+    order = np.argsort(first, kind="stable")
+    row, k = _spans(np.searchsorted(first[order], lo), np.searchsorted(first[order], hi))
+    e = order[k]
+    inside = e[last[e] < hi[row]]
+    # One endpoint is the element's pivot, outside its range, and the other
+    # inside it: both ends of every edge, keyed by (this end, position of the
+    # other end), so each pivot scans its neighbours inside the range.
+    key = np.concatenate((eu, ev)) * n + np.concatenate((at[ev], at[eu]))
+    order = np.argsort(key, kind="stable")
+    piv_at = at[pivots]
+    outside = (pivots >= 0) & ((piv_at < lo) | (piv_at >= hi))
+    base = pivots[outside] * n
+    _, k = _spans(
+        np.searchsorted(key[order], base + lo[outside]),
+        np.searchsorted(key[order], base + hi[outside]),
+    )
+    return np.bincount(np.concatenate((inside, order[k] % m)), minlength=m).astype(np.int64)
 
 
 def write_basis_csv(basis: WaveletBasis, path: str | Path) -> None:
     """Dump the basis as CSV rows ``element,vertex,value,depth``."""
+    m = basis.matrix
+    row = np.repeat(np.arange(len(basis)), np.diff(m.indptr))
     lines = ["element,vertex,value,depth"]
-    for i in range(len(basis)):
-        e = basis.element(i)
-        for v, val in zip(e.vertices, e.values):
-            lines.append(f"{i},{int(v)},{repr(float(val))},{e.depth}")
+    lines += [
+        f"{i},{v},{val!r},{d}"
+        for i, v, val, d in zip(
+            row.tolist(), m.indices.tolist(), m.data.tolist(), basis.depths[row].tolist()
+        )
+    ]
     Path(path).write_text("\n".join(lines) + "\n")

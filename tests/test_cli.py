@@ -8,13 +8,15 @@ import pytest
 
 from treewavelets import (
     all_edge_resistances,
+    bfs_spanning_tree,
+    build_basis,
     gen_knn,
     gen_torus,
     read_edge_list,
     read_tree,
     write_edge_list,
 )
-from treewavelets.cli import main
+from treewavelets.cli import _ortho_residual, main
 
 
 def sha256(path):
@@ -59,6 +61,14 @@ class TestBasis:
         path = tmp_path / "torus.txt"
         write_edge_list(gen_torus(4, 2), path)
         return path
+
+    def test_ortho_residual_matches_dense_and_catches_a_bad_row(self):
+        basis = build_basis(bfs_spanning_tree(gen_torus(5, 2)))
+        dense = basis.to_dense()
+        expect = np.abs(dense @ dense.T - np.eye(25)).max()
+        assert _ortho_residual(basis) == pytest.approx(expect, abs=1e-15)
+        basis.matrix.data[basis.matrix.indptr[3]] *= 1.5
+        assert _ortho_residual(basis) > 1e-3
 
     def test_diagnostics_pass_and_outputs(self, tmp_path, capsys):
         graph = self.torus_file(tmp_path)

@@ -100,6 +100,16 @@ class TestDetect:
         with pytest.raises(ValueError, match="non-finite"):
             apply_basis(basis, y)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_threshold_raises(self, tau):
+        # With tau NaN or inf, y[5] = 100 would give reject=False at
+        # statistic 70.7 instead of failing.
+        basis = build_basis(bfs_spanning_tree(gen_torus(4, 2)))
+        y = np.zeros(16)
+        y[5] = 100.0
+        with pytest.raises(ValueError, match="threshold"):
+            detect(basis, y, tau=tau)
+
 
 class TestNoiseModel:
     def test_reproducible_with_seed(self):
