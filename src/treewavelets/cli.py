@@ -278,8 +278,7 @@ def _cmd_resistance(args: argparse.Namespace) -> int:
         counts = np.zeros(g.m, dtype=np.int64)
         for _ in range(draws):
             t = sample_ust(g, int(rng.integers(2**32)))
-            for e in t.edges:
-                counts[g.edge_index[e]] += 1
+            counts += np.bincount(g.edge_ids(t.edge_array), minlength=g.m)
         freq = counts / draws
         p = profile.edge_resistances
         se = np.sqrt(np.maximum(p * (1.0 - p), 1e-12) / draws)
@@ -450,8 +449,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for _ in range(draws):
         t = sample_ust(c4, int(rng.integers(2**32)))
         validate_spanning_tree(t)
-        for e in t.edges:
-            counts[c4.edge_index[e]] += 1
+        counts += np.bincount(c4.edge_ids(t.edge_array), minlength=c4.m)
     freq = counts / draws
     se = math.sqrt(0.75 * 0.25 / draws)
     ok &= _check("tree marginals", bool(np.all(np.abs(freq - 0.75) <= 3 * se)),

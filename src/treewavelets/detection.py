@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InfeasibleSignalError
 from .graphs import EPS_CUT, Graph, Signal, as_rng, cut_size
-from .wavelets import WaveletBasis, apply_basis
+from .wavelets import WaveletBasis, _clamped_log2, apply_basis
 
 __all__ = [
     "DecisionRecord",
@@ -40,13 +40,18 @@ def threshold(sigma: float, n: int, delta: float) -> float:
     Under the null, every coefficient is N(0, sigma^2), so a union bound
     caps the false-alarm probability at delta.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _require_sigma(sigma)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return sigma * math.sqrt(2.0 * math.log(n / delta))
+
+
+def _require_sigma(sigma: float) -> None:
+    # A NaN sigma makes every threshold NaN, and every trial a silent accept.
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,7 @@ class NoiseModel:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _require_sigma(self.sigma)
 
     def sample(self, n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
         """One noise vector; uses the model's own seed when rng is omitted."""
@@ -242,12 +246,6 @@ def gen_prior_signal(
 # =============================================================================
 # Sufficient-SNR reference scales
 # =============================================================================
-
-
-def _clamped_log2(x: int) -> int:
-    if x < 1:
-        raise ValueError(f"expected a positive integer, got {x}")
-    return max(1, (x - 1).bit_length())
 
 
 def snr_condition(

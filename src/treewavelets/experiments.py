@@ -13,7 +13,7 @@ and keeps empirical power curves tight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .errors import FitUndefinedError, InfeasibleSignalError
 from .graphs import (
     Graph,
     Signal,
+    _pair_array,
     as_rng,
     gen_complete,
     gen_epsilon,
@@ -122,20 +123,7 @@ class TrialRecord:
     truth: bool
 
 
-TRIAL_COLUMNS = [
-    "family",
-    "n",
-    "rho",
-    "mu",
-    "trial",
-    "seed",
-    "tree_seed",
-    "cut",
-    "statistic",
-    "threshold",
-    "reject",
-    "truth",
-]
+TRIAL_COLUMNS = [f.name for f in fields(TrialRecord)]
 
 
 def _trial_row(r: TrialRecord) -> list[str]:
@@ -250,6 +238,9 @@ class CellSpec:
             raise ValueError(f"unknown graph family {self.family!r}")
         if self.sampler not in _SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
+        # A NaN or negative mu would write rows that read as null trials.
+        if not all(math.isfinite(mu) and mu >= 0 for mu in self.mu_grid):
+            raise ValueError(f"mu_grid values must be finite and >= 0, got {list(self.mu_grid)}")
 
     def build_graph(self) -> Graph:
         if self.family == "torus":
@@ -449,19 +440,7 @@ class SparsityPoint:
     bound: int
 
 
-SPARSITY_COLUMNS = [
-    "family",
-    "n",
-    "signal",
-    "tree_seed",
-    "tree_degree",
-    "levels",
-    "rho_target",
-    "cut",
-    "tree_cut",
-    "sparsity",
-    "bound",
-]
+SPARSITY_COLUMNS = [f.name for f in fields(SparsityPoint)]
 
 
 @dataclass(frozen=True)
@@ -474,7 +453,7 @@ class FitRow:
     r2: float
 
 
-FIT_COLUMNS = ["family", "n", "points", "slope", "intercept", "r2"]
+FIT_COLUMNS = [f.name for f in fields(FitRow)]
 
 
 def _sparsity_point(args) -> SparsityPoint | None:
@@ -576,16 +555,7 @@ class ConcentrationRow:
     passed: bool
 
 
-CONCENTRATION_COLUMNS = [
-    "delta",
-    "set_size",
-    "r_set",
-    "tail_at",
-    "empirical",
-    "bound",
-    "band",
-    "passed",
-]
+CONCENTRATION_COLUMNS = [f.name for f in fields(ConcentrationRow)]
 
 
 def ust_concentration_check(
@@ -608,24 +578,23 @@ def ust_concentration_check(
     Pass ``trees`` to reuse one pool of sampled trees across several edge
     sets; otherwise ``samples`` fresh trees are drawn here.
     """
-    canonical = []
-    for u, v in edge_set:
-        e = (int(u), int(v)) if u < v else (int(v), int(u))
-        if e not in g.edge_index:
-            raise ValueError(f"edge {e} is not in the graph")
-        canonical.append(e)
-    if not canonical:
+    pairs = _pair_array(edge_set)
+    if not len(pairs):
         raise ValueError("edge set is empty")
+    idx = g.edge_ids(pairs)
+    if (idx < 0).any():
+        u, v = pairs[np.argmax(idx < 0)].tolist()
+        raise ValueError(f"edge {(u, v)} is not in the graph")
     if profile is None:
         profile = all_edge_resistances(g)
-    idx = [g.edge_index[e] for e in canonical]
     r_set = float(profile.edge_resistances[idx].sum())
     if trees is None:
         gen = as_rng(rng)
         trees = [sample_ust(g, int(gen.integers(2**32))) for _ in range(samples)]
-    edge_members = set(canonical)
+    member = np.zeros(g.m, dtype=bool)
+    member[idx] = True
     counts = np.array(
-        [sum(1 for e in t.edges if e in edge_members) for t in trees], dtype=np.int64
+        [np.count_nonzero(member[g.edge_ids(t.edge_array)]) for t in trees], dtype=np.int64
     )
     n_draws = len(counts)
     rows = []
@@ -641,7 +610,7 @@ def ust_concentration_check(
         rows.append(
             ConcentrationRow(
                 delta=d,
-                set_size=len(canonical),
+                set_size=len(idx),
                 r_set=r_set,
                 tail_at=at,
                 empirical=empirical,
@@ -841,15 +810,16 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> Exper
     return result
 
 
-def _named_edge_set(g: Graph, label: str) -> list[tuple[int, int]]:
+def _named_edge_set(g: Graph, label: str) -> np.ndarray:
     """Deterministic edge sets used by the concentration experiment."""
+    ea = g.edge_array
     if label == "edge":
-        return [g.edges[0]]
+        return ea[:1]
     if label == "star":
-        return [e for e in g.edges if 0 in e]
+        return ea[(ea == 0).any(axis=1)]
     if label == "ball":
-        inside = {0, *g.adjacency[0]}
-        return [e for e in g.edges if (e[0] in inside) != (e[1] in inside)]
+        inside = np.isin(np.arange(g.n), [0, *g.adjacency[0]])
+        return ea[inside[ea[:, 0]] != inside[ea[:, 1]]]
     raise ValueError(f"unknown edge-set label {label!r}")
 
 

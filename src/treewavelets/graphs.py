@@ -8,7 +8,6 @@ set serialize to identical bytes.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -80,8 +79,7 @@ class Graph:
     @cached_property
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) int array (empty graphs get shape (0, 2))."""
-        flat = itertools.chain.from_iterable(self.edges)
-        return np.fromiter(flat, dtype=np.int64, count=2 * self.m).reshape(self.m, 2)
+        return np.array(self.edges, dtype=np.int64).reshape(self.m, 2)
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -124,9 +122,23 @@ class Graph:
         return indptr, indices
 
     @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Position of each canonical edge in ``edges``."""
-        return {e: i for i, e in enumerate(self.edges)}
+    def _edge_keys(self) -> np.ndarray:
+        """``u*n + v`` per edge: increasing, because ``edges`` is canonical."""
+        return self.edge_array[:, 0] * self.n + self.edge_array[:, 1]
+
+    def edge_ids(self, pairs) -> np.ndarray:
+        """Positions in ``edges`` of the given pairs, -1 where a pair is not an edge.
+
+        Pairs may come in either orientation; pairs with an endpoint outside
+        ``0..n-1`` are never edges.
+        """
+        p = _pair_array(pairs)
+        lo, hi = np.minimum(p[:, 0], p[:, 1]), np.maximum(p[:, 0], p[:, 1])
+        key = lo * self.n + hi
+        pos = np.searchsorted(self._edge_keys, key)
+        found = (lo >= 0) & (hi < self.n) & (pos < self.m)
+        found[found] = self._edge_keys[pos[found]] == key[found]
+        return np.where(found, pos, -1)
 
     @cached_property
     def component_sizes(self) -> tuple[int, ...]:
@@ -168,6 +180,50 @@ def signal_values(x: Signal | np.ndarray) -> np.ndarray:
 # =============================================================================
 
 
+def _pair_array(pairs) -> np.ndarray:
+    """Vertex pairs from any iterable or array as a (k, 2) int64 array."""
+    p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+    if p.shape == (0,):
+        p = p.reshape(0, 2)
+    if p.ndim != 2 or p.shape[1] != 2:
+        raise ValueError(f"edges must be (u, v) pairs, got an array of shape {p.shape}")
+    return p
+
+
+def _canonical_edges(n: int, pairs) -> np.ndarray:
+    """Validated pairs as an (m, 2) int64 array, ``u < v`` per row, rows sorted.
+
+    Names the first pair, in input order, that is out of range, a self-loop,
+    or a duplicate (in either orientation).
+    """
+    p = _pair_array(pairs)
+    lo, hi = np.minimum(p[:, 0], p[:, 1]), np.maximum(p[:, 0], p[:, 1])
+    # In range, the key orders pairs lexicographically. Out of range it may
+    # collide with a real pair's key, but the stable sort then flags the
+    # earlier out-of-range pair first.
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    lo, hi, key = lo[order], hi[order], key[order]
+    bad = (lo < 0) | (hi >= n) | (lo == hi)
+    bad[1:] |= key[1:] == key[:-1]
+    if bad.any():
+        u, v = p[order[bad].min()].tolist()
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
+    return np.column_stack((lo, hi))
+
+
+def _canonical_graph(cls, n: int, pairs, **fields):
+    """Build a Graph (or subclass) on the canonical form of ``pairs``."""
+    canonical = _canonical_edges(n, pairs)
+    g = cls(n=n, edges=tuple(zip(canonical[:, 0].tolist(), canonical[:, 1].tolist())), **fields)
+    g.__dict__["edge_array"] = canonical  # seed the cached view with the array at hand
+    return g
+
+
 def build_graph(n: int, edges) -> Graph:
     """Validate and canonicalize an edge list into a :class:`Graph`.
 
@@ -175,7 +231,7 @@ def build_graph(n: int, edges) -> Graph:
     ----------
     n : int
         Vertex count; must be >= 1.
-    edges : iterable of (int, int)
+    edges : iterable of (int, int), or an (m, 2) array
         Undirected edges in any order/orientation. Self-loops and duplicate
         edges (in either orientation) are rejected.
 
@@ -185,21 +241,7 @@ def build_graph(n: int, edges) -> Graph:
     """
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
-    canonical: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for raw in edges:
-        u, v = int(raw[0]), int(raw[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise ValueError(f"duplicate edge {e}")
-        seen.add(e)
-        canonical.append(e)
-    canonical.sort()
-    return Graph(n=n, edges=tuple(canonical))
+    return _canonical_graph(Graph, n, edges)
 
 
 def incidence_apply(g: Graph, x: Signal | np.ndarray) -> np.ndarray:
@@ -276,21 +318,18 @@ def gen_torus(side: int, dims: int = 2) -> Graph:
     if dims < 1:
         raise ValueError(f"torus dims must be >= 1, got {dims}")
     n = side**dims
-    edges = []
-    strides = [side**d for d in range(dims)]
-    for v in range(n):
-        for d in range(dims):
-            coord = (v // strides[d]) % side
-            w = v + strides[d] * ((coord + 1) % side - coord)
-            edges.append((v, w))
-    return build_graph(n, edges)
+    v, up = np.arange(n), []
+    for stride in (side**d for d in range(dims)):
+        coord = (v // stride) % side
+        up.append(v + stride * ((coord + 1) % side - coord))
+    return build_graph(n, np.column_stack((np.tile(v, dims), np.concatenate(up))))
 
 
 def gen_complete(n: int) -> Graph:
     """Complete graph on n vertices."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return build_graph(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
 def _uniform_points(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -328,14 +367,11 @@ def gen_knn(
     points = _uniform_points(n, dim, as_rng(rng))
     dist = _pairwise_distances(points)
     np.fill_diagonal(dist, np.inf)
-    edges: set[tuple[int, int]] = set()
-    idx = np.arange(n)
-    for u in range(n):
-        order = np.lexsort((idx, dist[u]))
-        for v in order[:k]:
-            v = int(v)
-            edges.add((u, v) if u < v else (v, u))
-    return build_graph(n, sorted(edges)), points
+    # A stable sort keeps equal distances in index order.
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    joined = np.zeros((n, n), dtype=bool)
+    joined[np.arange(n)[:, None], nearest] = True
+    return build_graph(n, np.argwhere(np.triu(joined | joined.T))), points
 
 
 def gen_epsilon(
@@ -357,8 +393,7 @@ def gen_epsilon(
     dist = _pairwise_distances(points)
     iu, iv = np.triu_indices(n, k=1)
     keep = dist[iu, iv] <= eps
-    edges = list(zip(iu[keep].tolist(), iv[keep].tolist()))
-    return build_graph(n, edges), points
+    return build_graph(n, np.column_stack((iu[keep], iv[keep]))), points
 
 
 # =============================================================================

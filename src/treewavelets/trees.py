@@ -19,6 +19,7 @@ from .graphs import (
     EPS_CUT,
     Graph,
     Signal,
+    _canonical_graph,
     as_rng,
     connected_components,
     cut_size,
@@ -64,29 +65,24 @@ def validate_spanning_tree(t: SpanningTree) -> None:
         raise ValueError(f"tree has {t.n} vertices, host graph has {g.n}")
     if t.m != g.n - 1:
         raise ValueError(f"spanning tree needs {g.n - 1} edges, got {t.m}")
-    for e in t.edges:
-        if e not in g.edge_index:
-            raise ValueError(f"tree edge {e} is not an edge of the host graph")
+    missing = np.flatnonzero(g.edge_ids(t.edge_array) < 0)
+    if missing.size:
+        raise ValueError(f"tree edge {t.edges[missing[0]]} is not an edge of the host graph")
     if len(connected_components(t)) != 1:
         raise ValueError("tree edges do not connect all vertices")
 
 
 def build_spanning_tree(g: Graph, edges) -> SpanningTree:
     """Canonicalize an edge list and validate it as a spanning tree of g."""
-    canonical = sorted((min(u, v), max(u, v)) for u, v in ((int(a), int(b)) for a, b in edges))
-    t = SpanningTree(n=g.n, edges=tuple(canonical), graph=g)
+    t = _canonical_graph(SpanningTree, g.n, edges, graph=g)
     validate_spanning_tree(t)
     return t
 
 
 def _parents_to_tree(g: Graph, parent: np.ndarray) -> SpanningTree:
-    edges = []
-    for v in range(g.n):
-        p = int(parent[v])
-        if p >= 0:
-            edges.append((p, v) if p < v else (v, p))
-    edges.sort()
-    return SpanningTree(n=g.n, edges=tuple(edges), graph=g)
+    child = np.flatnonzero(parent >= 0)
+    pairs = np.column_stack((parent[child], child))
+    return _canonical_graph(SpanningTree, g.n, pairs, graph=g)
 
 
 # Uniforms drawn per numpy call by the walk; one call per step would cost

@@ -184,10 +184,11 @@ def basis_sparsity(basis: WaveletBasis, x: Signal | np.ndarray, eps: float = EPS
     return int(np.count_nonzero(np.abs(apply_basis(basis, x)) > eps))
 
 
-def _ceil_log2(x: int) -> int:
+def _clamped_log2(x: int) -> int:
+    """max(1, ceil(log2 x)) for a positive integer x."""
     if x < 1:
         raise ValueError(f"expected a positive integer, got {x}")
-    return (x - 1).bit_length()
+    return max(1, (x - 1).bit_length())
 
 
 def activation_bound(t: SpanningTree) -> int:
@@ -198,7 +199,7 @@ def activation_bound(t: SpanningTree) -> int:
     """
     if t.n < 2:
         return 0
-    return max(1, _ceil_log2(max(t.max_degree, 1))) * max(1, _ceil_log2(t.n))
+    return _clamped_log2(t.max_degree) * _clamped_log2(t.n)
 
 
 def edge_activations(basis: WaveletBasis, t: SpanningTree) -> np.ndarray:

@@ -190,6 +190,15 @@ class TestExperiment:
         assert code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["NaN", "Infinity"])
+    def test_non_finite_sigma_exits_2(self, tmp_path, capsys, sigma):
+        config = self.config(tmp_path)
+        config.write_text(config.read_text().replace('"sigma": 1.0', f'"sigma": {sigma}'))
+        assert json.loads(config.read_text())["sigma"] != 1.0
+        code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "sigma must be positive and finite" in capsys.readouterr().err
+
     def test_bad_config_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -9,6 +9,7 @@ from treewavelets import (
     DetectionTest,
     InfeasibleSignalError,
     NoiseModel,
+    activation_bound,
     apply_basis,
     bfs_spanning_tree,
     build_basis,
@@ -54,6 +55,12 @@ class TestThreshold:
             threshold(1.0, 10, 0.0)
         with pytest.raises(ValueError):
             threshold(1.0, 10, 1.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_raises(self, sigma):
+        # threshold(nan, ...) used to return nan, so every trial accepted.
+        with pytest.raises(ValueError, match="sigma"):
+            threshold(sigma, 10, 0.05)
 
     def test_detection_test_caches_tau(self):
         t = DetectionTest(sigma=2.0, n=64, delta=0.1)
@@ -125,6 +132,11 @@ class TestNoiseModel:
     def test_sigma_validated(self):
         with pytest.raises(ValueError):
             NoiseModel(sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_raises(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            NoiseModel(sigma=sigma)
 
     def test_scale(self):
         a = NoiseModel(sigma=1.0).sample(1000, rng=0)
@@ -229,3 +241,17 @@ class TestSnrCondition:
             snr_condition("remark1", n=4, d=2)
         with pytest.raises(ValueError, match="r_max"):
             snr_condition("theorem3", n=4, d=2)
+
+    def test_remark1_levels_agree_with_activation_bound(self):
+        # Both read max(1, ceil(log2 d)) * max(1, ceil(log2 n)) for a tree of
+        # max degree d on n vertices: a star of d leaves plus a tail path.
+        delta = 0.05
+        for n in range(2, 65):
+            for d in range(1 if n == 2 else 2, n):
+                edges = [(0, v) for v in range(1, d + 1)]
+                edges += [(v, v + 1) for v in range(d, n - 1)]
+                t = build_spanning_tree(build_graph(n, edges), edges)
+                assert t.max_degree == d
+                scale = snr_condition("remark1", n=n, d=d, delta=delta, rho=0.5)
+                tail = math.sqrt(math.log(1.0 / delta)) + math.sqrt(math.log(n / delta))
+                assert round((scale / tail) ** 2) == activation_bound(t)

@@ -22,6 +22,7 @@ from treewavelets import (
     detect,
     fit_sparsity_points,
     gen_complete,
+    gen_knn,
     gen_torus,
     gen_two_level_signal,
     mu_at_power,
@@ -36,6 +37,7 @@ from treewavelets import (
     validate_spanning_tree,
 )
 from helpers import binomial_band, enumerate_spanning_trees
+from treewavelets.experiments import _named_edge_set
 
 
 class TestTreeSource:
@@ -142,6 +144,13 @@ class TestCellSpec:
         assert g.n == 25 and cell.label_n() == 25
         cell = CellSpec.from_dict({"family": "complete", "n": 9})
         assert cell.build_graph().n == 9 and cell.label_n() == 9
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -3.0])
+    def test_mu_grid_values_validated(self, bad):
+        # [nan, -3, 5] used to write rows that read as null trials.
+        with pytest.raises(ValueError, match="mu_grid"):
+            CellSpec.from_dict({"family": "torus", "side": 4, "mu_grid": [bad, 5.0]})
+        assert CellSpec(family="torus", side=4, mu_grid=(0.0, 5.0)).mu_grid == (0.0, 5.0)
 
 
 class TestPowerCurve:
@@ -365,6 +374,31 @@ class TestConcentration:
             assert row.r_set == pytest.approx(2.0, abs=1e-10)
             assert row.empirical == 0.0
             assert row.passed
+
+    def test_counts_match_set_oracle_in_either_orientation(self):
+        g = gen_torus(4, 2)
+        trees = [sample_ust(g, s) for s in range(40)]
+        star = [e for e in g.edges if 0 in e]
+        deltas = [0.25, 0.5, 1.0]
+        rows = ust_concentration_check(g, star, 40, deltas, trees=trees)
+        flipped = ust_concentration_check(g, [(v, u) for u, v in star], 40, deltas, trees=trees)
+        assert rows == flipped
+        counts = [sum(e in star for e in t.edges) for t in trees]
+        for row in rows:
+            assert row.set_size == 4
+            assert row.empirical == sum(c >= row.tail_at for c in counts) / 40
+
+    @pytest.mark.parametrize("make", [lambda: gen_torus(5, 2), lambda: gen_knn(60, 4, 2, 3)[0]])
+    def test_named_edge_sets_match_edge_loops(self, make):
+        g = make()
+        inside = {0, *g.adjacency[0]}
+        want = {
+            "edge": [g.edges[0]],
+            "star": [e for e in g.edges if 0 in e],
+            "ball": [e for e in g.edges if (e[0] in inside) != (e[1] in inside)],
+        }
+        for label, edges in want.items():
+            assert [tuple(e) for e in _named_edge_set(g, label).tolist()] == edges
 
     def test_validates_arguments(self):
         g = self.triangle()

@@ -7,6 +7,7 @@ import pytest
 
 from treewavelets import (
     DisconnectedGraphError,
+    bfs_spanning_tree,
     build_graph,
     connected_components,
     cut_size,
@@ -54,6 +55,69 @@ class TestBuildGraph:
     def test_single_vertex(self):
         g = build_graph(1, [])
         assert g.n == 1 and g.m == 0
+
+    def test_accepts_list_generator_and_array(self):
+        pairs = [(3, 1), (0, 2), (1, 0), (2, 3)]
+        want = build_graph(4, pairs)
+        assert want.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+        arrays = (np.array(pairs), np.array(pairs, dtype=np.int32))
+        for edges in (iter(pairs), (p for p in pairs), *arrays):
+            g = build_graph(4, edges)
+            assert g == want
+            assert g.edge_array.dtype == np.int64
+            assert g.edge_array.tolist() == [list(e) for e in want.edges]
+        assert build_graph(3, np.empty((0, 2), dtype=np.int64)).m == 0
+
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1, 2)], [(0, 1), (1, 2, 0)], np.zeros((2, 3), dtype=int), [0, 1]]
+    )
+    def test_rejects_rows_that_are_not_pairs(self, edges):
+        with pytest.raises(ValueError):
+            build_graph(3, edges)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(1, 0), (3, 0), (2, 2), (0, 1)], r"edge \(3, 0\) out of range for n=3"),
+            ([(1, 0), (2, 2), (3, 0)], "self-loop at vertex 2"),
+            ([(2, 1), (1, 0), (0, 1), (1, 2)], r"duplicate edge \(0, 1\)"),
+            ([(0, -1), (1, 1)], r"edge \(0, -1\) out of range for n=3"),
+        ],
+    )
+    def test_names_first_offending_edge(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            build_graph(3, edges)
+
+
+def _loop_build(n, edges):
+    """Reference: canonical edges or the error message, one edge at a time."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) out of range for n={n}"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        e = (min(u, v), max(u, v))
+        if e in seen:
+            return f"duplicate edge {e}"
+        seen.add(e)
+    return tuple(sorted(seen))
+
+
+def test_build_graph_matches_loop_reference():
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        n = int(rng.integers(1, 8))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 10)), 2))
+        stray = rng.random(edges.shape) < 0.03
+        edges[stray] = rng.integers(-3, n + 3, size=int(stray.sum()))
+        edges = [tuple(e) for e in edges.tolist()]
+        want = _loop_build(n, edges)
+        try:
+            got = build_graph(n, edges).edges
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, edges
 
 
 class TestIncidenceAndCut:
@@ -141,6 +205,107 @@ class TestDerivedViews:
         for v in range(g.n):
             groups.setdefault(find(v), []).append(v)
         assert connected_components(g) == sorted(groups.values())
+
+
+# graph_digest of each generator's output, recorded before the generators
+# were vectorised: the edge sets must not change.
+PINNED_DIGESTS = {
+    "torus 3x3": (
+        lambda: gen_torus(3, 2),
+        "dec2673a596945159aa37e62043bcf9aca76eff2b6a690cedd167cdfb08ed75a",
+    ),
+    "torus 5x5": (
+        lambda: gen_torus(5, 2),
+        "96a323e852e999b16c31458eb958bdce51247800425df2ca90f3215909bce31d",
+    ),
+    "torus 4^3": (
+        lambda: gen_torus(4, 3),
+        "5b485cb6a5d5fae285a5664b7e29a38d633161acce36e23ccaec45710cd25e2e",
+    ),
+    "K1": (
+        lambda: gen_complete(1),
+        "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7",
+    ),
+    "K2": (
+        lambda: gen_complete(2),
+        "4a6ae7226283a4b6277ce3e77a91585c0cad93929046f3c7bd9105d7ed101834",
+    ),
+    "K7": (
+        lambda: gen_complete(7),
+        "51ac8588af7eae34e8cc91650d0b3eb8146ae2ecb8f5218311140fa1ac6b711d",
+    ),
+    "K64": (
+        lambda: gen_complete(64),
+        "ea64c19bd91a095e6813378ec12593a14dcec334b923e3c6f3308fbb69322e19",
+    ),
+    "knn 60/4 seed 0": (
+        lambda: gen_knn(60, 4, rng=0)[0],
+        "21297fcd0daafff6bab7fa9ddf1f47b306d14a3ec3798972a2c58dd1436ddf5a",
+    ),
+    "knn 60/4 seed 1": (
+        lambda: gen_knn(60, 4, rng=1)[0],
+        "9f7ed9149b3fe237f211cd65e9d2b3f8c21db1dcc6558a735a71b55048504cd5",
+    ),
+    "knn 60/4 seed 2": (
+        lambda: gen_knn(60, 4, rng=2)[0],
+        "7082adef86fed687337b4785be6c4471e2527e73ce29b95ca185c99ab3af0b35",
+    ),
+    "knn 200/6 seed 21": (
+        lambda: gen_knn(200, 6, rng=21)[0],
+        "3112d89d025678848600477bf481cf93f765966580bc29b506cf053d8a3560e9",
+    ),
+    "epsilon 100/0.2 seed 0": (
+        lambda: gen_epsilon(100, 0.2, rng=0)[0],
+        "8bd884d0bdefc2026439a5f850c66992a84b414cc0dc0578f2337d895d5f8bc6",
+    ),
+    "epsilon 100/0.2 seed 1": (
+        lambda: gen_epsilon(100, 0.2, rng=1)[0],
+        "9dbf6c70de25fc9adbc439897a91511c82a5d7ba1eb2c087b7d36e0edfe9090a",
+    ),
+    "epsilon 100/0.2 seed 2": (
+        lambda: gen_epsilon(100, 0.2, rng=2)[0],
+        "6675b6a977c325cc72f06aefede13c6efd4064771f2d4458c91f57ff82007f32",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_generator_digest_pinned(name):
+    make, digest = PINNED_DIGESTS[name]
+    assert graph_digest(make()) == digest
+
+
+EDGE_ID_GRAPHS = {**DERIVED_VIEW_GRAPHS, "tree": lambda: bfs_spanning_tree(gen_torus(4, 2))}
+
+
+class TestEdgeIds:
+    @pytest.mark.parametrize("name", sorted(EDGE_ID_GRAPHS))
+    def test_matches_dict_oracle(self, name):
+        g = EDGE_ID_GRAPHS[name]()
+        oracle = {e: i for i, e in enumerate(g.edges)}
+        pairs = list(itertools.product(range(-1, g.n + 1), repeat=2))
+        want = [oracle.get((min(u, v), max(u, v)), -1) for u, v in pairs]
+        got = g.edge_ids(pairs)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert g.edge_ids(g.edges).tolist() == list(range(g.m))
+        assert g.edge_ids(g.edge_array[:, ::-1]).tolist() == list(range(g.m))
+
+    def test_out_of_range_never_aliases(self):
+        # On n=3 the key 0*3 + 5 equals the key of (1, 2).
+        g = build_graph(3, [(0, 1), (1, 2)])
+        got = g.edge_ids([(0, 5), (5, 0), (1, 2), (0, 2), (2, 1)])
+        assert got.tolist() == [-1, -1, 1, -1, 1]
+        assert g.edge_ids([(-3, 1)]).tolist() == [-1]
+
+    def test_empty_input(self):
+        g = gen_torus(3, 2)
+        for empty in ([], np.empty((0, 2), dtype=np.int64)):
+            got = g.edge_ids(empty)
+            assert got.shape == (0,) and got.dtype == np.int64
+
+    def test_rejects_rows_that_are_not_pairs(self):
+        with pytest.raises(ValueError):
+            gen_torus(3, 2).edge_ids([(0, 1, 2)])
 
 
 class TestComponents:
