@@ -40,6 +40,7 @@ from .errors import DisconnectedGraphError
 from .experiments import TreeSource, preset_config, run_experiment, run_trial
 from .graphs import (
     build_graph,
+    connected_components,
     cut_size,
     gen_complete,
     gen_epsilon,
@@ -353,25 +354,10 @@ def _check(name: str, ok: bool, detail: str) -> bool:
 
 
 def _components_after_removal(tree, v: int) -> list[int]:
-    """Component sizes of the tree with vertex v deleted (plain BFS)."""
-    adj = tree.adjacency
-    seen = {v}
-    sizes = []
-    for start in range(tree.n):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        size = 0
-        while stack:
-            u = stack.pop()
-            size += 1
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        sizes.append(size)
-    return sizes
+    """Component sizes of the tree with vertex v deleted."""
+    ea = tree.edge_array
+    rest = build_graph(tree.n, ea[(ea != v).all(axis=1)])
+    return [len(c) for c in connected_components(rest) if c != [v]]
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -10,14 +10,13 @@ step is ever needed.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InfeasibleSignalError
-from .graphs import EPS_CUT, Graph, Signal, as_rng, cut_size
+from .graphs import Graph, Signal, _bfs, _require_positive, as_rng, cut_size
 from .wavelets import WaveletBasis, _clamped_log2, apply_basis
 
 __all__ = [
@@ -40,18 +39,12 @@ def threshold(sigma: float, n: int, delta: float) -> float:
     Under the null, every coefficient is N(0, sigma^2), so a union bound
     caps the false-alarm probability at delta.
     """
-    _require_sigma(sigma)
+    _require_positive("sigma", sigma)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return sigma * math.sqrt(2.0 * math.log(n / delta))
-
-
-def _require_sigma(sigma: float) -> None:
-    # A NaN sigma makes every threshold NaN, and every trial a silent accept.
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,7 @@ class NoiseModel:
     seed: int | None = None
 
     def __post_init__(self):
-        _require_sigma(self.sigma)
+        _require_positive("sigma", self.sigma)
 
     def sample(self, n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
         """One noise vector; uses the model's own seed when rng is omitted."""
@@ -114,29 +107,19 @@ def detect(basis: WaveletBasis, y: Signal | np.ndarray, tau: float) -> DecisionR
 
 
 def _check_budget(rho: float, mu: float) -> None:
-    if rho < 0:
-        raise ValueError(f"cut budget must be >= 0, got {rho}")
-    if mu <= 0:
-        raise ValueError(f"signal energy must be positive, got {mu}")
+    # rho = +inf means no budget.
+    _require_positive("cut budget", rho, zero_ok=True, inf_ok=True)
+    _require_positive("signal energy", mu)
 
 
 def _ball_layers(g: Graph, seed_vertex: int) -> list[list[int]]:
     """BFS layers around a vertex, each sorted ascending."""
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[seed_vertex] = 0
-    queue = deque([seed_vertex])
-    layers: list[list[int]] = [[seed_vertex]]
-    adj = g.adjacency
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                if dist[w] == len(layers):
-                    layers.append([])
-                layers[dist[w]].append(w)
-                queue.append(w)
-    return [sorted(layer) for layer in layers]
+    _, dist = _bfs(g, seed_vertex)
+    layers: list[list[int]] = [[] for _ in range(max(dist) + 1)]
+    for v, d in enumerate(dist):
+        if d >= 0:
+            layers[d].append(v)
+    return layers
 
 
 def _boundary_count(g: Graph, members: np.ndarray) -> int:
@@ -215,8 +198,7 @@ def gen_two_level_signal(
 
 def prior_support_size(g: Graph, rho: float) -> int:
     """Support size floor(min(rho / d_max, sqrt(n))) of the scattered sampler."""
-    if rho < 0:
-        raise ValueError(f"cut budget must be >= 0, got {rho}")
+    _require_positive("cut budget", rho, zero_ok=True, inf_ok=True)
     if g.max_degree == 0:
         return min(1, int(math.isqrt(g.n)))
     return int(min(rho / g.max_degree, math.sqrt(g.n)))
@@ -272,8 +254,7 @@ def snr_condition(
     if mode == "remark1":
         if rho is None or delta is None:
             raise ValueError("remark1 needs rho and delta")
-        if rho < 0:
-            raise ValueError(f"rho must be >= 0, got {rho}")
+        _require_positive("rho", rho, zero_ok=True, inf_ok=True)
         if not 0 < delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
         levels = _clamped_log2(d) * _clamped_log2(n)
@@ -283,7 +264,6 @@ def snr_condition(
     if mode == "theorem3":
         if r_max is None:
             raise ValueError("theorem3 needs r_max")
-        if r_max <= 0:
-            raise ValueError(f"r_max must be positive, got {r_max}")
+        _require_positive("r_max", r_max)
         return math.sqrt(r_max * _clamped_log2(d)) * _clamped_log2(n)
     raise ValueError(f"unknown mode {mode!r}; expected 'remark1' or 'theorem3'")

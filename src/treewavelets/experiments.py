@@ -25,6 +25,7 @@ from .graphs import (
     Graph,
     Signal,
     _pair_array,
+    _require_positive,
     as_rng,
     gen_complete,
     gen_epsilon,
@@ -238,9 +239,11 @@ class CellSpec:
             raise ValueError(f"unknown graph family {self.family!r}")
         if self.sampler not in _SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
-        # A NaN or negative mu would write rows that read as null trials.
-        if not all(math.isfinite(mu) and mu >= 0 for mu in self.mu_grid):
-            raise ValueError(f"mu_grid values must be finite and >= 0, got {list(self.mu_grid)}")
+        # A NaN rho or mu would write rows that read as real trials; rho = +inf
+        # means no budget.
+        _require_positive("rho", self.rho, zero_ok=True, inf_ok=True)
+        for mu in self.mu_grid:
+            _require_positive("mu_grid values", mu, zero_ok=True)
 
     def build_graph(self) -> Graph:
         if self.family == "torus":
@@ -600,8 +603,7 @@ def ust_concentration_check(
     rows = []
     for d in deltas:
         d = float(d)
-        if d <= 0:
-            raise ValueError(f"delta values must be positive, got {d}")
+        _require_positive("delta values", d)
         at = (1.0 + d) * r_set
         empirical = float(np.count_nonzero(counts >= at) / n_draws)
         bound = math.exp(r_set * (d - (1.0 + d) * math.log1p(d)))
@@ -818,7 +820,8 @@ def _named_edge_set(g: Graph, label: str) -> np.ndarray:
     if label == "star":
         return ea[(ea == 0).any(axis=1)]
     if label == "ball":
-        inside = np.isin(np.arange(g.n), [0, *g.adjacency[0]])
+        indptr, indices = g.csr
+        inside = np.isin(np.arange(g.n), [0, *indices[: indptr[1]]])
         return ea[inside[ea[:, 0]] != inside[ea[:, 1]]]
     raise ValueError(f"unknown edge-set label {label!r}")
 

@@ -8,6 +8,7 @@ set serialize to identical bytes.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -50,6 +51,21 @@ def as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _require_positive(
+    name: str, value: float, *, zero_ok: bool = False, inf_ok: bool = False
+) -> None:
+    """Raise ValueError unless value is positive (or zero, with zero_ok) and finite.
+
+    With inf_ok, +inf passes too. NaN never passes: it compares false with
+    everything, so a plain ``value < 0`` test would let it through and turn
+    it into an empty graph, a silent accept or a NaN row downstream.
+    """
+    value = float(value)
+    if not ((value >= 0 if zero_ok else value > 0) and (inf_ok or math.isfinite(value))):
+        bound = ">= 0" if zero_ok else "positive"
+        raise ValueError(f"{name} must be {bound}{'' if inf_ok else ' and finite'}, got {value}")
+
+
 # =============================================================================
 # Core types
 # =============================================================================
@@ -90,15 +106,8 @@ class Graph:
         return int(self.degrees.max()) if self.n else 0
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbor lists in increasing order, one tuple per vertex."""
-        indptr, indices = self.csr
-        ptr, nbrs = indptr.tolist(), indices.tolist()
-        return tuple(tuple(nbrs[ptr[v] : ptr[v + 1]]) for v in range(self.n))
-
-    @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency in CSR form ``(indptr, indices)``, neighbors increasing.
+        """Neighbor lists in CSR form ``(indptr, indices)``, each increasing.
 
         Each vertex lists its lower neighbors, then its upper ones. Canonical
         edge order already groups the upper neighbors by vertex; a stable sort
@@ -292,6 +301,27 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [c.tolist() for c in np.split(order, bounds)]
 
 
+def _bfs(g: Graph, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first search from root, neighbors in increasing order.
+
+    Returns ``(parent, dist)`` per vertex: the vertex that discovered it and
+    its hop count from root, both -1 where it is unreachable (parent also at
+    the root).
+    """
+    ptr, nbrs = (a.tolist() for a in g.csr)
+    parent, dist = [-1] * g.n, [-1] * g.n
+    dist[root] = 0
+    queue = [root]
+    for v in queue:
+        d = dist[v] + 1
+        for w in nbrs[ptr[v] : ptr[v + 1]]:
+            if dist[w] < 0:
+                dist[w] = d
+                parent[w] = v
+                queue.append(w)
+    return parent, dist
+
+
 def require_connected(g: Graph) -> None:
     """Raise :class:`DisconnectedGraphError` unless g has one component.
 
@@ -387,8 +417,7 @@ def gen_epsilon(
     (Graph, ndarray)
         The graph and the (n, dim) point coordinates that produced it.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _require_positive("eps", eps)
     points = _uniform_points(n, dim, as_rng(rng))
     dist = _pairwise_distances(points)
     iu, iv = np.triu_indices(n, k=1)

@@ -1,14 +1,13 @@
 """Spanning trees: sampling, balance vertices, and tree-level cuts.
 
-The balance search and the component split it induces are the combinatorial
-heart of the wavelet construction, so they live here with an O(subtree)
-implementation: one DFS computes rooted subtree sizes, after which every
-quantity the walk needs is a size lookup.
+The balance walk is the combinatorial heart of the wavelet construction, so
+it lives here, shared by :func:`find_balance_walk` and the basis builder. It
+reads the tree's CSR as Python lists: one DFS roots a part and computes its
+subtree sizes, after which every quantity the walk needs is a size lookup.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from .graphs import (
     EPS_CUT,
     Graph,
     Signal,
+    _bfs,
     _canonical_graph,
     as_rng,
     connected_components,
@@ -50,7 +50,7 @@ class SpanningTree(Graph):
     """A spanning tree of the host graph ``graph``, edges in canonical order.
 
     The tree is a :class:`Graph` on the host's vertices, so it shares every
-    derived view (degrees, adjacency, CSR). Construct through
+    derived view (degrees, CSR, edge ids). Construct through
     :func:`build_spanning_tree` (validating) or one of the samplers; the
     dataclass itself does not re-check the tree property.
     """
@@ -79,19 +79,22 @@ def build_spanning_tree(g: Graph, edges) -> SpanningTree:
     return t
 
 
-def _parents_to_tree(g: Graph, parent: np.ndarray) -> SpanningTree:
+def _parents_to_tree(g: Graph, parents: list[int]) -> SpanningTree:
+    parent = np.asarray(parents, dtype=np.int64)
     child = np.flatnonzero(parent >= 0)
     pairs = np.column_stack((parent[child], child))
     return _canonical_graph(SpanningTree, g.n, pairs, graph=g)
 
 
 # Uniforms drawn per numpy call by the walk; one call per step would cost
-# more than the step itself.
+# more than the step itself. The first call draws only min(4n, block): on
+# small graphs a full block costs more than the whole walk. Successive
+# ``random(k)`` calls continue one stream, so the split leaves the walk as it is.
 _UNIFORM_BLOCK = 4096
 
 
-def _wilson_parents(indptr: np.ndarray, indices: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Parent array of a uniform spanning tree rooted at vertex 0.
+def _wilson_parents(indptr: np.ndarray, indices: np.ndarray, n: int, seed: int) -> list[int]:
+    """Parent list of a uniform spanning tree rooted at vertex 0 (-1 at the root).
 
     Wilson's algorithm: from each vertex not yet in the tree, taken in index
     order, walk at random until the tree is hit, then graft the walk's
@@ -102,17 +105,17 @@ def _wilson_parents(indptr: np.ndarray, indices: np.ndarray, n: int, seed: int) 
     deg = np.diff(indptr).tolist()
     neighbor = indices.item
     gen = np.random.default_rng(seed)
-    uniforms = gen.random(_UNIFORM_BLOCK).tolist()
-    pos = 0
+    uniforms = gen.random(min(_UNIFORM_BLOCK, 4 * n)).tolist()
+    pos, end = 0, len(uniforms)
     in_tree = [False] * n
     in_tree[0] = True
     nxt = [-1] * n
     for start in range(1, n):
         u = start
         while not in_tree[u]:
-            if pos == _UNIFORM_BLOCK:
+            if pos == end:
                 uniforms = gen.random(_UNIFORM_BLOCK).tolist()
-                pos = 0
+                pos, end = 0, _UNIFORM_BLOCK
             v = neighbor(ptr[u] + int(uniforms[pos] * deg[u]))
             pos += 1
             nxt[u] = v
@@ -121,7 +124,7 @@ def _wilson_parents(indptr: np.ndarray, indices: np.ndarray, n: int, seed: int) 
         while not in_tree[u]:
             in_tree[u] = True
             u = nxt[u]
-    return np.asarray(nxt, dtype=np.int64)
+    return nxt
 
 
 def sample_ust(g: Graph, rng: np.random.Generator | int | None = None) -> SpanningTree:
@@ -150,18 +153,7 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
     require_connected(g)
-    parent = np.full(g.n, -1, dtype=np.int64)
-    seen = np.zeros(g.n, dtype=bool)
-    seen[root] = True
-    queue = deque([root])
-    adj = g.adjacency
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                queue.append(w)
+    parent, _ = _bfs(g, root)
     return _parents_to_tree(g, parent)
 
 
@@ -178,98 +170,58 @@ def tree_cut_size(t: SpanningTree, x: Signal | np.ndarray, eps: float = EPS_CUT)
 # =============================================================================
 
 
-class _TreeScratch:
-    """Reusable per-tree workspace for the balance DFS (stamped membership)."""
+def _root_part(ptr, nbrs, label, key, root, parent, size) -> list[int]:
+    """Root the part ``label[v] == key`` at root; fill parent and size, return the preorder.
 
-    __slots__ = ("mark", "parent", "size", "order", "pos_of", "stamp")
-
-    def __init__(self, n: int):
-        self.mark = np.zeros(n, dtype=np.int64)
-        self.parent = np.empty(n, dtype=np.int64)
-        self.size = np.empty(n, dtype=np.int64)
-        self.order = np.empty(n, dtype=np.int64)
-        self.pos_of = np.empty(n, dtype=np.int64)
-        self.stamp = 0
-
-
-def _balance_dfs(adj, verts: list[int], scratch: _TreeScratch) -> int:
-    """Root the induced subtree at verts[0]; fill parent/size/order/pos_of.
-
-    Returns the stamp marking membership. verts must be sorted ascending.
+    ``ptr`` and ``nbrs`` are the tree's CSR as lists. In the preorder each
+    vertex is followed by its child subtrees, back to back.
     """
-    scratch.stamp += 1
-    stamp = scratch.stamp
-    mark, parent, size, order, pos_of = (
-        scratch.mark,
-        scratch.parent,
-        scratch.size,
-        scratch.order,
-        scratch.pos_of,
-    )
-    for v in verts:
-        mark[v] = stamp
-    root = verts[0]
     parent[root] = -1
+    order = []
     stack = [root]
-    pos = 0
     while stack:
         v = stack.pop()
-        order[pos] = v
-        pos_of[v] = pos
-        pos += 1
+        order.append(v)
+        size[v] = 1
         pv = parent[v]
-        for w in adj[v]:
-            if w != pv and mark[w] == stamp:
+        for w in nbrs[ptr[v] : ptr[v + 1]]:
+            if w != pv and label[w] == key:
                 parent[w] = v
                 stack.append(w)
-    if pos != len(verts):
-        raise ValueError("vertices do not induce a connected subtree")
-    for i in range(pos - 1, 0, -1):
-        v = int(order[i])
+    for v in reversed(order[1:]):
         size[parent[v]] += size[v]
-    return stamp
+    return order
 
 
-def _max_component(adj, v: int, total: int, scratch, stamp: int) -> tuple[int, int]:
-    """Largest component size of subtree-minus-v and the neighbor inside it.
+def _balance_walk(ptr, nbrs, label, key, parent, size, root) -> tuple[int, int]:
+    """Balance walk over a part rooted by :func:`_root_part`; return (vertex, visits).
 
-    Ties among neighbors are broken toward the smaller vertex index. The
-    above-the-root part counts with the parent as its neighbor.
+    Starts at the root and steps to the neighbor inside the largest
+    component of the part with the current vertex removed, while that
+    strictly shrinks the largest component; stops otherwise. Ties go to the
+    smaller neighbor, and the part above a vertex counts with its parent.
     """
-    parent, size, mark = scratch.parent, scratch.size, scratch.mark
-    pv = int(parent[v])
-    best = total - int(size[v])  # 0 when v is the root
-    nbr = pv if pv != -1 else -1
-    for w in adj[v]:
-        if mark[w] == stamp and parent[w] == v:
-            sw = int(size[w])
-            if sw > best or (sw == best and (nbr == -1 or w < nbr)):
-                best = sw
-                nbr = w
-    return best, nbr
+    total = size[root]
 
+    def largest(v: int) -> tuple[int, int]:
+        pv = parent[v]
+        best, nbr = total - size[v], pv
+        for w in nbrs[ptr[v] : ptr[v + 1]]:
+            if w != pv and label[w] == key:
+                sw = size[w]
+                if sw > best or (sw == best and (nbr == -1 or w < nbr)):
+                    best, nbr = sw, w
+        return best, nbr
 
-def _balance_walk(adj, verts: list[int], scratch: _TreeScratch) -> tuple[int, int]:
-    """Run the balance walk on the induced subtree; return (vertex, visits).
-
-    Starts at the smallest-index vertex and repeatedly steps to the neighbor
-    inside the largest remaining component while that strictly shrinks the
-    largest component; stops otherwise.
-    """
-    total = len(verts)
-    if total == 1:
-        return verts[0], 1
-    scratch.size[verts] = 1
-    stamp = _balance_dfs(adj, verts, scratch)
-    cur = verts[0]
-    visits = 1
-    f_cur, nbr = _max_component(adj, cur, total, scratch, stamp)
-    while True:
-        f_nbr, nxt = _max_component(adj, nbr, total, scratch, stamp)
+    cur, visits = root, 1
+    f_cur, nbr = largest(root)
+    while nbr != -1:
+        f_nbr, nxt = largest(nbr)
         if f_nbr >= f_cur:
-            return cur, visits
+            break
         cur, f_cur, nbr = nbr, f_nbr, nxt
         visits += 1
+    return cur, visits
 
 
 def _prepare_verts(t: SpanningTree, vertices) -> list[int]:
@@ -301,45 +253,14 @@ def find_balance(t: SpanningTree, vertices=None) -> int:
 def find_balance_walk(t: SpanningTree, vertices=None) -> tuple[int, int]:
     """Like :func:`find_balance` but also reports the walk's visit count."""
     verts = _prepare_verts(t, vertices)
-    return _balance_walk(t.adjacency, verts, _TreeScratch(t.n))
-
-
-def _balance_split(
-    adj, verts: list[int], scratch: _TreeScratch
-) -> tuple[int, list[list[int]]]:
-    """Balance vertex plus the components of the subtree with it removed.
-
-    verts must be sorted ascending and induce a connected subtree. Each
-    component comes back sorted; the list is ordered by smallest contained
-    vertex. Exposed for the wavelet builder, which re-splits subtrees many
-    times over one shared scratch.
-    """
-    if len(verts) == 1:
-        return verts[0], []
-    v, _ = _balance_walk(adj, verts, scratch)
-    stamp = scratch.stamp
-    parent, size, order, pos_of, mark = (
-        scratch.parent,
-        scratch.size,
-        scratch.order,
-        scratch.pos_of,
-        scratch.mark,
-    )
-    total = len(verts)
-    comps: list[list[int]] = []
-    pv = int(parent[v])
-    for w in adj[v]:
-        if mark[w] == stamp and parent[w] == v:
-            lo = int(pos_of[w])
-            comps.append(sorted(int(u) for u in order[lo : lo + int(size[w])]))
-    if pv != -1:
-        # every DFS block is contiguous, so the part above v is the subtree's
-        # span with v's block cut out
-        lo = int(pos_of[v])
-        above = order[:lo].tolist() + order[lo + int(size[v]) : total].tolist()
-        comps.append(sorted(int(u) for u in above))
-    comps.sort(key=lambda c: c[0])
-    return v, comps
+    label = [0] * t.n
+    for v in verts:
+        label[v] = 1
+    ptr, nbrs = (a.tolist() for a in t.csr)
+    parent, size = [-1] * t.n, [1] * t.n
+    if len(_root_part(ptr, nbrs, label, 1, verts[0], parent, size)) != len(verts):
+        raise ValueError("vertices do not induce a connected subtree")
+    return _balance_walk(ptr, nbrs, label, 1, parent, size, verts[0])
 
 
 # =============================================================================

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import EPS_CUT, Signal, signal_values
-from .trees import SpanningTree, _balance_split, _TreeScratch
+from .trees import SpanningTree, _balance_walk, _root_part
 
 __all__ = [
     "WaveletBasis",
@@ -127,8 +127,11 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
         Exactly n elements: the constant, then depth-first split elements.
     """
     n = t.n
-    adj = t.adjacency
-    scratch = _TreeScratch(n)
+    ptr, nbrs = (a.tolist() for a in t.csr)
+    # label[v] is the perm offset of v's current part: the part being split
+    # is every vertex whose label equals its offset.
+    label = [0] * n
+    parent, size = [-1] * n, [1] * n
     perm = [0] * n
     elements = [(0, n, n, 0, -1)]  # (lo, mid, hi, depth, pivot)
 
@@ -142,18 +145,35 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
 
     def process(lo: int, verts: list[int], depth: int) -> None:
         if len(verts) == 2:
-            perm[lo : lo + 2] = verts
+            perm[lo : lo + 2] = sorted(verts)
             elements.append((lo, lo + 1, lo + 2, depth, -1))
             return
-        v, comps = _balance_split(adj, verts, scratch)
-        k = min(range(len(comps)), key=lambda i: len(comps[i]))
-        comps[k] = sorted(comps[k] + [v])
-        comps.sort(key=lambda c: c[0])
+        order = _root_part(ptr, nbrs, label, lo, min(verts), parent, size)
+        v, _ = _balance_walk(ptr, nbrs, label, lo, parent, size, order[0])
+        # v's child subtrees follow v in the preorder; the rest lies above v.
+        at = order.index(v)
+        end = at + size[v]
+        comps = []
+        i = at + 1
+        while i < end:
+            comps.append(order[i : i + size[order[i]]])
+            i += size[order[i]]
+        if at:
+            comps.append(order[:at] + order[end:])
+        parts = sorted((min(c), c) for c in comps)
+        k = min(range(len(parts)), key=lambda j: len(parts[j][1]))
+        parts[k] = (min(parts[k][0], v), parts[k][1] + [v])
+        parts.sort()
         bounds = [lo]
-        for c in comps:
+        for _, c in parts:
             bounds.append(bounds[-1] + len(c))
         haar(bounds, depth, v)
-        for start, c in zip(bounds, comps):
+        # Relabel every part before splitting any: the first keeps offset lo,
+        # which its siblings must no longer carry.
+        for start, (_, c) in zip(bounds, parts):
+            for u in c:
+                label[u] = start
+        for start, (_, c) in zip(bounds, parts):
             if len(c) >= 2:
                 process(start, c, depth + 1)
             else:

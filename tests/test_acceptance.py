@@ -242,7 +242,7 @@ def test_c06_overlap_concentration():
     for g in (gen_torus(8, 2), gen_knn(200, 6, 2, 21)[0]):
         trees = [sample_ust(g, int(rng.integers(2**32))) for _ in range(20000)]
         star = [e for e in g.edges if 0 in e]
-        ball_members = {0, *g.adjacency[0]}
+        ball_members = {0, *(v for e in star for v in e)}
         ball = [e for e in g.edges if (e[0] in ball_members) != (e[1] in ball_members)]
         for edge_set in ([g.edges[0]], star, ball):
             rows_all.extend(

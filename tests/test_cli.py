@@ -2,21 +2,25 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
+from helpers import component_sizes_without, random_tree_edges
 from treewavelets import (
     all_edge_resistances,
     bfs_spanning_tree,
     build_basis,
+    build_graph,
+    build_spanning_tree,
     gen_knn,
     gen_torus,
     read_edge_list,
     read_tree,
     write_edge_list,
 )
-from treewavelets.cli import _ortho_residual, main
+from treewavelets.cli import _components_after_removal, _ortho_residual, main
 
 
 def sha256(path):
@@ -199,6 +203,15 @@ class TestExperiment:
         assert code == 2
         assert "sigma must be positive and finite" in capsys.readouterr().err
 
+    def test_nan_cut_budget_exits_2(self, tmp_path, capsys):
+        # Python's json reads the bare token NaN as a float.
+        config = self.config(tmp_path)
+        config.write_text(config.read_text().replace('"rho": 8.0', '"rho": NaN'))
+        assert math.isnan(json.loads(config.read_text())["cells"][0]["rho"])
+        code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "rho must be >= 0" in capsys.readouterr().err
+
     def test_bad_config_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -215,6 +228,16 @@ class TestValidate:
         assert out.count("[PASS]") == 10
         assert "[FAIL]" not in out
         assert "all checks passed" in out
+
+    def test_components_after_removal_match_union_find(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            edges = random_tree_edges(n, rng)
+            t = build_spanning_tree(build_graph(n, edges), edges)
+            v = int(rng.integers(n))
+            got = sorted(_components_after_removal(t, v), reverse=True)
+            assert got == component_sizes_without(n, edges, v)
 
 
 class TestParser:

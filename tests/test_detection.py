@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from treewavelets import (
+    CellSpec,
     DetectionTest,
     InfeasibleSignalError,
     NoiseModel,
@@ -19,6 +20,7 @@ from treewavelets import (
     detect,
     gen_cluster_signal,
     gen_complete,
+    gen_epsilon,
     gen_knn,
     gen_prior_signal,
     gen_torus,
@@ -26,7 +28,9 @@ from treewavelets import (
     prior_support_size,
     snr_condition,
     threshold,
+    ust_concentration_check,
 )
+from treewavelets.detection import _ball_layers
 
 
 class TestThreshold:
@@ -167,6 +171,34 @@ class TestClusterSignal:
         np.testing.assert_array_equal(a.values, b.values)
 
 
+class TestBallLayers:
+    @staticmethod
+    def layers_from_edges(g, seed_vertex):
+        """BFS layers by repeated scans of the edge list."""
+        layers, seen = [[seed_vertex]], {seed_vertex}
+        while True:
+            last = set(layers[-1])
+            nxt = {b for u, v in g.edges for a, b in ((u, v), (v, u)) if a in last} - seen
+            if not nxt:
+                return layers
+            seen |= nxt
+            layers.append(sorted(nxt))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen_torus(6, 2),
+            lambda: gen_knn(80, 4, 2, 5)[0],
+            lambda: build_graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (4, 6)]),
+        ],
+        ids=["torus", "knn", "forest"],
+    )
+    def test_layers_match_edge_scan(self, make):
+        g = make()
+        for s in range(g.n):
+            assert _ball_layers(g, s) == self.layers_from_edges(g, s)
+
+
 class TestTwoLevelSignal:
     def test_postconditions(self):
         g = gen_knn(40, 4, 2, 0)[0]
@@ -255,3 +287,47 @@ class TestSnrCondition:
                 scale = snr_condition("remark1", n=n, d=d, delta=delta, rho=0.5)
                 tail = math.sqrt(math.log(1.0 / delta)) + math.sqrt(math.log(n / delta))
                 assert round((scale / tail) ** 2) == activation_bound(t)
+
+
+def _triangle():
+    return build_graph(3, [(0, 1), (0, 2), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gen_two_level_signal(gen_torus(4, 2), math.nan, 1.0, 0),
+        lambda: gen_cluster_signal(gen_torus(4, 2), math.nan, 1.0, 0),
+        lambda: gen_prior_signal(gen_complete(9), math.nan, 1.0, 0),
+        lambda: gen_two_level_signal(gen_torus(4, 2), 8.0, math.nan, 0),
+        lambda: gen_cluster_signal(gen_torus(4, 2), 8.0, math.inf, 0),
+        lambda: prior_support_size(gen_complete(9), math.nan),
+        lambda: gen_epsilon(20, math.nan),
+        lambda: gen_epsilon(20, math.inf),
+        lambda: CellSpec(family="torus", side=4, rho=math.nan),
+        lambda: CellSpec(family="torus", side=4, rho=-1.0),
+        lambda: ust_concentration_check(_triangle(), [(0, 1)], 10, [math.nan], rng=0),
+        lambda: ust_concentration_check(_triangle(), [(0, 1)], 10, [math.inf], rng=0),
+        lambda: snr_condition("remark1", n=64, d=4, delta=0.05, rho=math.nan),
+        lambda: snr_condition("theorem3", n=64, d=4, r_max=math.nan),
+        lambda: snr_condition("theorem3", n=64, d=4, r_max=math.inf),
+    ],
+    ids=[
+        "two_level-rho", "cluster-rho", "prior-rho", "two_level-mu", "cluster-mu-inf",
+        "prior_support_size-rho", "epsilon-eps", "epsilon-eps-inf", "cell-rho",
+        "cell-rho-negative", "concentration-delta", "concentration-delta-inf",
+        "remark1-rho", "theorem3-r_max", "theorem3-r_max-inf",
+    ],
+)
+def test_non_finite_or_negative_parameters_raise(call):
+    # Each of these used to return a result: NaN slips past a plain ``< 0``.
+    with pytest.raises(ValueError, match="must be"):
+        call()
+
+
+def test_infinite_cut_budget_means_no_budget():
+    g = gen_torus(4, 2)
+    x = gen_cluster_signal(g, math.inf, 1.0, 0)
+    assert np.count_nonzero(x.values) == g.n
+    assert CellSpec(family="torus", side=4, rho=math.inf).rho == math.inf
+    assert snr_condition("remark1", n=64, d=4, delta=0.05, rho=math.inf) == math.inf

@@ -391,10 +391,11 @@ class TestConcentration:
     @pytest.mark.parametrize("make", [lambda: gen_torus(5, 2), lambda: gen_knn(60, 4, 2, 3)[0]])
     def test_named_edge_sets_match_edge_loops(self, make):
         g = make()
-        inside = {0, *g.adjacency[0]}
+        star = [e for e in g.edges if 0 in e]
+        inside = {0, *(v for e in star for v in e)}
         want = {
             "edge": [g.edges[0]],
-            "star": [e for e in g.edges if 0 in e],
+            "star": star,
             "ball": [e for e in g.edges if (e[0] in inside) != (e[1] in inside)],
         }
         for label, edges in want.items():

@@ -49,7 +49,8 @@ class TestBuildGraph:
     def test_degrees_and_adjacency_sorted(self):
         g = build_graph(4, [(0, 3), (0, 1), (1, 3), (2, 3)])
         assert g.degrees.tolist() == [2, 2, 1, 3]
-        assert g.adjacency[3] == (0, 1, 2)
+        indptr, indices = g.csr
+        assert indices[indptr[3] : indptr[4]].tolist() == [0, 1, 2]
         assert g.max_degree == 3
 
     def test_single_vertex(self):
@@ -148,18 +149,17 @@ class TestIncidenceAndCut:
 
 
 def _brute_force_views(g):
-    """Degrees, CSR and neighbor tuples of g from its edges, one at a time."""
+    """Degrees and CSR of g from its edges, one at a time."""
     nbrs = [[] for _ in range(g.n)]
     for u, v in g.edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in nbrs)
-    degrees = [len(a) for a in adjacency]
+    degrees = [len(a) for a in nbrs]
     indptr = [0]
     for d in degrees:
         indptr.append(indptr[-1] + d)
-    indices = [w for a in adjacency for w in a]
-    return degrees, indptr, indices, adjacency
+    indices = [w for a in nbrs for w in sorted(a)]
+    return degrees, indptr, indices
 
 
 DERIVED_VIEW_GRAPHS = {
@@ -178,13 +178,12 @@ class TestDerivedViews:
     @pytest.mark.parametrize("name", sorted(DERIVED_VIEW_GRAPHS))
     def test_views_match_brute_force(self, name):
         g = DERIVED_VIEW_GRAPHS[name]()
-        degrees, indptr, indices, adjacency = _brute_force_views(g)
+        degrees, indptr, indices = _brute_force_views(g)
         assert g.degrees.dtype == np.int64 and g.degrees.tolist() == degrees
         got_indptr, got_indices = g.csr
         assert got_indptr.dtype == got_indices.dtype == np.int64
         assert got_indptr.tolist() == indptr
         assert got_indices.tolist() == indices
-        assert g.adjacency == adjacency
         assert g.max_degree == max(degrees)
         assert g.edge_array.shape == (g.m, 2)
         assert [tuple(e) for e in g.edge_array.tolist()] == list(g.edges)

@@ -152,6 +152,26 @@ class TestSampleUst:
         with pytest.raises(DisconnectedGraphError):
             sample_ust(g, 0)
 
+    # sha256 over sample_ust(g, s).edge_array bytes for s = 0..199, taken
+    # when every draw began with a full 4096-uniform block: any change to
+    # which random numbers a walk reads shows here.
+    @pytest.mark.parametrize(
+        "g, digest",
+        [
+            (gen_complete(5), "d1b61c9550dad70c4538c46a35519aec68b0648bf447fa7c4e9d21c2682056c6"),
+            (
+                build_graph(10, [(i, (i + 1) % 10) for i in range(10)]),
+                "95ffe967f02b51f988671ce5fa2c694c91c5a57d4f34551bb2ac55134ff37850",
+            ),
+        ],
+        ids=["K5", "C10"],
+    )
+    def test_small_graph_trees_pinned(self, g, digest):
+        h = hashlib.sha256()
+        for s in range(200):
+            h.update(sample_ust(g, s).edge_array.astype("<i8").tobytes())
+        assert h.hexdigest() == digest
+
 
 def _matrix_tree_count(g) -> int:
     """Spanning-tree count by the matrix-tree theorem (reduced Laplacian)."""

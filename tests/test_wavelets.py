@@ -17,6 +17,7 @@ from treewavelets import (
     build_spanning_tree,
     cut_size,
     edge_activations,
+    find_balance,
     gen_complete,
     gen_knn,
     gen_torus,
@@ -218,6 +219,14 @@ class TestBuildBasis:
         c = apply_basis(build_basis(t), np.full(12, 2.5))
         np.testing.assert_allclose(c[0], 2.5 * math.sqrt(12))
         np.testing.assert_allclose(c[1:], 0.0, atol=1e-12)
+
+    def test_first_pivot_is_the_balance_vertex(self):
+        # The builder's root split and find_balance run one walk; this checks
+        # they agree on 200 uniform random trees.
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            t = random_tree(int(rng.integers(3, 301)), rng)
+            assert build_basis(t).pivots[1] == find_balance(t)
 
     def test_deterministic_for_fixed_tree(self):
         t = tree_on(7, [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (5, 6)])
