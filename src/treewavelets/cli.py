@@ -279,7 +279,7 @@ def _cmd_resistance(args: argparse.Namespace) -> int:
         counts = np.zeros(g.m, dtype=np.int64)
         for _ in range(draws):
             t = sample_ust(g, int(rng.integers(2**32)))
-            counts += np.bincount(g.edge_ids(t.edge_array), minlength=g.m)
+            counts += np.bincount(g.edge_ids(t.edges), minlength=g.m)
         freq = counts / draws
         p = profile.edge_resistances
         se = np.sqrt(np.maximum(p * (1.0 - p), 1e-12) / draws)
@@ -355,7 +355,7 @@ def _check(name: str, ok: bool, detail: str) -> bool:
 
 def _components_after_removal(tree, v: int) -> list[int]:
     """Component sizes of the tree with vertex v deleted."""
-    ea = tree.edge_array
+    ea = tree.edges
     rest = build_graph(tree.n, ea[(ea != v).all(axis=1)])
     return [len(c) for c in connected_components(rest) if c != [v]]
 
@@ -435,7 +435,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for _ in range(draws):
         t = sample_ust(c4, int(rng.integers(2**32)))
         validate_spanning_tree(t)
-        counts += np.bincount(c4.edge_ids(t.edge_array), minlength=c4.m)
+        counts += np.bincount(c4.edge_ids(t.edges), minlength=c4.m)
     freq = counts / draws
     se = math.sqrt(0.75 * 0.25 / draws)
     ok &= _check("tree marginals", bool(np.all(np.abs(freq - 0.75) <= 3 * se)),

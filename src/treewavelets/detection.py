@@ -123,10 +123,8 @@ def _ball_layers(g: Graph, seed_vertex: int) -> list[list[int]]:
 
 
 def _boundary_count(g: Graph, members: np.ndarray) -> int:
-    ea = g.edge_array
-    if len(ea) == 0:
-        return 0
-    return int(np.count_nonzero(members[ea[:, 0]] != members[ea[:, 1]]))
+    u, v = g.edges.T
+    return int(np.count_nonzero(members[u] != members[v]))
 
 
 def _grow_ball(

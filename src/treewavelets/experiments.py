@@ -463,8 +463,7 @@ def _sparsity_point(args) -> SparsityPoint | None:
     g, cell, master_seed, cell_index, i = args
     rng = _trial_rng(master_seed, cell_index, i)
     rho = int(rng.integers(cell.rho_lo, cell.rho_hi + 1))
-    tree_seed = int(rng.integers(2**32))
-    tree = sample_ust(g, tree_seed)
+    tree, tree_seed = TreeSource.ust().realize(g, rng)
     basis = build_basis(tree)
     try:
         x = _draw_signal(cell.sampler, g, rho, 1.0, rng)
@@ -579,7 +578,8 @@ def ust_concentration_check(
     bound with a 3-standard-error allowance (binomial, evaluated at the bound).
 
     Pass ``trees`` to reuse one pool of sampled trees across several edge
-    sets; otherwise ``samples`` fresh trees are drawn here.
+    sets; otherwise ``samples`` fresh trees are drawn here. Either way at
+    least one tree is needed.
     """
     pairs = _pair_array(edge_set)
     if not len(pairs):
@@ -594,10 +594,12 @@ def ust_concentration_check(
     if trees is None:
         gen = as_rng(rng)
         trees = [sample_ust(g, int(gen.integers(2**32))) for _ in range(samples)]
+    if not trees:
+        raise ValueError("concentration check needs at least one tree draw")
     member = np.zeros(g.m, dtype=bool)
     member[idx] = True
     counts = np.array(
-        [np.count_nonzero(member[g.edge_ids(t.edge_array)]) for t in trees], dtype=np.int64
+        [np.count_nonzero(member[g.edge_ids(t.edges)]) for t in trees], dtype=np.int64
     )
     n_draws = len(counts)
     rows = []
@@ -814,7 +816,7 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> Exper
 
 def _named_edge_set(g: Graph, label: str) -> np.ndarray:
     """Deterministic edge sets used by the concentration experiment."""
-    ea = g.edge_array
+    ea = g.edges
     if label == "edge":
         return ea[:1]
     if label == "star":

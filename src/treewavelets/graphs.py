@@ -1,8 +1,8 @@
 """Undirected graphs, signals over their vertices, and the stock generators.
 
-Vertices are integers ``0..n-1``. Edges are stored canonically as ``(u, v)``
-with ``u < v``, sorted lexicographically, so any two graphs with the same edge
-set serialize to identical bytes.
+Vertices are integers ``0..n-1``. Edges are stored canonically as the rows
+``(u, v)`` of an (m, 2) array, ``u < v``, sorted lexicographically, so any two
+graphs with the same edge set serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _require_positive(
 # =============================================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """A finite simple undirected graph with canonical edge order.
 
@@ -79,27 +79,32 @@ class Graph:
     ----------
     n : int
         Number of vertices.
-    edges : tuple of (int, int)
-        Canonical edge list: each pair ``(u, v)`` has ``u < v`` and the list
-        is sorted lexicographically. Use :func:`build_graph` to construct
-        from raw input; it validates and canonicalizes.
+    edges : ndarray
+        Read-only (m, 2) int64 array of canonical edges: each row ``(u, v)``
+        has ``u < v`` and the rows are sorted lexicographically (an edgeless
+        graph has shape (0, 2)). Use :func:`build_graph` to construct from
+        raw input; it validates and canonicalizes.
+
+    Graphs compare by value (same type, ``n`` and edges) and are unhashable.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edges, other.edges)
 
     @cached_property
     def m(self) -> int:
         return len(self.edges)
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """Edges as an (m, 2) int array (empty graphs get shape (0, 2))."""
-        return np.array(self.edges, dtype=np.int64).reshape(self.m, 2)
-
-    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_array.ravel(), minlength=self.n)
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     @cached_property
     def max_degree(self) -> int:
@@ -113,7 +118,7 @@ class Graph:
         edge order already groups the upper neighbors by vertex; a stable sort
         on the second column groups the lower ones.
         """
-        lo, hi = self.edge_array[:, 0], self.edge_array[:, 1]
+        lo, hi = self.edges[:, 0], self.edges[:, 1]
         n_lower = np.bincount(hi, minlength=self.n)
         n_upper = np.bincount(lo, minlength=self.n)
         indptr = np.zeros(self.n + 1, dtype=np.int64)
@@ -133,7 +138,7 @@ class Graph:
     @cached_property
     def _edge_keys(self) -> np.ndarray:
         """``u*n + v`` per edge: increasing, because ``edges`` is canonical."""
-        return self.edge_array[:, 0] * self.n + self.edge_array[:, 1]
+        return self.edges[:, 0] * self.n + self.edges[:, 1]
 
     def edge_ids(self, pairs) -> np.ndarray:
         """Positions in ``edges`` of the given pairs, -1 where a pair is not an edge.
@@ -200,7 +205,7 @@ def _pair_array(pairs) -> np.ndarray:
 
 
 def _canonical_edges(n: int, pairs) -> np.ndarray:
-    """Validated pairs as an (m, 2) int64 array, ``u < v`` per row, rows sorted.
+    """Validated pairs as a read-only (m, 2) int64 array, ``u < v`` per row, sorted.
 
     Names the first pair, in input order, that is out of range, a self-loop,
     or a duplicate (in either orientation).
@@ -222,15 +227,9 @@ def _canonical_edges(n: int, pairs) -> np.ndarray:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
-    return np.column_stack((lo, hi))
-
-
-def _canonical_graph(cls, n: int, pairs, **fields):
-    """Build a Graph (or subclass) on the canonical form of ``pairs``."""
-    canonical = _canonical_edges(n, pairs)
-    g = cls(n=n, edges=tuple(zip(canonical[:, 0].tolist(), canonical[:, 1].tolist())), **fields)
-    g.__dict__["edge_array"] = canonical  # seed the cached view with the array at hand
-    return g
+    edges = np.column_stack((lo, hi))
+    edges.flags.writeable = False
+    return edges
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -250,7 +249,7 @@ def build_graph(n: int, edges) -> Graph:
     """
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
-    return _canonical_graph(Graph, n, edges)
+    return Graph(n=n, edges=_canonical_edges(n, edges))
 
 
 def incidence_apply(g: Graph, x: Signal | np.ndarray) -> np.ndarray:
@@ -261,15 +260,11 @@ def incidence_apply(g: Graph, x: Signal | np.ndarray) -> np.ndarray:
     vals = signal_values(x)
     if vals.shape != (g.n,):
         raise ValueError(f"signal has shape {vals.shape}, expected ({g.n},)")
-    ea = g.edge_array
-    return vals[ea[:, 0]] - vals[ea[:, 1]]
+    return vals[g.edges[:, 0]] - vals[g.edges[:, 1]]
 
 
 def cut_size(g: Graph, x: Signal | np.ndarray, eps: float = EPS_CUT) -> int:
     """Number of edges across which the signal changes level by more than eps."""
-    if g.m == 0:
-        signal_values(x)  # still validate dtype
-        return 0
     return int(np.count_nonzero(np.abs(incidence_apply(g, x)) > eps))
 
 
@@ -432,7 +427,7 @@ def gen_epsilon(
 
 def _edge_list_text(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines.extend(f"{u} {v}" for u, v in g.edges.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -23,7 +23,6 @@ from .graphs import (
     as_rng,
     incidence_apply,
     require_connected,
-    signal_values,
 )
 
 __all__ = [
@@ -45,7 +44,7 @@ _RANK_TOL = 1e-9
 def laplacian(g: Graph) -> np.ndarray:
     """Dense combinatorial Laplacian: degree on the diagonal, -1 per edge."""
     lap = np.diag(g.degrees.astype(np.float64))
-    u, v = g.edge_array.T
+    u, v = g.edges.T
     lap[u, v] = -1.0
     lap[v, u] = -1.0
     return lap
@@ -103,12 +102,9 @@ def all_edge_resistances(g: Graph) -> ResistanceProfile:
     require_connected(g)
     pinv = pseudoinverse(laplacian(g))
     diag = np.diag(pinv)
-    ea = g.edge_array
-    if len(ea):
-        r = diag[ea[:, 0]] + diag[ea[:, 1]] - 2.0 * pinv[ea[:, 0], ea[:, 1]]
-    else:
-        r = np.zeros(0)
-    return ResistanceProfile(graph=g, pinv=pinv, edge_resistances=np.asarray(r))
+    u, v = g.edges.T
+    r = diag[u] + diag[v] - 2.0 * pinv[u, v]
+    return ResistanceProfile(graph=g, pinv=pinv, edge_resistances=r)
 
 
 def effective_resistance(profile: ResistanceProfile, v: int, w: int) -> float:
@@ -124,11 +120,7 @@ def effective_resistance(profile: ResistanceProfile, v: int, w: int) -> float:
 
 def cut_resistance(profile: ResistanceProfile, x: Signal | np.ndarray, eps: float = EPS_CUT) -> float:
     """Total edge resistance across the signal's boundary edges."""
-    g = profile.graph
-    if g.m == 0:
-        signal_values(x)
-        return 0.0
-    mask = np.abs(incidence_apply(g, x)) > eps
+    mask = np.abs(incidence_apply(profile.graph, x)) > eps
     return float(profile.edge_resistances[mask].sum())
 
 
@@ -195,6 +187,6 @@ def estimate_commute_resistance(
 def write_resistance_csv(profile: ResistanceProfile, path: str | Path) -> None:
     """Dump per-edge resistances as CSV rows ``u,v,r_e``."""
     lines = ["u,v,r_e"]
-    for (u, v), r in zip(profile.graph.edges, profile.edge_resistances):
+    for (u, v), r in zip(profile.graph.edges.tolist(), profile.edge_resistances):
         lines.append(f"{u},{v},{repr(float(r))}")
     Path(path).write_text("\n".join(lines) + "\n")

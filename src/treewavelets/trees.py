@@ -19,7 +19,7 @@ from .graphs import (
     Graph,
     Signal,
     _bfs,
-    _canonical_graph,
+    _canonical_edges,
     as_rng,
     connected_components,
     cut_size,
@@ -27,7 +27,6 @@ from .graphs import (
     read_edge_list,
     read_edge_list_comments,
     require_connected,
-    signal_values,
     write_edge_list,
 )
 
@@ -45,17 +44,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanningTree(Graph):
     """A spanning tree of the host graph ``graph``, edges in canonical order.
 
     The tree is a :class:`Graph` on the host's vertices, so it shares every
     derived view (degrees, CSR, edge ids). Construct through
     :func:`build_spanning_tree` (validating) or one of the samplers; the
-    dataclass itself does not re-check the tree property.
+    dataclass itself does not re-check the tree property. Two trees are
+    equal when their edges and their host graphs are.
     """
 
     graph: Graph
+
+    def __eq__(self, other):
+        same = Graph.__eq__(self, other)
+        if same is not True or self is other:
+            return same
+        return self.graph == other.graph
 
 
 def validate_spanning_tree(t: SpanningTree) -> None:
@@ -65,16 +71,17 @@ def validate_spanning_tree(t: SpanningTree) -> None:
         raise ValueError(f"tree has {t.n} vertices, host graph has {g.n}")
     if t.m != g.n - 1:
         raise ValueError(f"spanning tree needs {g.n - 1} edges, got {t.m}")
-    missing = np.flatnonzero(g.edge_ids(t.edge_array) < 0)
+    missing = np.flatnonzero(g.edge_ids(t.edges) < 0)
     if missing.size:
-        raise ValueError(f"tree edge {t.edges[missing[0]]} is not an edge of the host graph")
+        u, v = t.edges[missing[0]].tolist()
+        raise ValueError(f"tree edge {(u, v)} is not an edge of the host graph")
     if len(connected_components(t)) != 1:
         raise ValueError("tree edges do not connect all vertices")
 
 
 def build_spanning_tree(g: Graph, edges) -> SpanningTree:
     """Canonicalize an edge list and validate it as a spanning tree of g."""
-    t = _canonical_graph(SpanningTree, g.n, edges, graph=g)
+    t = SpanningTree(n=g.n, edges=_canonical_edges(g.n, edges), graph=g)
     validate_spanning_tree(t)
     return t
 
@@ -83,7 +90,7 @@ def _parents_to_tree(g: Graph, parents: list[int]) -> SpanningTree:
     parent = np.asarray(parents, dtype=np.int64)
     child = np.flatnonzero(parent >= 0)
     pairs = np.column_stack((parent[child], child))
-    return _canonical_graph(SpanningTree, g.n, pairs, graph=g)
+    return SpanningTree(n=g.n, edges=_canonical_edges(g.n, pairs), graph=g)
 
 
 # Uniforms drawn per numpy call by the walk; one call per step would cost
@@ -159,10 +166,7 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
 
 def tree_cut_size(t: SpanningTree, x: Signal | np.ndarray, eps: float = EPS_CUT) -> int:
     """Number of tree edges across which the signal changes level."""
-    vals = signal_values(x)
-    if vals.shape != (t.n,):
-        raise ValueError(f"signal has shape {vals.shape}, expected ({t.n},)")
-    return cut_size(t, vals, eps)
+    return cut_size(t, x, eps)
 
 
 # =============================================================================

@@ -240,10 +240,10 @@ def edge_activations(basis: WaveletBasis, t: SpanningTree) -> np.ndarray:
     """
     if basis.tree != t:
         raise ValueError("basis was not built from this tree")
-    n, m = basis.n, len(t.edges)
+    n, m = basis.n, t.m
     at = np.empty(n, dtype=np.int64)
     at[basis.perm] = np.arange(n)
-    eu, ev = t.edge_array.T
+    eu, ev = t.edges.T
     lo, hi, pivots = basis.lo[1:], basis.hi[1:], basis.pivots[1:]
     # Both endpoints inside the range: edges ordered by their first position,
     # each element scans the edges that start in its range.

@@ -89,6 +89,11 @@ def is_connected(n: int, edges) -> bool:
     return len(seen) == n
 
 
+def edge_tuples(g) -> tuple[tuple[int, int], ...]:
+    """A graph's canonical edges as a tuple of ``(u, v)`` int tuples."""
+    return tuple(map(tuple, g.edges.tolist()))
+
+
 def enumerate_spanning_trees(n: int, edges) -> list[tuple[tuple[int, int], ...]]:
     """All spanning trees of a small graph by brute subset enumeration."""
     edges = [tuple(sorted(e)) for e in edges]

@@ -219,7 +219,7 @@ def test_c05_ust_edge_frequencies():
         counts = np.zeros(g.m, dtype=np.int64)
         for _ in range(draws):
             t = sample_ust(g, int(rng.integers(2**32)))
-            counts += np.bincount(g.edge_ids(t.edge_array), minlength=g.m)
+            counts += np.bincount(g.edge_ids(t.edges), minlength=g.m)
         freq = counts / draws
         se = np.sqrt(np.maximum(exact * (1.0 - exact), 1e-12) / draws)
         within += int(np.count_nonzero(np.abs(freq - exact) <= 3.0 * se))

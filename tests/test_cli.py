@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import component_sizes_without, random_tree_edges
+from helpers import component_sizes_without, edge_tuples, random_tree_edges
 from treewavelets import (
     all_edge_resistances,
     bfs_spanning_tree,
@@ -46,7 +46,7 @@ class TestGen:
                      "--out", str(out)]) == 0
         g = read_edge_list(out)
         expect, _ = gen_knn(30, 3, 2, 7)
-        assert g.edges == expect.edges
+        assert edge_tuples(g) == edge_tuples(expect)
         pts = (tmp_path / "knn.points.csv").read_text().splitlines()
         assert pts[0] == "vertex,x0,x1" and len(pts) == 31
         manifest = json.loads((tmp_path / "knn.txt.manifest.json").read_text())
@@ -124,7 +124,7 @@ class TestResistance:
         profile = all_edge_resistances(g)
         assert len(lines) == 1 + g.m
         first = lines[1].split(",")
-        assert (int(first[0]), int(first[1])) == g.edges[0]
+        assert (int(first[0]), int(first[1])) == edge_tuples(g)[0]
         assert float(first[2]) == pytest.approx(profile.edge_resistances[0], rel=1e-12)
 
     def test_tree_draw_check(self, tmp_path, capsys):
@@ -211,6 +211,16 @@ class TestExperiment:
         code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "rho must be >= 0" in capsys.readouterr().err
+
+    def test_zero_concentration_samples_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "concentration", "seed": 1, "samples": 0, "deltas": [0.5],
+            "cells": [{"family": "torus", "side": 4, "dims": 2}],
+        }))
+        code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "at least one tree" in capsys.readouterr().err
 
     def test_bad_config_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

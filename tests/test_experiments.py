@@ -36,7 +36,7 @@ from treewavelets import (
     ust_concentration_check,
     validate_spanning_tree,
 )
-from helpers import binomial_band, enumerate_spanning_trees
+from helpers import binomial_band, edge_tuples, enumerate_spanning_trees
 from treewavelets.experiments import _named_edge_set
 
 
@@ -56,13 +56,16 @@ class TestTreeSource:
         t1, s1 = src.realize(g, np.random.default_rng(0))
         t2, s2 = src.realize(g, np.random.default_rng(99))
         assert s1 == s2 == -1
-        assert t1.edges == t2.edges == bfs_spanning_tree(g, 3).edges
+        assert edge_tuples(t1) == edge_tuples(t2) == edge_tuples(bfs_spanning_tree(g, 3))
 
     def test_fixed_returns_given_tree(self):
         g = gen_torus(4, 2)
         t = bfs_spanning_tree(g, 0)
         got, seed = TreeSource.fixed_tree(t).realize(g, np.random.default_rng(0))
         assert got is t and seed == -1
+        # power_curve rebuilds each cell's graph, so the check is by value.
+        got, _ = TreeSource.fixed_tree(t).realize(gen_torus(4, 2), np.random.default_rng(0))
+        assert got is t
 
     def test_fixed_rejects_other_graph(self):
         t = bfs_spanning_tree(gen_torus(4, 2), 0)
@@ -361,7 +364,7 @@ class TestConcentration:
         g = self.triangle()
         trees = [sample_ust(g, s) for s in range(50)]
         rows = ust_concentration_check(g, [(0, 1)], 50, [0.4], trees=trees)
-        manual = sum(1 for t in trees if (0, 1) in t.edges)
+        manual = sum(1 for t in trees if (0, 1) in edge_tuples(t))
         assert rows[0].empirical == pytest.approx(manual / 50)
 
     def test_whole_edge_set_is_certain(self):
@@ -378,12 +381,12 @@ class TestConcentration:
     def test_counts_match_set_oracle_in_either_orientation(self):
         g = gen_torus(4, 2)
         trees = [sample_ust(g, s) for s in range(40)]
-        star = [e for e in g.edges if 0 in e]
+        star = [e for e in edge_tuples(g) if 0 in e]
         deltas = [0.25, 0.5, 1.0]
         rows = ust_concentration_check(g, star, 40, deltas, trees=trees)
         flipped = ust_concentration_check(g, [(v, u) for u, v in star], 40, deltas, trees=trees)
         assert rows == flipped
-        counts = [sum(e in star for e in t.edges) for t in trees]
+        counts = [sum(e in star for e in edge_tuples(t)) for t in trees]
         for row in rows:
             assert row.set_size == 4
             assert row.empirical == sum(c >= row.tail_at for c in counts) / 40
@@ -391,12 +394,12 @@ class TestConcentration:
     @pytest.mark.parametrize("make", [lambda: gen_torus(5, 2), lambda: gen_knn(60, 4, 2, 3)[0]])
     def test_named_edge_sets_match_edge_loops(self, make):
         g = make()
-        star = [e for e in g.edges if 0 in e]
+        star = [e for e in edge_tuples(g) if 0 in e]
         inside = {0, *(v for e in star for v in e)}
         want = {
-            "edge": [g.edges[0]],
+            "edge": [edge_tuples(g)[0]],
             "star": star,
-            "ball": [e for e in g.edges if (e[0] in inside) != (e[1] in inside)],
+            "ball": [e for e in edge_tuples(g) if (e[0] in inside) != (e[1] in inside)],
         }
         for label, edges in want.items():
             assert [tuple(e) for e in _named_edge_set(g, label).tolist()] == edges
@@ -409,6 +412,10 @@ class TestConcentration:
             ust_concentration_check(g, [], 10, [0.5], rng=0)
         with pytest.raises(ValueError, match="positive"):
             ust_concentration_check(g, [(0, 1)], 10, [0.0], rng=0)
+        with pytest.raises(ValueError, match="at least one tree"):
+            ust_concentration_check(g, [(0, 1)], 0, [0.5], rng=0)
+        with pytest.raises(ValueError, match="at least one tree"):
+            ust_concentration_check(g, [(0, 1)], 10, [0.5], trees=[])
 
 
 class TestRunExperiment:

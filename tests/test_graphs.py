@@ -1,10 +1,12 @@
 """Graph construction, generators, cuts, and file round-trips."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
+from helpers import edge_tuples
 from treewavelets import (
     DisconnectedGraphError,
     bfs_spanning_tree,
@@ -29,7 +31,7 @@ from treewavelets.graphs import read_edge_list_comments
 class TestBuildGraph:
     def test_canonicalizes_orientation_and_order(self):
         g = build_graph(3, [(2, 1), (0, 2), (1, 0)])
-        assert g.edges == ((0, 1), (0, 2), (1, 2))
+        assert edge_tuples(g) == ((0, 1), (0, 2), (1, 2))
         assert g.n == 3 and g.m == 3
 
     def test_rejects_self_loop(self):
@@ -60,13 +62,13 @@ class TestBuildGraph:
     def test_accepts_list_generator_and_array(self):
         pairs = [(3, 1), (0, 2), (1, 0), (2, 3)]
         want = build_graph(4, pairs)
-        assert want.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+        assert edge_tuples(want) == ((0, 1), (0, 2), (1, 3), (2, 3))
         arrays = (np.array(pairs), np.array(pairs, dtype=np.int32))
         for edges in (iter(pairs), (p for p in pairs), *arrays):
             g = build_graph(4, edges)
             assert g == want
-            assert g.edge_array.dtype == np.int64
-            assert g.edge_array.tolist() == [list(e) for e in want.edges]
+            assert g.edges.dtype == np.int64
+            assert g.edges.tolist() == want.edges.tolist()
         assert build_graph(3, np.empty((0, 2), dtype=np.int64)).m == 0
 
     @pytest.mark.parametrize(
@@ -115,7 +117,7 @@ def test_build_graph_matches_loop_reference():
         edges = [tuple(e) for e in edges.tolist()]
         want = _loop_build(n, edges)
         try:
-            got = build_graph(n, edges).edges
+            got = edge_tuples(build_graph(n, edges))
         except ValueError as exc:
             got = str(exc)
         assert got == want, edges
@@ -142,10 +144,32 @@ class TestIncidenceAndCut:
             x[:k] = 1.0
             assert cut_size(g, x) == k * (n - k)
 
+    def test_edgeless_graph_checks_signal_shape(self):
+        g = build_graph(3, [])
+        assert cut_size(g, np.array([0.0, 1.0, 2.0])) == 0
+        with pytest.raises(ValueError, match="shape"):
+            cut_size(g, np.zeros(2))
+
     def test_tolerance_ignores_tiny_differences(self):
         g = build_graph(2, [(0, 1)])
         assert cut_size(g, np.array([0.0, 1e-12])) == 0
         assert cut_size(g, np.array([0.0, 1e-6])) == 1
+
+
+class TestGraphEquality:
+    def test_graphs_compare_by_value_and_are_unhashable(self):
+        g = gen_torus(4, 2)
+        rebuilt = build_graph(16, g.edges.tolist()[::-1])
+        assert rebuilt == g and rebuilt is not g
+        assert g != gen_complete(16)
+        assert g != build_graph(17, g.edges)
+        with pytest.raises(TypeError):
+            hash(g)
+
+    def test_pickle_round_trip(self):
+        g = gen_knn(30, 3, 2, 0)[0]
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and back is not g
 
 
 def _brute_force_views(g):
@@ -185,8 +209,10 @@ class TestDerivedViews:
         assert got_indptr.tolist() == indptr
         assert got_indices.tolist() == indices
         assert g.max_degree == max(degrees)
-        assert g.edge_array.shape == (g.m, 2)
-        assert [tuple(e) for e in g.edge_array.tolist()] == list(g.edges)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (g.m, 2)
+        assert g.edges.tolist() == sorted(sorted(e) for e in g.edges.tolist())
+        with pytest.raises(ValueError, match="read-only"):
+            g.edges[...] = 0
 
     @pytest.mark.parametrize("name", sorted(DERIVED_VIEW_GRAPHS))
     def test_components_match_union_find(self, name):
@@ -281,13 +307,13 @@ class TestEdgeIds:
     @pytest.mark.parametrize("name", sorted(EDGE_ID_GRAPHS))
     def test_matches_dict_oracle(self, name):
         g = EDGE_ID_GRAPHS[name]()
-        oracle = {e: i for i, e in enumerate(g.edges)}
+        oracle = {e: i for i, e in enumerate(edge_tuples(g))}
         pairs = list(itertools.product(range(-1, g.n + 1), repeat=2))
         want = [oracle.get((min(u, v), max(u, v)), -1) for u, v in pairs]
         got = g.edge_ids(pairs)
         assert got.dtype == np.int64 and got.tolist() == want
-        assert g.edge_ids(g.edges).tolist() == list(range(g.m))
-        assert g.edge_ids(g.edge_array[:, ::-1]).tolist() == list(range(g.m))
+        assert g.edge_ids(edge_tuples(g)).tolist() == list(range(g.m))
+        assert g.edge_ids(g.edges[:, ::-1]).tolist() == list(range(g.m))
 
     def test_out_of_range_never_aliases(self):
         # On n=3 the key 0*3 + 5 equals the key of (1, 2).
@@ -343,14 +369,14 @@ class TestTorus:
             dy = min((ay - by) % 4, (by - ay) % 4)
             if sorted((dx, dy)) == [0, 1]:
                 want.add((a, b))
-        assert set(g.edges) == want
+        assert set(edge_tuples(g)) == want
         assert g.n == 16 and g.m == 32
         assert all(d == 4 for d in g.degrees)
 
     def test_side_3_equals_cycle_squared_structure(self):
         # side=3, dims=1 is the triangle: wraparound merges with +1 steps.
         g = gen_torus(3, 1)
-        assert g.edges == ((0, 1), (0, 2), (1, 2))
+        assert edge_tuples(g) == ((0, 1), (0, 2), (1, 2))
 
     def test_one_dimensional_cycle(self):
         g = gen_torus(5, 1)
@@ -371,7 +397,7 @@ class TestComplete:
     def test_all_pairs(self):
         g = gen_complete(5)
         assert g.m == 10
-        assert set(g.edges) == set(itertools.combinations(range(5), 2))
+        assert set(edge_tuples(g)) == set(itertools.combinations(range(5), 2))
 
 
 class TestKnn:
@@ -383,14 +409,14 @@ class TestKnn:
     def test_deterministic_in_seed(self):
         g1, p1 = gen_knn(40, 5, 2, 123)
         g2, p2 = gen_knn(40, 5, 2, 123)
-        assert g1.edges == g2.edges
+        assert edge_tuples(g1) == edge_tuples(g2)
         np.testing.assert_array_equal(p1, p2)
         g3, _ = gen_knn(40, 5, 2, 124)
-        assert g3.edges != g1.edges
+        assert edge_tuples(g3) != edge_tuples(g1)
 
     def test_three_points_k2_triangle(self):
         g, _ = gen_knn(3, 2, 2, 7)
-        assert g.edges == ((0, 1), (0, 2), (1, 2))
+        assert edge_tuples(g) == ((0, 1), (0, 2), (1, 2))
 
     def test_edges_match_brute_force_neighbors(self):
         # Oracle: recompute the k nearest of each vertex from raw distances
@@ -404,7 +430,7 @@ class TestKnn:
             order = sorted((dist[u, v], v) for v in range(n) if v != u)
             for _, v in order[:k]:
                 want.add((min(u, v), max(u, v)))
-        assert set(g.edges) == want
+        assert set(edge_tuples(g)) == want
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -432,7 +458,7 @@ class TestEpsilon:
             for u, v in itertools.combinations(range(n), 2)
             if dist[u, v] <= eps
         }
-        assert set(g.edges) == want
+        assert set(edge_tuples(g)) == want
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
@@ -445,7 +471,7 @@ class TestEdgeListIO:
         path = tmp_path / "g.txt"
         write_edge_list(g, path, comments=["made by a test"])
         back = read_edge_list(path)
-        assert back.edges == g.edges and back.n == g.n
+        assert edge_tuples(back) == edge_tuples(g) and back.n == g.n
         assert read_edge_list_comments(path) == ["made by a test"]
 
     def test_digest_stable_and_sensitive(self):
@@ -465,7 +491,7 @@ class TestEdgeListIO:
         path = tmp_path / "g.txt"
         path.write_text("# hello\n\n3 2\n0 1\n\n1 2\n")
         g = read_edge_list(path)
-        assert g.edges == ((0, 1), (1, 2))
+        assert edge_tuples(g) == ((0, 1), (1, 2))
 
 
 class TestPointsIO:

@@ -116,6 +116,14 @@ class TestCutResistance:
         prof = all_edge_resistances(gen_torus(3, 2))
         assert cut_resistance(prof, np.ones(9)) == 0.0
 
+    def test_single_vertex_has_no_edges(self):
+        prof = all_edge_resistances(build_graph(1, []))
+        assert prof.edge_resistances.dtype == np.float64 and prof.edge_resistances.shape == (0,)
+        assert prof.total == 0.0 and prof.max_edge_resistance == 0.0
+        assert cut_resistance(prof, np.zeros(1)) == 0.0
+        with pytest.raises(ValueError, match="shape"):
+            cut_resistance(prof, np.zeros(2))
+
 
 class TestCommuteEstimate:
     def test_two_vertices_exact(self):

@@ -3,6 +3,7 @@
 import collections
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy import stats
 from helpers import (
     binomial_band,
     component_sizes_without,
+    edge_tuples,
     enumerate_spanning_trees,
     random_tree_edges,
 )
@@ -117,7 +119,7 @@ class TestSampleUst:
         edges = [(0, 1), (1, 2), (1, 3), (3, 4)]
         g = build_graph(5, edges)
         t = sample_ust(g, 0)
-        assert t.edges == g.edges
+        assert edge_tuples(t) == edge_tuples(g)
 
     def test_result_is_spanning_tree(self):
         g = gen_torus(4, 2)
@@ -130,7 +132,7 @@ class TestSampleUst:
         g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
         assert len(enumerate_spanning_trees(3, g.edges)) == 3
         draws = 3000
-        counts = collections.Counter(sample_ust(g, s).edges for s in range(draws))
+        counts = collections.Counter(edge_tuples(sample_ust(g, s)) for s in range(draws))
         assert len(counts) == 3
         band = binomial_band(1 / 3, draws)
         for c in counts.values():
@@ -145,14 +147,14 @@ class TestSampleUst:
 
     def test_deterministic_in_seed(self):
         g = gen_torus(4, 2)
-        assert sample_ust(g, 99).edges == sample_ust(g, 99).edges
+        assert edge_tuples(sample_ust(g, 99)) == edge_tuples(sample_ust(g, 99))
 
     def test_disconnected_rejected(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
             sample_ust(g, 0)
 
-    # sha256 over sample_ust(g, s).edge_array bytes for s = 0..199, taken
+    # sha256 over sample_ust(g, s).edges bytes for s = 0..199, taken
     # when every draw began with a full 4096-uniform block: any change to
     # which random numbers a walk reads shows here.
     @pytest.mark.parametrize(
@@ -169,7 +171,7 @@ class TestSampleUst:
     def test_small_graph_trees_pinned(self, g, digest):
         h = hashlib.sha256()
         for s in range(200):
-            h.update(sample_ust(g, s).edge_array.astype("<i8").tobytes())
+            h.update(sample_ust(g, s).edges.astype("<i8").tobytes())
         assert h.hexdigest() == digest
 
 
@@ -212,7 +214,9 @@ class TestSampleUstExact:
         # tail probability falls below 0.001.
         g, count = self.GRAPHS[name]
         trees = enumerate_spanning_trees(g.n, g.edges)
-        counts = collections.Counter(sample_ust(g, s).edges for s in range(self.DRAWS))
+        counts = collections.Counter(
+            edge_tuples(sample_ust(g, s)) for s in range(self.DRAWS)
+        )
         assert set(counts) <= set(trees)
         observed = np.array([counts[t] for t in trees], dtype=float)
         expected = self.DRAWS / count
@@ -220,16 +224,36 @@ class TestSampleUstExact:
         assert stats.chi2.sf(chi2, count - 1) >= 1e-3, (name, chi2)
 
 
+class TestTreeEquality:
+    def test_rebuilt_tree_equals_the_draw(self):
+        t = sample_ust(gen_torus(4, 2), 3)
+        rebuilt = build_spanning_tree(gen_torus(4, 2), t.edges.tolist())
+        assert rebuilt == t and rebuilt.graph is not t.graph
+
+    def test_other_draw_or_host_differs(self):
+        g = gen_torus(4, 2)
+        t = sample_ust(g, 3)
+        assert sample_ust(g, 4) != t
+        # Same edges, hosted by the tree's own edge set instead of the torus.
+        assert build_spanning_tree(build_graph(g.n, t.edges), t.edges) != t
+        assert build_graph(g.n, t.edges) != t
+
+    def test_pickle_round_trip(self):
+        t = sample_ust(gen_torus(4, 2), 3)
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and back is not t and back.graph == t.graph
+
+
 class TestBfsTree:
     def test_four_cycle_from_zero(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         t = bfs_spanning_tree(g, 0)
-        assert t.edges == ((0, 1), (0, 3), (1, 2))
+        assert edge_tuples(t) == ((0, 1), (0, 3), (1, 2))
 
     def test_complete_graph_is_star(self):
         g = gen_complete(5)
         t = bfs_spanning_tree(g, 2)
-        assert t.edges == tuple(sorted((min(2, v), max(2, v)) for v in [0, 1, 3, 4]))
+        assert edge_tuples(t) == tuple(sorted((min(2, v), max(2, v)) for v in [0, 1, 3, 4]))
 
     def test_root_out_of_range(self):
         with pytest.raises(ValueError):
@@ -258,7 +282,7 @@ class TestTreeIO:
         path = tmp_path / "tree.txt"
         write_tree(t, path)
         back = read_tree(path, g)
-        assert back.edges == t.edges
+        assert edge_tuples(back) == edge_tuples(t)
 
     def test_file_is_tag_then_edge_list(self, tmp_path):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])

@@ -348,6 +348,15 @@ class TestActivations:
         acts = edge_activations(build_basis(t), t)
         assert acts.tolist() == [1]
 
+    def test_rebuilt_equal_tree_accepted_other_draw_rejected(self):
+        g = gen_torus(4, 2)
+        t = sample_ust(g, 1)
+        basis = build_basis(t)
+        rebuilt = build_spanning_tree(gen_torus(4, 2), t.edges)
+        np.testing.assert_array_equal(edge_activations(basis, rebuilt), edge_activations(basis, t))
+        with pytest.raises(ValueError, match="not built from this tree"):
+            edge_activations(basis, sample_ust(g, 2))
+
     def test_mismatched_tree_rejected(self):
         t1 = tree_on(4, [(0, 1), (1, 2), (2, 3)])
         t2 = tree_on(4, [(0, 1), (0, 2), (0, 3)])
