@@ -106,6 +106,17 @@ class TestFindBalance:
             assert not sizes or sizes[0] <= math.ceil(n / 2)
             assert 1 <= visits <= n
 
+    def test_walks_pinned(self):
+        # sha256 over the int64 (vertex, visits) of 500 random trees, taken
+        # when each walk rooted its subset by a DFS of its own.
+        rng = np.random.default_rng(14)
+        h = hashlib.sha256()
+        for _ in range(500):
+            n = int(rng.integers(2, 301))
+            t = tree_on(n, random_tree_edges(n, rng))
+            h.update(np.array(find_balance_walk(t), dtype=np.int64).tobytes())
+        assert h.hexdigest() == "524552e2188a5939d153a8f07c42c2d7596b8e97ec5375db4d1ab40ab4bec792"
+
     def test_walk_and_plain_agree(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -17,7 +17,6 @@ from treewavelets import (
     build_spanning_tree,
     cut_size,
     edge_activations,
-    find_balance,
     gen_complete,
     gen_knn,
     gen_torus,
@@ -43,6 +42,27 @@ def spider(center, arms):
         edges.append((min(center, arm[0]), max(center, arm[0])))
         edges += [(min(a, b), max(a, b)) for a, b in zip(arm, arm[1:])]
     return tree_on(1 + sum(len(arm) for arm in arms), edges)
+
+
+def components_without(part, edges, removed):
+    """Vertex sets of the pieces of the subtree on part once removed is deleted."""
+    nbrs = {v: [] for v in part if v != removed}
+    for u, v in edges:
+        if u in nbrs and v in nbrs:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    comps = []
+    for start in nbrs:
+        if any(start in c for c in comps):
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
 
 
 def rows_on(basis, vertices):
@@ -133,21 +153,106 @@ PINNED = {
 }
 
 
+def shuffled(n, edges, seed):
+    """The tree on edges with its vertices renamed by a seeded permutation."""
+    name = np.random.default_rng(seed).permutation(n)
+    return tree_on(n, name[np.asarray(edges, dtype=np.int64).reshape(-1, 2)])
+
+
+def tie_tree(name):
+    """Trees whose parts often have two centroids.
+
+    ``path-<n>`` is a path through the vertices in a seeded random order;
+    ``dstar-<k>`` joins two centers of k leaves each; ``caterpillar-<s>``
+    hangs one leaf off each of s spine vertices. A trailing ``s`` shuffles
+    the labels of the last two, so a part's smallest vertex is not always
+    nearest vertex 0.
+    """
+    family, kind = name.split("-")
+    size = int(kind.rstrip("s"))
+    if family == "path":
+        return shuffled(size, [(i, i + 1) for i in range(size - 1)], size)
+    if family == "dstar":
+        n, edges = 2 * size + 2, [(0, 1)]
+        edges += [(c, 2 + c * size + i) for c in (0, 1) for i in range(size)]
+    else:
+        n = 2 * size
+        edges = [(i, i + 1) for i in range(size - 1)] + [(i, size + i) for i in range(size)]
+    return shuffled(n, edges, size) if kind.endswith("s") else tree_on(n, edges)
+
+
+def basis_digest(b):
+    """sha256 over the int64 indptr and indices, the float64 data, the depths and the pivots."""
+    m = b.matrix
+    h = hashlib.sha256()
+    for a, dtype in (
+        (m.indptr, np.int64),
+        (m.indices, np.int64),
+        (m.data, np.float64),
+        (b.depths, np.int64),
+        (b.pivots, np.int64),
+    ):
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+# Digests of tie_tree bases, taken with the builder that re-rooted every part
+# at its smallest vertex: when a part has two centroids, the split is at the
+# one on that vertex's side.
+TIE_PINNED = {
+    "path-3": "d0b06e796f636a077c1cb378e1740be7f56d242b056eb8bdab6658e22e49798b",
+    "path-4": "adb4e19a67d82393b9d8284e271e55946c160d4b4dc0aa8e46ca399ff1abecba",
+    "path-5": "e02fb6f97247a1d5f6f1d0359f79d2adaa6c74674b9007624104ec2d3a95a9c9",
+    "path-6": "ac6e5ea17939bc9ecd2b3b22af1ae989e755611eefce8895d77141f81278f3bf",
+    "path-7": "b5b64212768e655b6c65376da8810bb5843258787017d055c36e0ca51ddacf44",
+    "path-8": "0387b8203d3e32ff45a9bda1848921950a03999c66d09df2d26d7bc9822c1ef0",
+    "path-9": "24b58ec131dd938c60a8e9ae11f0569b53fad66555d2caadd7a9a3b0188562eb",
+    "path-10": "311defb3d60cf814caec3562b35225be818879b3a026b28078aa46935e0469aa",
+    "path-11": "e0f9c18bc6003d75d435d8ca911f652f6d2c181d13b5b2e9dfa13b89269aaf38",
+    "path-12": "06005aa0be08d9e85571b5b512084f521c7ed407ee019c933b506e70c72fcfd0",
+    "path-13": "9eb7fd3593a72dad47ab37a5dca2a69ad3e25801d7d9a45ef1a357e58e6a8ec0",
+    "path-14": "8a24f7e45cc72de09dbf086b97e0806271c00c22668162e2773deb706f88656c",
+    "path-15": "75b16343eb4f79f5011d387d21647941a55c8ebe1ac82ce1f1ea5caee8c5fe06",
+    "path-16": "dc41a8557041ef420c504f05770883a4098fe6ed2c2f1e567ae2541d32d61890",
+    "path-17": "3985cdd87921e1f9fb136508aeeb345a1b059e69700d81d87d65a558fb1bcd76",
+    "path-18": "d3eaccbf75810fa30b50824ba925cebb0944ebdd4144f948275b8d943d40a717",
+    "path-19": "c4d8f1ee6f96e2607d65f7389a0399dacb3176ca9ba3e1f2fb46567e4273933c",
+    "path-20": "379b6015d82ac165eea64a0ec45baf1647b7548eecc2cc73cd43490903d9407e",
+    "path-21": "8115a878dfd4a2e1cdc72cb81d24064a0351b87adff6689b796383e08e5a5739",
+    "path-22": "3c9a17f26d2d6eed40900d4aa5c7139f901773d9a6428fd45cd231558717f5bb",
+    "path-23": "62736061c816ef27dd0207ebf581462b26bd3c11907df75730696034ffc659ca",
+    "path-24": "cf08dcbe76f672bbd097ecba5af5f98a60ac3797414855dc7bce4d2ffa5e13e1",
+    "path-25": "81d4c6c358123626be751262662284bb34725b98a922d5abe0eef94b98ac4228",
+    "path-26": "aa1a350698e17742ba30dc3fba11b7c0b2df201beb0fc637aeaf433948f55f32",
+    "path-27": "df8e16e9dd57a705d798f1d1bb72bb2b2016b2d37334a7a498bffa5455d10ba2",
+    "path-28": "e1963352ad257e2a054e0b3658374e52ff5a049c290534ee267a147e8f270964",
+    "path-29": "3cc7f50bde7c976cfa907655b19b743f010c50c27dcc2111737979d733c626d8",
+    "path-30": "2a3f3c451679d30ffd4587cd1085a565247c46a7f3c49903d7219a746ddca079",
+    "path-31": "a2ba3337632cc2218f976dfeb9ab2c8343deebddb3e8b87fe81a57d55060e48a",
+    "path-32": "8d8b07fe4079717c1ecb2f81411342223d90896a0406301416067f7ab3e98e33",
+    "path-33": "9a90649c50677fffed9722ee0ad502de242125aa3a54818b2c5f322b19723ac1",
+    "path-34": "20af5549cd3c70466ab4e407ee9140c16fae8e188d62bd8cabcabbecbe62e9e3",
+    "path-35": "53dad518e92672db2382031a3c33aa8806877456b8824bd74080d8dcd6a6ebe0",
+    "path-36": "ab9f1d6180c5420cfab796cf18660cc14c242d62318a273514e2673abf3ffe84",
+    "path-37": "83c8080c77b04fe52a76a8bbb41cf578f82313953a204acc450ca1eb0ee54716",
+    "path-38": "b86d7b6d6d42cc7f39aaedede4b42bc1d59057561a628d79adb45bf1e23d3514",
+    "path-39": "406f71ee0c3a8322cd1b7bbd02748193928f808c68da88bb37ce2566ff62c110",
+    "path-40": "f250cfd68a6a5c140b69c1c6ea8ed3fa73c6752ffba3f66a338d56f66d287559",
+    "dstar-4": "751afb5a38ee263160a22b75595a74adcf043e9451c313927757fd32b0d773c4",
+    "dstar-4s": "7c5933ec799d87697fbd3e66dbff45a7ac5f0e9f2ab7c64ade9f43d66677dc77",
+    "caterpillar-16": "757152a9debf1480bdf23b844ef2d51e70c82d4f8ee385ae198457e483f1b57c",
+    "caterpillar-16s": "0ad709469911ea9fff25abbcac19502d94e69b308c6c80aabeb5d0cc13b0164e",
+}
+
+
 class TestPinnedBasis:
     @pytest.mark.parametrize("name", list(PINNED))
     def test_digest_matches(self, name):
-        b = build_basis(pinned_tree(name))
-        m = b.matrix
-        h = hashlib.sha256()
-        for a, dtype in (
-            (m.indptr, np.int64),
-            (m.indices, np.int64),
-            (m.data, np.float64),
-            (b.depths, np.int64),
-            (b.pivots, np.int64),
-        ):
-            h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
-        assert h.hexdigest() == PINNED[name]
+        assert basis_digest(build_basis(pinned_tree(name))) == PINNED[name]
+
+    @pytest.mark.parametrize("name", list(TIE_PINNED))
+    def test_tie_digest_matches(self, name):
+        assert basis_digest(build_basis(tie_tree(name))) == TIE_PINNED[name]
 
     def test_ranges_nest_and_pivots_touch_them(self):
         rng = np.random.default_rng(10)
@@ -220,13 +325,27 @@ class TestBuildBasis:
         np.testing.assert_allclose(c[0], 2.5 * math.sqrt(12))
         np.testing.assert_allclose(c[1:], 0.0, atol=1e-12)
 
-    def test_first_pivot_is_the_balance_vertex(self):
-        # The builder's root split and find_balance run one walk; this checks
-        # they agree on 200 uniform random trees.
+    def test_every_pivot_is_the_centroid_on_the_smallest_vertex_side(self):
+        # The widest element carrying a pivot spans the part it split.
+        # Removing the pivot must leave no component above half the part,
+        # and when one is exactly half (the part has two centroids) the
+        # part's smallest vertex must lie outside it.
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            t = random_tree(int(rng.integers(3, 301)), rng)
-            assert build_basis(t).pivots[1] == find_balance(t)
+        ties = 0
+        for _ in range(500):
+            n = int(rng.integers(3, 60))
+            edges = random_tree_edges(n, rng)
+            b = build_basis(tree_on(n, edges))
+            for p in set(b.pivots.tolist()) - {-1}:
+                rows = np.flatnonzero(b.pivots == p)
+                i = rows[np.argmax(b.hi[rows] - b.lo[rows])]
+                part = set(b.perm[b.lo[i] : b.hi[i]].tolist())
+                largest = max(components_without(part, edges, p), key=len)
+                assert 2 * len(largest) <= len(part)
+                if 2 * len(largest) == len(part):
+                    ties += 1
+                    assert min(part) not in largest
+        assert ties > 1000
 
     def test_deterministic_for_fixed_tree(self):
         t = tree_on(7, [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (5, 6)])
