@@ -98,6 +98,11 @@ class Graph:
             return NotImplemented
         return self.n == other.n and np.array_equal(self.edges, other.edges)
 
+    def __setstate__(self, state: dict) -> None:
+        # Pickle protocols below 5 bring numpy arrays back writable.
+        self.__dict__.update(state)
+        self.edges.flags.writeable = False
+
     @cached_property
     def m(self) -> int:
         return len(self.edges)

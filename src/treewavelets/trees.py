@@ -2,8 +2,10 @@
 
 The balance walk is the combinatorial heart of the wavelet construction, so
 it lives here, shared by :func:`find_balance_walk` and the basis builder. It
-reads the tree's CSR as Python lists: one DFS roots a part and computes its
-subtree sizes, after which every quantity the walk needs is a size lookup.
+reads the tree's CSR as Python lists. One rooting computes every vertex's
+subtree size and smallest vertex, and the walk needs nothing else: the basis
+builder roots the whole tree once and tracks each part by its top vertex and
+cut parent edges, so a split only updates sizes along the walk path.
 """
 
 from __future__ import annotations
@@ -174,58 +176,52 @@ def tree_cut_size(t: SpanningTree, x: Signal | np.ndarray, eps: float = EPS_CUT)
 # =============================================================================
 
 
-def _root_part(ptr, nbrs, label, key, root, parent, size) -> list[int]:
-    """Root the part ``label[v] == key`` at root; fill parent and size, return the preorder.
+def _root(ptr, nbrs, root, inside) -> tuple[list[int], list[int], list[int]]:
+    """Root the subtree of ``inside`` vertices that holds root; return parent, size and low.
 
-    ``ptr`` and ``nbrs`` are the tree's CSR as lists. In the preorder each
-    vertex is followed by its child subtrees, back to back.
+    ``ptr`` and ``nbrs`` are the tree's CSR as lists. ``size[v]`` and
+    ``low[v]`` are the vertex count and the smallest vertex of v's subtree;
+    ``parent`` is -1 at the root and at every vertex the rooting does not reach.
     """
-    parent[root] = -1
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        size[v] = 1
+    n = len(inside)
+    parent, size, low = [-1] * n, [1] * n, list(range(n))
+    order = [root]
+    for v in order:
         pv = parent[v]
         for w in nbrs[ptr[v] : ptr[v + 1]]:
-            if w != pv and label[w] == key:
+            if w != pv and inside[w]:
                 parent[w] = v
-                stack.append(w)
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    return order
+                order.append(w)
+    for v in order[:0:-1]:
+        p = parent[v]
+        size[p] += size[v]
+        if low[v] < low[p]:
+            low[p] = low[v]
+    return parent, size, low
 
 
-def _balance_walk(ptr, nbrs, label, key, parent, size, root) -> tuple[int, int]:
-    """Balance walk over a part rooted by :func:`_root_part`; return (vertex, visits).
+def _balance_walk(ptr, nbrs, parent, size, low, cut, top) -> tuple[int, int]:
+    """Walk from a part's top vertex to its balance vertex; return (vertex, visits).
 
-    Starts at the root and steps to the neighbor inside the largest
-    component of the part with the current vertex removed, while that
-    strictly shrinks the largest component; stops otherwise. Ties go to the
-    smaller neighbor, and the part above a vertex counts with its parent.
+    The part is top's subtree under the rooting ``parent``, less the
+    subtrees hanging from cut edges (``cut[w]`` cuts w from its parent).
+    ``size[v]`` and ``low[v]`` are the vertex count and smallest vertex of
+    v's subtree inside the part. The walk steps to the child that holds more
+    than half the part and stops at a centroid. A part with two centroids has a child holding exactly half:
+    the walk takes it when that half holds the part's smallest vertex, so it
+    stops where a walk from the smallest vertex would stop first.
     """
-    total = size[root]
-
-    def largest(v: int) -> tuple[int, int]:
-        pv = parent[v]
-        best, nbr = total - size[v], pv
+    total, least = size[top], low[top]
+    v, visits = top, 1
+    while True:
         for w in nbrs[ptr[v] : ptr[v + 1]]:
-            if w != pv and label[w] == key:
-                sw = size[w]
-                if sw > best or (sw == best and (nbr == -1 or w < nbr)):
-                    best, nbr = sw, w
-        return best, nbr
-
-    cur, visits = root, 1
-    f_cur, nbr = largest(root)
-    while nbr != -1:
-        f_nbr, nxt = largest(nbr)
-        if f_nbr >= f_cur:
-            break
-        cur, f_cur, nbr = nbr, f_nbr, nxt
-        visits += 1
-    return cur, visits
+            if parent[w] == v and not cut[w] and 2 * size[w] >= total:
+                break
+        else:
+            return v, visits
+        if 2 * size[w] == total and low[w] != least:
+            return v, visits
+        v, visits = w, visits + 1
 
 
 def _prepare_verts(t: SpanningTree, vertices) -> list[int]:
@@ -257,14 +253,14 @@ def find_balance(t: SpanningTree, vertices=None) -> int:
 def find_balance_walk(t: SpanningTree, vertices=None) -> tuple[int, int]:
     """Like :func:`find_balance` but also reports the walk's visit count."""
     verts = _prepare_verts(t, vertices)
-    label = [0] * t.n
+    inside = [False] * t.n
     for v in verts:
-        label[v] = 1
+        inside[v] = True
     ptr, nbrs = (a.tolist() for a in t.csr)
-    parent, size = [-1] * t.n, [1] * t.n
-    if len(_root_part(ptr, nbrs, label, 1, verts[0], parent, size)) != len(verts):
+    parent, size, low = _root(ptr, nbrs, verts[0], inside)
+    if size[verts[0]] != len(verts):
         raise ValueError("vertices do not induce a connected subtree")
-    return _balance_walk(ptr, nbrs, label, 1, parent, size, verts[0])
+    return _balance_walk(ptr, nbrs, parent, size, low, [False] * t.n, verts[0])
 
 
 # =============================================================================

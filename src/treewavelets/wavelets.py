@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import EPS_CUT, Signal, signal_values
-from .trees import SpanningTree, _balance_walk, _root_part
+from .trees import SpanningTree, _balance_walk, _root
 
 __all__ = [
     "WaveletBasis",
@@ -121,6 +121,10 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
     rest, then each half the same way. Components of two or more vertices
     are split in turn, a two-vertex subtree giving one final element.
 
+    The tree is rooted once, at vertex 0. A part is then its top vertex's
+    subtree less the subtrees below cut parent edges, so a split cuts edges
+    and updates subtree sizes on the walk path only; no part is re-rooted.
+
     Returns
     -------
     WaveletBasis
@@ -128,10 +132,10 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
     """
     n = t.n
     ptr, nbrs = (a.tolist() for a in t.csr)
-    # label[v] is the perm offset of v's current part: the part being split
-    # is every vertex whose label equals its offset.
-    label = [0] * n
-    parent, size = [-1] * n, [1] * n
+    # size[v] and low[v] are the vertex count and smallest vertex of v's
+    # subtree inside v's part; cut[v] separates v from its parent's part.
+    parent, size, low = _root(ptr, nbrs, 0, [True] * n)
+    cut = [False] * n
     perm = [0] * n
     elements = [(0, n, n, 0, -1)]  # (lo, mid, hi, depth, pivot)
 
@@ -143,44 +147,60 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
         haar(bounds[: h + 1], depth, pivot)
         haar(bounds[h:], depth, pivot)
 
-    def process(lo: int, verts: list[int], depth: int) -> None:
-        if len(verts) == 2:
-            perm[lo : lo + 2] = sorted(verts)
-            elements.append((lo, lo + 1, lo + 2, depth, -1))
-            return
-        order = _root_part(ptr, nbrs, label, lo, min(verts), parent, size)
-        v, _ = _balance_walk(ptr, nbrs, label, lo, parent, size, order[0])
-        # v's child subtrees follow v in the preorder; the rest lies above v.
-        at = order.index(v)
-        end = at + size[v]
-        comps = []
-        i = at + 1
-        while i < end:
-            comps.append(order[i : i + size[order[i]]])
-            i += size[order[i]]
-        if at:
-            comps.append(order[:at] + order[end:])
-        parts = sorted((min(c), c) for c in comps)
-        k = min(range(len(parts)), key=lambda j: len(parts[j][1]))
-        parts[k] = (min(parts[k][0], v), parts[k][1] + [v])
-        parts.sort()
-        bounds = [lo]
-        for _, c in parts:
-            bounds.append(bounds[-1] + len(c))
-        haar(bounds, depth, v)
-        # Relabel every part before splitting any: the first keeps offset lo,
-        # which its siblings must no longer carry.
-        for start, (_, c) in zip(bounds, parts):
-            for u in c:
-                label[u] = start
-        for start, (_, c) in zip(bounds, parts):
-            if len(c) >= 2:
-                process(start, c, depth + 1)
-            else:
-                perm[start] = c[0]
+    def children(v: int) -> list[int]:
+        return [w for w in nbrs[ptr[v] : ptr[v + 1]] if parent[w] == v and not cut[w]]
 
-    if n >= 2:
-        process(0, list(range(n)), 1)
+    parts = [(0, 0, 1)] if n >= 2 else []  # (perm offset, top, depth), depth first
+    while parts:
+        lo, top, depth = parts.pop()
+        if size[top] == 2:
+            perm[lo : lo + 2] = sorted([top, *children(top)])
+            elements.append((lo, lo + 1, lo + 2, depth, -1))
+            continue
+        v, _ = _balance_walk(ptr, nbrs, parent, size, low, cut, top)
+        tops = children(v)
+        for w in tops:
+            cut[w] = True
+        if v != top:
+            # The part above v loses v's subtree. An ancestor's smallest
+            # vertex changes only if it was the smallest vertex of that subtree.
+            cut[v] = True
+            sv, gone, a = size[v], low[v], v
+            while a != top:
+                a = parent[a]
+                size[a] -= sv
+                if low[a] == gone:
+                    low[a] = min([a] + [low[w] for w in children(a)])
+            tops.append(top)
+        tops.sort(key=low.__getitem__)
+        sizes = [size[w] for w in tops]
+        k = sizes.index(min(sizes))
+        if tops[k] == top:
+            # v joins the part above as a leaf under its parent.
+            cut[v] = False
+            size[v], low[v], a = 1, v, v
+            while a != top:
+                a = parent[a]
+                size[a] += 1
+                if v < low[a]:
+                    low[a] = v
+        else:
+            # v becomes the top of a child's part.
+            w = tops[k]
+            cut[w] = False
+            size[v], low[v] = size[w] + 1, min(v, low[w])
+            tops[k] = v
+        tops.sort(key=low.__getitem__)
+        bounds = [lo]
+        for w in tops:
+            bounds.append(bounds[-1] + size[w])
+        haar(bounds, depth, v)
+        for start, w in zip(bounds[-2::-1], reversed(tops)):
+            if size[w] == 1:
+                perm[start] = w
+            else:
+                parts.append((start, w, depth + 1))
+
     lo, mid, hi, depths, pivots = np.array(elements, dtype=np.int64).T.copy()
     return WaveletBasis(t, np.array(perm, dtype=np.int64), lo, mid, hi, depths, pivots)
 

@@ -199,6 +199,11 @@ class TestPowerCurve:
         assert null_rate <= 0.05 + binomial_band(0.05, 60)
         assert sum(r.reject for r in alts) / 60 == 1.0  # mu = 30 on n = 16
 
+    def test_worker_pool_gives_the_same_records(self):
+        cell = self.tiny_cell()
+        kw = dict(trials=12, sigma=1.0, delta=0.05, tree_source=TreeSource.ust(), master_seed=5)
+        assert power_curve(cell, workers=2, **kw) == power_curve(cell, workers=1, **kw)
+
     def test_different_cell_index_changes_stream(self):
         cell = self.tiny_cell()
         kw = dict(trials=10, sigma=1.0, delta=0.05, tree_source=TreeSource.ust(), master_seed=5)
@@ -299,6 +304,14 @@ class TestSparsityExperiment:
         a = sparsity_experiment([cell], signals=12, master_seed=2)
         b = sparsity_experiment([cell], signals=12, master_seed=2)
         assert a == b
+
+    def test_worker_pool_gives_the_same_points(self):
+        cell = CellSpec.from_dict(
+            {"family": "torus", "side": 6, "dims": 2, "rho_lo": 4, "rho_hi": 16,
+             "sampler": "two_level"}
+        )
+        a = sparsity_experiment([cell], signals=12, master_seed=2, workers=2)
+        assert a == sparsity_experiment([cell], signals=12, master_seed=2, workers=1)
 
     def test_validates_arguments(self):
         cell = CellSpec.from_dict(

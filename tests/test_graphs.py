@@ -171,6 +171,14 @@ class TestGraphEquality:
         back = pickle.loads(pickle.dumps(g))
         assert back == g and back is not g
 
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+    def test_pickle_keeps_edges_read_only(self, protocol):
+        # Protocols below 5 restore numpy arrays writable; the worker pool
+        # pickles graphs with the default protocol 4.
+        g = gen_knn(30, 3, 2, 0)[0]
+        back = pickle.loads(pickle.dumps(g, protocol=protocol))
+        assert back == g and not back.edges.flags.writeable
+
 
 def _brute_force_views(g):
     """Degrees and CSR of g from its edges, one at a time."""

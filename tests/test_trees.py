@@ -254,6 +254,14 @@ class TestTreeEquality:
         back = pickle.loads(pickle.dumps(t))
         assert back == t and back is not t and back.graph == t.graph
 
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+    def test_pickle_keeps_edges_read_only(self, protocol):
+        t = sample_ust(gen_torus(4, 2), 3)
+        back = pickle.loads(pickle.dumps(t, protocol=protocol))
+        assert back == t and back.graph == t.graph
+        assert not back.edges.flags.writeable
+        assert not back.graph.edges.flags.writeable
+
 
 class TestBfsTree:
     def test_four_cycle_from_zero(self):
