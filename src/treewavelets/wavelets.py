@@ -170,12 +170,15 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
                 a = parent[a]
                 size[a] -= sv
                 if low[a] == gone:
-                    low[a] = min([a] + [low[w] for w in children(a)])
+                    least = a
+                    for w in nbrs[ptr[a] : ptr[a + 1]]:
+                        if parent[w] == a and not cut[w] and low[w] < least:
+                            least = low[w]
+                    low[a] = least
             tops.append(top)
-        tops.sort(key=low.__getitem__)
-        sizes = [size[w] for w in tops]
-        k = sizes.index(min(sizes))
-        if tops[k] == top:
+        # v joins the smallest component, of equals the one with the smallest vertex.
+        host = min(tops, key=lambda w: (size[w], low[w]))
+        if host == top:
             # v joins the part above as a leaf under its parent.
             cut[v] = False
             size[v], low[v], a = 1, v, v
@@ -186,10 +189,9 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
                     low[a] = v
         else:
             # v becomes the top of a child's part.
-            w = tops[k]
-            cut[w] = False
-            size[v], low[v] = size[w] + 1, min(v, low[w])
-            tops[k] = v
+            cut[host] = False
+            size[v], low[v] = size[host] + 1, min(v, low[host])
+            tops[tops.index(host)] = v
         tops.sort(key=low.__getitem__)
         bounds = [lo]
         for w in tops:
