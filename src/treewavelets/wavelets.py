@@ -111,6 +111,21 @@ class WaveletBasis:
         return self.matrix.toarray()
 
 
+def _haar(bounds: list[int], depth: int, pivot: int, out: list) -> None:
+    """Append the Haar elements over the groups that ``bounds`` delimit to out.
+
+    The first ceil(p/2) of the p groups go against the rest, then each half
+    the same way. A module-level function, so that no closure cycle keeps a
+    finished build's lists alive until the garbage collector runs.
+    """
+    if len(bounds) < 3:
+        return
+    h = len(bounds) // 2
+    out.append((bounds[0], bounds[h], bounds[-1], depth, pivot))
+    _haar(bounds[: h + 1], depth, pivot, out)
+    _haar(bounds[h:], depth, pivot, out)
+
+
 def build_basis(t: SpanningTree) -> WaveletBasis:
     """Construct the full wavelet basis of a spanning tree.
 
@@ -139,18 +154,12 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
     perm = [0] * n
     elements = [(0, n, n, 0, -1)]  # (lo, mid, hi, depth, pivot)
 
-    def haar(bounds: list[int], depth: int, pivot: int) -> None:
-        if len(bounds) < 3:
-            return
-        h = len(bounds) // 2
-        elements.append((bounds[0], bounds[h], bounds[-1], depth, pivot))
-        haar(bounds[: h + 1], depth, pivot)
-        haar(bounds[h:], depth, pivot)
-
     def children(v: int) -> list[int]:
         return [w for w in nbrs[ptr[v] : ptr[v + 1]] if parent[w] == v and not cut[w]]
 
-    parts = [(0, 0, 1)] if n >= 2 else []  # (perm offset, top, depth), depth first
+    # (perm offset, top, depth), popped depth first. A loop, not a recursive
+    # closure, for the reason _haar gives.
+    parts = [(0, 0, 1)] if n >= 2 else []
     while parts:
         lo, top, depth = parts.pop()
         if size[top] == 2:
@@ -196,7 +205,7 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
         bounds = [lo]
         for w in tops:
             bounds.append(bounds[-1] + size[w])
-        haar(bounds, depth, v)
+        _haar(bounds, depth, v, elements)
         for start, w in zip(bounds[-2::-1], reversed(tops)):
             if size[w] == 1:
                 perm[start] = w

@@ -1,5 +1,6 @@
 """Wavelet construction: orthonormality, sparsity, and activation bounds."""
 
+import gc
 import hashlib
 import math
 
@@ -346,6 +347,19 @@ class TestBuildBasis:
                     ties += 1
                     assert min(part) not in largest
         assert ties > 1000
+
+    def test_build_leaves_no_reference_cycles(self):
+        # A cycle would keep a finished build's lists alive until the
+        # garbage collector runs, which shows as peak memory on big trees.
+        t = bfs_spanning_tree(gen_torus(8, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            basis = build_basis(t)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(basis) == t.n
 
     def test_deterministic_for_fixed_tree(self):
         t = tree_on(7, [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (5, 6)])
