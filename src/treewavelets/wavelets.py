@@ -157,8 +157,9 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
     def children(v: int) -> list[int]:
         return [w for w in nbrs[ptr[v] : ptr[v + 1]] if parent[w] == v and not cut[w]]
 
-    # (perm offset, top, depth), popped depth first. A loop, not a recursive
-    # closure, for the reason _haar gives.
+    # (perm offset, top, depth). Parts are pushed in reverse layout order, so
+    # they split depth first, left to right. A loop, not a recursive closure,
+    # for the reason _haar gives.
     parts = [(0, 0, 1)] if n >= 2 else []
     while parts:
         lo, top, depth = parts.pop()
