@@ -37,7 +37,7 @@ from .detection import (
     threshold,
 )
 from .errors import DisconnectedGraphError
-from .experiments import TreeSource, preset_config, run_experiment, run_trial
+from .experiments import TreeSource, _is_int, preset_config, run_experiment, run_trial
 from .graphs import (
     build_graph,
     connected_components,
@@ -314,8 +314,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print("error: --preset requires --seed", file=sys.stderr)
             return 2
         config = preset_config(args.preset, args.seed)
-    if not isinstance(config.get("seed"), int):
-        print("error: no master seed (pass --seed or put 'seed' in the config)",
+    if not _is_int(config.get("seed")):
+        print("error: no integer master seed (pass --seed or put 'seed' in the config)",
               file=sys.stderr)
         return 2
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .wavelets import WaveletBasis, _clamped_log2, apply_basis
 
 __all__ = [
     "DecisionRecord",
-    "DetectionTest",
     "NoiseModel",
     "detect",
     "gen_cluster_signal",
@@ -52,28 +50,9 @@ class NoiseModel:
     """Additive white Gaussian noise of known standard deviation."""
 
     sigma: float
-    seed: int | None = None
 
     def __post_init__(self):
         _require_positive("sigma", self.sigma)
-
-    def sample(self, n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
-        """One noise vector; uses the model's own seed when rng is omitted."""
-        gen = as_rng(rng if rng is not None else self.seed)
-        return self.sigma * gen.standard_normal(n)
-
-
-@dataclass(frozen=True)
-class DetectionTest:
-    """Configuration of one test instance; tau is derived, never stored."""
-
-    sigma: float
-    n: int
-    delta: float
-
-    @cached_property
-    def tau(self) -> float:
-        return threshold(self.sigma, self.n, self.delta)
 
 
 @dataclass(frozen=True)

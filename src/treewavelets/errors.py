@@ -6,7 +6,6 @@ __all__ = [
     "DisconnectedGraphError",
     "InfeasibleSignalError",
     "FitUndefinedError",
-    "WalkLimitError",
 ]
 
 
@@ -30,7 +29,3 @@ class InfeasibleSignalError(ValueError):
 
 class FitUndefinedError(ValueError):
     """Raised when a least-squares fit is degenerate (no spread on the x axis)."""
-
-
-class WalkLimitError(RuntimeError):
-    """Raised when a random walk exceeds its hard step cap."""

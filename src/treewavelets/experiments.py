@@ -46,6 +46,7 @@ __all__ = [
     "TreeSource",
     "TrialRecord",
     "aggregate_records",
+    "fit_sparsity_points",
     "mu_at_power",
     "power_curve",
     "preset_config",
@@ -125,23 +126,6 @@ class TrialRecord:
 
 
 TRIAL_COLUMNS = [f.name for f in fields(TrialRecord)]
-
-
-def _trial_row(r: TrialRecord) -> list[str]:
-    return [
-        r.family,
-        str(r.n),
-        repr(float(r.rho)),
-        repr(float(r.mu)),
-        str(r.trial),
-        str(r.seed),
-        str(r.tree_seed),
-        str(r.cut),
-        repr(float(r.statistic)),
-        repr(float(r.threshold)),
-        str(int(r.reject)),
-        str(int(r.truth)),
-    ]
 
 
 def _trial_statistics(g: Graph, tree_source: TreeSource, draw_shape, sigma: float, mus, rng):
@@ -235,6 +219,18 @@ class CellSpec:
     mu_grid: tuple[float, ...] = ()
 
     def __post_init__(self):
+        # JSON gives no types: "8" or true must not pass as a size, and an
+        # integer rho must print like a float rho in every CSV.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float":
+                object.__setattr__(self, f.name, _config_number(f"cell field {f.name!r}", value))
+            elif f.type == "int":
+                _config_int(f"cell field {f.name!r}", value)
+            elif f.type == "str" and not isinstance(value, str):
+                raise ValueError(f"cell field {f.name!r} must be a string, got {value!r}")
+        mu_grid = _config_list("mu_grid", self.mu_grid)
+        object.__setattr__(self, "mu_grid", tuple(_config_number("mu_grid values", v) for v in mu_grid))
         if self.family not in ("torus", "complete", "knn", "epsilon"):
             raise ValueError(f"unknown graph family {self.family!r}")
         if self.sampler not in _SAMPLERS:
@@ -256,17 +252,38 @@ class CellSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> CellSpec:
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ValueError(f"a cell must be a JSON object, got {d!r}")
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown cell fields: {sorted(unknown)}")
-        d = dict(d)
-        if "mu_grid" in d:
-            d["mu_grid"] = tuple(float(v) for v in d["mu_grid"])
         return cls(**d)
 
     def label_n(self) -> int:
         return self.side**self.dims if self.family == "torus" else self.n
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool: JSON's true is no seed and no size."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _config_int(name: str, value) -> int:
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _config_number(name: str, value) -> float:
+    if not (_is_int(value) or isinstance(value, (float, np.floating))):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _config_list(name: str, value) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return list(value)
 
 
 def _draw_signal(sampler: str, g: Graph, rho: float, mu: float, rng) -> Signal:
@@ -665,6 +682,10 @@ def _dict_rows(dicts: list[dict], columns: list[str]) -> list[list[str]]:
     return [[_fmt(d[c]) for c in columns] for d in dicts]
 
 
+def _attr_rows(records: list, columns: list[str]) -> list[list[str]]:
+    return [[_fmt(getattr(r, c)) for c in columns] for r in records]
+
+
 AGGREGATE_COLUMNS = [
     "family",
     "n",
@@ -682,10 +703,12 @@ MU50_COLUMNS = ["family", "n", "rho", "mu50"]
 
 
 def _tree_source_from_config(d: dict) -> TreeSource:
+    if not isinstance(d, dict):
+        raise ValueError(f"tree must be a JSON object, got {d!r}")
     kind = d.get("kind", "ust")
     if kind == "fixed":
         raise ValueError("config files cannot carry a fixed tree; use ust or bfs")
-    return TreeSource(kind=kind, root=int(d.get("root", 0)))
+    return TreeSource(kind=kind, root=_config_int("tree root", d.get("root", 0)))
 
 
 def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> ExperimentResult:
@@ -701,17 +724,19 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> Exper
     out.mkdir(parents=True, exist_ok=True)
     kind = config.get("kind")
     seed = config.get("seed")
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ValueError("config needs an integer master seed under 'seed'")
+    if kind not in ("power", "sparsity", "concentration"):
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    cells = [CellSpec.from_dict(c) for c in _config_list("cells", config["cells"])]
     result = ExperimentResult(kind=str(kind), config=config)
     schema: list[str] = []
 
     if kind == "power":
-        sigma = float(config.get("sigma", 1.0))
-        delta = float(config.get("delta", 0.05))
-        trials = int(config["trials"])
+        sigma = _config_number("sigma", config.get("sigma", 1.0))
+        delta = _config_number("delta", config.get("delta", 0.05))
+        trials = _config_int("trials", config["trials"])
         tree_source = _tree_source_from_config(config.get("tree", {}))
-        cells = [CellSpec.from_dict(c) for c in config["cells"]]
         for ci, cell in enumerate(cells):
             result.trial_records.extend(
                 power_curve(
@@ -727,7 +752,7 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> Exper
             )
         result.aggregates = aggregate_records(result.trial_records, trials_requested=trials)
         result.mu50 = mu_at_power(result.aggregates, target=0.5)
-        write_csv(out / "trials.csv", TRIAL_COLUMNS, [_trial_row(r) for r in result.trial_records])
+        write_csv(out / "trials.csv", TRIAL_COLUMNS, _attr_rows(result.trial_records, TRIAL_COLUMNS))
         write_csv(out / "power.csv", AGGREGATE_COLUMNS, _dict_rows(result.aggregates, AGGREGATE_COLUMNS))
         write_csv(out / "mu50.csv", MU50_COLUMNS, _dict_rows(result.mu50, MU50_COLUMNS))
         schema += [
@@ -747,17 +772,12 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> Exper
             "mu50": {f"{m['family']}/n={m['n']}": m["mu50"] for m in result.mu50},
         }
     elif kind == "sparsity":
-        signals = int(config["signals"])
-        cells = [CellSpec.from_dict(c) for c in config["cells"]]
+        signals = _config_int("signals", config["signals"])
         result.points, result.fits = sparsity_experiment(
             cells, signals=signals, master_seed=seed, workers=workers
         )
-        point_rows = [
-            [_fmt(getattr(p, c)) for c in SPARSITY_COLUMNS] for p in result.points
-        ]
-        fit_rows = [[_fmt(getattr(f, c)) for c in FIT_COLUMNS] for f in result.fits]
-        write_csv(out / "points.csv", SPARSITY_COLUMNS, point_rows)
-        write_csv(out / "fits.csv", FIT_COLUMNS, fit_rows)
+        write_csv(out / "points.csv", SPARSITY_COLUMNS, _attr_rows(result.points, SPARSITY_COLUMNS))
+        write_csv(out / "fits.csv", FIT_COLUMNS, _attr_rows(result.fits, FIT_COLUMNS))
         schema += [
             "points.csv: one row per sampled (tree, signal) pair; columns "
             + ", ".join(SPARSITY_COLUMNS),
@@ -770,10 +790,9 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> Exper
             f.family: {"slope": f.slope, "r2": f.r2, "points": f.points} for f in result.fits
         }
     elif kind == "concentration":
-        samples = int(config["samples"])
-        deltas = [float(d) for d in config["deltas"]]
-        set_labels = list(config.get("sets", ["edge", "star", "ball"]))
-        cells = [CellSpec.from_dict(c) for c in config["cells"]]
+        samples = _config_int("samples", config["samples"])
+        deltas = [_config_number("deltas", d) for d in _config_list("deltas", config["deltas"])]
+        set_labels = _config_list("sets", config.get("sets", ["edge", "star", "ball"]))
         rows_out: list[list[str]] = []
         gen = as_rng(seed)
         for cell in cells:
@@ -807,8 +826,6 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> Exper
             "rows": len(result.concentration),
             "failed": failed,
         }
-    else:
-        raise ValueError(f"unknown experiment kind {kind!r}")
 
     (out / "schema.txt").write_text("\n".join(schema) + "\n")
     return result

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -97,6 +97,11 @@ class Graph:
         if type(other) is not type(self):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.edges, other.edges)
+
+    def __getstate__(self) -> dict:
+        # Only the fields: the cached views are cheap to rebuild and would
+        # triple what a worker pool ships per task.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __setstate__(self, state: dict) -> None:
         # Pickle protocols below 5 bring numpy arrays back writable.

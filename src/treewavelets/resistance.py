@@ -1,37 +1,25 @@
-"""Effective resistances: exact dense computation plus a walk-based estimator.
+"""Exact effective resistances of a connected graph.
 
-The exact path goes through the Laplacian pseudoinverse (one symmetric
-eigendecomposition per graph, fine at desk scale). The estimator averages
-round-trip hitting times of a random walk and serves as an independent
-cross-check of the algebra, not as the production path.
+Everything goes through the Laplacian pseudoinverse: one symmetric
+eigendecomposition per graph, fine at desk scale. The Foster sum and the
+uniform spanning tree's edge marginals (P(e in T) = R_e) cross-check it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import WalkLimitError
-from .graphs import (
-    EPS_CUT,
-    Graph,
-    Signal,
-    as_rng,
-    incidence_apply,
-    require_connected,
-)
+from .graphs import EPS_CUT, Graph, Signal, incidence_apply, require_connected
 
 __all__ = [
-    "CommuteEstimate",
     "ResistanceProfile",
     "all_edge_resistances",
     "cut_resistance",
     "effective_resistance",
-    "estimate_commute_resistance",
     "laplacian",
     "pseudoinverse",
     "write_resistance_csv",
@@ -122,66 +110,6 @@ def cut_resistance(profile: ResistanceProfile, x: Signal | np.ndarray, eps: floa
     """Total edge resistance across the signal's boundary edges."""
     mask = np.abs(incidence_apply(profile.graph, x)) > eps
     return float(profile.edge_resistances[mask].sum())
-
-
-@dataclass(frozen=True)
-class CommuteEstimate:
-    """Monte Carlo estimate of an effective resistance with its stderr."""
-
-    estimate: float
-    stderr: float
-    trials: int
-
-
-def _hitting_steps(
-    indptr: np.ndarray, indices: np.ndarray, start: int, target: int, seed: int, max_steps: int
-) -> int:
-    """Steps a random walk takes from start to target; -1 past max_steps."""
-    rand = np.random.RandomState(seed).random_sample
-    cur = start
-    steps = 0
-    while cur != target:
-        if steps >= max_steps:
-            return -1
-        lo = indptr[cur]
-        deg = indptr[cur + 1] - lo
-        cur = indices[lo + int(rand() * deg)]
-        steps += 1
-    return steps
-
-
-def estimate_commute_resistance(
-    g: Graph,
-    v: int,
-    w: int,
-    trials: int,
-    rng: np.random.Generator | int | None = None,
-    max_steps: int = 10**8,
-) -> CommuteEstimate:
-    """Estimate resistance between v and w from round-trip walk times.
-
-    Each trial runs a random walk v -> w and back, and divides the step total
-    by twice the edge count; the mean over trials estimates the resistance.
-    A walk exceeding max_steps aborts the estimate.
-    """
-    require_connected(g)
-    if not (0 <= v < g.n and 0 <= w < g.n) or v == w:
-        raise ValueError(f"need two distinct vertices in range, got ({v}, {w})")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    gen = as_rng(rng)
-    indptr, indices = g.csr
-    samples = np.empty(trials)
-    for t in range(trials):
-        forward = _hitting_steps(indptr, indices, v, w, int(gen.integers(2**32)), max_steps)
-        backward = _hitting_steps(indptr, indices, w, v, int(gen.integers(2**32)), max_steps)
-        if forward < 0 or backward < 0:
-            raise WalkLimitError(
-                f"hitting walk between {v} and {w} exceeded {max_steps} steps"
-            )
-        samples[t] = (forward + backward) / (2.0 * g.m)
-    stderr = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return CommuteEstimate(estimate=float(samples.mean()), stderr=stderr, trials=trials)
 
 
 def write_resistance_csv(profile: ResistanceProfile, path: str | Path) -> None:

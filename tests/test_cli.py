@@ -222,6 +222,41 @@ class TestExperiment:
         assert code == 2
         assert "at least one tree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c["cells"][0].update(side="8"), "'side' must be an integer"),
+            (lambda c: c.update(kind="concentration", samples=4, deltas=0.5), "deltas must be a list"),
+            (lambda c: c.update(cells=5), "cells must be a list"),
+            (lambda c: c.update(seed=True), "integer master seed"),
+            (lambda c: c.update(trials=True), "trials must be an integer"),
+            (lambda c: c.update(tree=5), "tree must be a JSON object"),
+        ],
+        ids=["side-string", "deltas-scalar", "cells-scalar", "seed-bool", "trials-bool", "tree-scalar"],
+    )
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, edit, message):
+        # Each of these used to exit 1 with a traceback, or (seed) run.
+        config = self.config(tmp_path)
+        payload = json.loads(config.read_text())
+        edit(payload)
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        code = main(["experiment", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "trials.csv").exists()
+
+    def test_integer_rho_writes_one_form_in_every_csv(self, tmp_path):
+        config = self.config(tmp_path)
+        config.write_text(config.read_text().replace('"rho": 8.0', '"rho": 8'))
+        assert json.loads(config.read_text())["cells"][0]["rho"] == 8
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+        for name in ("trials.csv", "power.csv", "mu50.csv"):
+            lines = (out / name).read_text().splitlines()
+            col = lines[0].split(",").index("rho")
+            assert {line.split(",")[col] for line in lines[1:]} == {"8.0"}, name
+
     def test_bad_config_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

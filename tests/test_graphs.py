@@ -179,6 +179,21 @@ class TestGraphEquality:
         back = pickle.loads(pickle.dumps(g, protocol=protocol))
         assert back == g and not back.edges.flags.writeable
 
+    def test_pickle_leaves_cached_views_behind(self):
+        # The worker pool pickles the parent's graph and tree, whose views
+        # are filled by then; shipping them tripled the payload.
+        g = gen_torus(16, 2)
+        t = bfs_spanning_tree(g)
+        fresh = len(pickle.dumps(g)), len(pickle.dumps(t))
+        require_connected(t)
+        g.edge_ids(t.edges)
+        t.edge_ids(g.edges[:3])
+        assert "csr" in g.__dict__ and "_edge_keys" in t.__dict__
+        assert (len(pickle.dumps(g)), len(pickle.dumps(t))) == fresh
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and back.graph == g and "csr" not in back.__dict__
+        assert back.csr[1].tolist() == t.csr[1].tolist()
+
 
 def _brute_force_views(g):
     """Degrees and CSR of g from its edges, one at a time."""

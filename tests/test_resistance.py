@@ -1,17 +1,14 @@
-"""Effective resistance: exact values, identities, and walk estimates."""
+"""Effective resistance: exact values and identities."""
 
 import numpy as np
 import pytest
 
-from helpers import binomial_band
 from treewavelets import (
     DisconnectedGraphError,
-    WalkLimitError,
     all_edge_resistances,
     build_graph,
     cut_resistance,
     effective_resistance,
-    estimate_commute_resistance,
     gen_complete,
     gen_knn,
     gen_torus,
@@ -123,43 +120,3 @@ class TestCutResistance:
         assert cut_resistance(prof, np.zeros(1)) == 0.0
         with pytest.raises(ValueError, match="shape"):
             cut_resistance(prof, np.zeros(2))
-
-
-class TestCommuteEstimate:
-    def test_two_vertices_exact(self):
-        # K_2: every round trip is exactly 2 steps over 2m = 2 edges-walks.
-        g = build_graph(2, [(0, 1)])
-        est = estimate_commute_resistance(g, 0, 1, trials=50, rng=0)
-        assert est.estimate == pytest.approx(1.0, abs=1e-12)
-        assert est.stderr == pytest.approx(0.0, abs=1e-12)
-
-    def test_path_endpoints(self):
-        g = build_graph(3, [(0, 1), (1, 2)])
-        est = estimate_commute_resistance(g, 0, 2, trials=3000, rng=1)
-        assert abs(est.estimate - 2.0) <= 4 * est.stderr
-
-    def test_triangle_edge(self):
-        g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-        est = estimate_commute_resistance(g, 0, 1, trials=3000, rng=2)
-        assert abs(est.estimate - 2.0 / 3.0) <= 4 * est.stderr
-
-    def test_walk_limit_raises(self):
-        g = gen_torus(4, 2)
-        with pytest.raises(WalkLimitError):
-            estimate_commute_resistance(g, 0, 15, trials=1, rng=0, max_steps=2)
-
-    def test_same_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_commute_resistance(gen_complete(3), 1, 1, trials=1, rng=0)
-
-
-class TestAgreement:
-    def test_walk_estimates_match_exact_values(self):
-        rng = np.random.default_rng(3)
-        g = gen_knn(20, 3, 2, 4)[0]
-        prof = all_edge_resistances(g)
-        for _ in range(3):
-            u, v = g.edges[int(rng.integers(g.m))]
-            est = estimate_commute_resistance(g, u, v, trials=2500, rng=rng)
-            exact = effective_resistance(prof, u, v)
-            assert abs(est.estimate - exact) <= 4 * max(est.stderr, 1e-3)
