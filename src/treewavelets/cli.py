@@ -30,14 +30,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._version import __version__
-from .detection import (
-    NoiseModel,
-    gen_two_level_signal,
-    snr_condition,
-    threshold,
-)
+from .detection import detect, gen_two_level_signal, snr_condition, threshold
 from .errors import DisconnectedGraphError
-from .experiments import TreeSource, _is_int, preset_config, run_experiment, run_trial
+from .experiments import _is_int, preset_config, run_experiment
 from .graphs import (
     build_graph,
     connected_components,
@@ -364,10 +359,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     ok = True
 
+    knn = gen_knn(40, 4, 2, int(rng.integers(2**32)))[0]
+    while len(knn.component_sizes) > 1:  # a kNN draw can come out disconnected
+        knn = gen_knn(40, 4, 2, int(rng.integers(2**32)))[0]
     graphs = [
         ("torus-4x4", gen_torus(4, 2)),
         ("complete-10", gen_complete(10)),
-        ("knn-40-4", gen_knn(40, 4, 2, int(rng.integers(2**32)))[0]),
+        ("knn-40-4", knn),
     ]
 
     # Basis invariants: orthonormality, completeness, energy preservation.
@@ -445,33 +443,30 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     # sufficient signal size.
     g = gen_torus(4, 2)
     delta = 0.05
-    noise = NoiseModel(sigma=1.0)
+    tau = threshold(1.0, g.n, delta)
     nulls = 200
     rej = 0
-    zero = np.zeros(g.n)
-    for i in range(nulls):
-        rec = run_trial(g, TreeSource.ust(), zero, noise, delta,
-                        int(rng.integers(2**32)))
-        rej += rec.reject
+    for _ in range(nulls):
+        trial = np.random.default_rng(int(rng.integers(2**32)))
+        basis = build_basis(sample_ust(g, int(trial.integers(2**32))))
+        rej += detect(basis, trial.standard_normal(g.n), tau).reject
     null_rate = rej / nulls
     limit = delta + 3 * math.sqrt(delta * (1 - delta) / nulls)
     ok &= _check("null rejection rate", null_rate <= limit,
                  f"{null_rate:.3f} <= {limit:.3f} over {nulls} trials")
 
     t = bfs_spanning_tree(g)
+    basis = build_basis(t)
     hits = 0
     power_trials = 100
-    for i in range(power_trials):
+    for _ in range(power_trials):
         x = gen_two_level_signal(g, 8, 1.0, rng)
         mu = 2.0 * snr_condition(
             "remark1", n=g.n, d=t.max_degree, delta=delta,
             rho=tree_cut_size(t, x.values),
         )
-        rec = run_trial(
-            g, TreeSource.fixed_tree(t), x.scale(mu), noise, delta,
-            int(rng.integers(2**32)),
-        )
-        hits += rec.reject
+        noise = np.random.default_rng(int(rng.integers(2**32))).standard_normal(g.n)
+        hits += detect(basis, mu * x.values + noise, tau).reject
     power = hits / power_trials
     ok &= _check("power at 2x sufficient size", power >= 0.9,
                  f"{power:.2f} over {power_trials} trials")

@@ -20,7 +20,6 @@ from .wavelets import WaveletBasis, _clamped_log2, apply_basis
 
 __all__ = [
     "DecisionRecord",
-    "NoiseModel",
     "detect",
     "gen_cluster_signal",
     "gen_prior_signal",
@@ -43,16 +42,6 @@ def threshold(sigma: float, n: int, delta: float) -> float:
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return sigma * math.sqrt(2.0 * math.log(n / delta))
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Additive white Gaussian noise of known standard deviation."""
-
-    sigma: float
-
-    def __post_init__(self):
-        _require_positive("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -149,7 +138,7 @@ def gen_cluster_signal(
     size = int(members.sum())
     values = np.zeros(g.n)
     values[members] = mu / math.sqrt(size)
-    return Signal(values=values, cut=cut_size(g, values), energy=mu)
+    return Signal(values=values, cut=cut_size(g, values))
 
 
 def gen_two_level_signal(
@@ -170,7 +159,7 @@ def gen_two_level_signal(
     values = np.empty(g.n)
     values[members] = mu * math.sqrt(nc / (g.n * ns))
     values[~members] = -mu * math.sqrt(ns / (g.n * nc))
-    return Signal(values=values, cut=cut_size(g, values), energy=mu)
+    return Signal(values=values, cut=cut_size(g, values))
 
 
 def prior_support_size(g: Graph, rho: float) -> int:
@@ -199,7 +188,7 @@ def gen_prior_signal(
     support = as_rng(rng).choice(g.n, size=p, replace=False)
     values = np.zeros(g.n)
     values[support] = mu / math.sqrt(p)
-    return Signal(values=values, cut=cut_size(g, values), energy=mu)
+    return Signal(values=values, cut=cut_size(g, values))
 
 
 # =============================================================================

@@ -1,4 +1,4 @@
-"""Monte Carlo harnesses: single trials, power curves, sparsity scatter,
+"""Monte Carlo harnesses: power curves, sparsity scatter,
 spanning-tree concentration, and the file-emitting experiment runner.
 
 Determinism contract: every trial owns an independent stream derived from
@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import NoiseModel, threshold
+from .detection import threshold
 from .detection import gen_cluster_signal, gen_prior_signal, gen_two_level_signal
 from .errors import FitUndefinedError, InfeasibleSignalError
 from .graphs import (
     Graph,
-    Signal,
     _pair_array,
     _require_positive,
     as_rng,
@@ -31,7 +30,6 @@ from .graphs import (
     gen_epsilon,
     gen_knn,
     gen_torus,
-    signal_values,
 )
 from .resistance import ResistanceProfile, all_edge_resistances
 from .trees import SpanningTree, bfs_spanning_tree, sample_ust, tree_cut_size
@@ -51,7 +49,6 @@ __all__ = [
     "power_curve",
     "preset_config",
     "run_experiment",
-    "run_trial",
     "sparsity_experiment",
     "ust_concentration_check",
     "write_csv",
@@ -68,19 +65,16 @@ class TreeSource:
     """Where each trial's spanning tree comes from.
 
     kind="ust" draws a fresh uniform spanning tree per trial (seeded from the
-    trial's stream), kind="bfs" reuses the deterministic breadth-first tree,
-    kind="fixed" reuses a caller-supplied tree.
+    trial's stream); kind="bfs" reuses the deterministic breadth-first tree
+    from ``root`` and draws nothing.
     """
 
     kind: str = "ust"
     root: int = 0
-    tree: SpanningTree | None = None
 
     def __post_init__(self):
-        if self.kind not in ("ust", "bfs", "fixed"):
-            raise ValueError(f"unknown tree source kind {self.kind!r}")
-        if self.kind == "fixed" and self.tree is None:
-            raise ValueError("fixed tree source needs a tree")
+        if self.kind not in ("ust", "bfs"):
+            raise ValueError(f"unknown tree source kind {self.kind!r}; expected 'ust' or 'bfs'")
 
     @classmethod
     def ust(cls) -> "TreeSource":
@@ -90,21 +84,12 @@ class TreeSource:
     def bfs(cls, root: int = 0) -> "TreeSource":
         return cls(kind="bfs", root=root)
 
-    @classmethod
-    def fixed_tree(cls, tree: SpanningTree) -> "TreeSource":
-        return cls(kind="fixed", tree=tree)
-
     def realize(self, g: Graph, rng: np.random.Generator) -> tuple[SpanningTree, int]:
         """Produce this trial's tree; returns (tree, seed or -1)."""
         if self.kind == "ust":
             seed = int(rng.integers(2**32))
             return sample_ust(g, seed), seed
-        if self.kind == "bfs":
-            return bfs_spanning_tree(g, self.root), -1
-        assert self.tree is not None
-        if self.tree.graph != g:
-            raise ValueError("fixed tree belongs to a different graph")
-        return self.tree, -1
+        return bfs_spanning_tree(g, self.root), -1
 
 
 @dataclass(frozen=True)
@@ -126,67 +111,6 @@ class TrialRecord:
 
 
 TRIAL_COLUMNS = [f.name for f in fields(TrialRecord)]
-
-
-def _trial_statistics(g: Graph, tree_source: TreeSource, draw_shape, sigma: float, mus, rng):
-    """The one trial body: ``(tree_seed, shape, [statistic per mu])``.
-
-    Realizes the tree and builds its basis, then draws the signal shape
-    (``draw_shape(rng)``) and a standard normal noise vector z. The statistic
-    at mu is max |mu * coef(shape) + sigma * coef(z)| over the basis. The
-    basis is built before the shape is drawn, so a trial whose shape proves
-    infeasible still costs its build.
-    """
-    tree, tree_seed = tree_source.realize(g, rng)
-    basis = build_basis(tree)
-    shape = draw_shape(rng)
-    noise = rng.standard_normal(g.n)
-    coef_shape = apply_basis(basis, shape)
-    coef_noise = apply_basis(basis, noise)
-    stats = [float(np.max(np.abs(mu * coef_shape + sigma * coef_noise))) for mu in mus]
-    return tree_seed, shape, stats
-
-
-def run_trial(
-    g: Graph,
-    tree_source: TreeSource,
-    x: Signal | np.ndarray,
-    noise: NoiseModel,
-    delta: float,
-    rng: np.random.Generator | int | None = None,
-    *,
-    family: str = "",
-    rho: float = 0.0,
-    trial: int = 0,
-) -> TrialRecord:
-    """Run one full trial: realize a tree, add noise, test, record.
-
-    The trial's stream drives the tree draw first and the noise second, so an
-    integer rng reproduces the whole trial.
-    """
-    gen = as_rng(rng)
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else -1
-    vals = signal_values(x)
-    tree_seed, _, (stat,) = _trial_statistics(
-        g, tree_source, lambda _: vals, noise.sigma, (1.0,), gen
-    )
-    tau = threshold(noise.sigma, g.n, delta)
-    energy = float(np.linalg.norm(vals))
-    cut = x.cut if isinstance(x, Signal) and x.cut is not None else -1
-    return TrialRecord(
-        family=family,
-        n=g.n,
-        rho=rho,
-        mu=energy,
-        trial=trial,
-        seed=seed,
-        tree_seed=tree_seed,
-        cut=cut,
-        statistic=stat,
-        threshold=tau,
-        reject=stat > tau,
-        truth=energy > 0,
-    )
 
 
 # =============================================================================
@@ -259,9 +183,6 @@ class CellSpec:
             raise ValueError(f"unknown cell fields: {sorted(unknown)}")
         return cls(**d)
 
-    def label_n(self) -> int:
-        return self.side**self.dims if self.family == "torus" else self.n
-
 
 def _is_int(value) -> bool:
     """An integer that is not a bool: JSON's true is no seed and no size."""
@@ -286,10 +207,6 @@ def _config_list(name: str, value) -> list:
     return list(value)
 
 
-def _draw_signal(sampler: str, g: Graph, rho: float, mu: float, rng) -> Signal:
-    return _SAMPLERS[sampler](g, rho, mu, rng)
-
-
 def _trial_rng(master_seed: int, cell_index: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(cell_index, trial))
@@ -302,37 +219,45 @@ def _trial_rng(master_seed: int, cell_index: int, trial: int) -> np.random.Gener
 
 
 def _power_trial(args) -> list[TrialRecord]:
-    g, cell, tree_source, sigma, delta, master_seed, cell_index, trial = args
+    """One trial: a tree, its basis, a unit-energy signal shape and one
+    standard normal noise vector z, drawn in that order from the trial's
+    stream, then one row per mu of the cell's grid.
+
+    The statistic at mu is max |mu * coef(shape) + sigma * coef(z)| over the
+    basis. The basis is built before the shape is drawn, so a trial whose
+    shape proves infeasible still costs its build; it contributes no rows.
+    """
+    g, cell, tree_source, sigma, tau, master_seed, cell_index, trial = args
     rng = _trial_rng(master_seed, cell_index, trial)
+    tree, tree_seed = tree_source.realize(g, rng)
+    basis = build_basis(tree)
     try:
-        tree_seed, shape, stats = _trial_statistics(
-            g,
-            tree_source,
-            lambda r: _draw_signal(cell.sampler, g, cell.rho, 1.0, r),
-            sigma,
-            cell.mu_grid,
-            rng,
-        )
+        shape = _SAMPLERS[cell.sampler](g, cell.rho, 1.0, rng)
     except InfeasibleSignalError:
         return []
-    tau = threshold(sigma, g.n, delta)
-    return [
-        TrialRecord(
-            family=cell.family,
-            n=g.n,
-            rho=cell.rho,
-            mu=float(mu),
-            trial=trial,
-            seed=master_seed,
-            tree_seed=tree_seed,
-            cut=shape.cut if mu > 0 else 0,
-            statistic=stat,
-            threshold=tau,
-            reject=stat > tau,
-            truth=mu > 0,
+    noise = rng.standard_normal(g.n)
+    coef_shape = apply_basis(basis, shape)
+    coef_noise = apply_basis(basis, noise)
+    rows = []
+    for mu in cell.mu_grid:
+        stat = float(np.max(np.abs(mu * coef_shape + sigma * coef_noise)))
+        rows.append(
+            TrialRecord(
+                family=cell.family,
+                n=g.n,
+                rho=cell.rho,
+                mu=float(mu),
+                trial=trial,
+                seed=master_seed,
+                tree_seed=tree_seed,
+                cut=shape.cut if mu > 0 else 0,
+                statistic=stat,
+                threshold=tau,
+                reject=stat > tau,
+                truth=mu > 0,
+            )
         )
-        for mu, stat in zip(cell.mu_grid, stats)
-    ]
+    return rows
 
 
 def _map_tasks(fn, tasks: list, workers: int) -> list:
@@ -369,8 +294,9 @@ def power_curve(
     if not cell.mu_grid:
         raise ValueError("cell.mu_grid must be nonempty")
     g = cell.build_graph()
+    tau = threshold(sigma, g.n, delta)
     tasks = [
-        (g, cell, tree_source, sigma, delta, master_seed, cell_index, t)
+        (g, cell, tree_source, sigma, tau, master_seed, cell_index, t)
         for t in range(trials)
     ]
     rows: list[TrialRecord] = []
@@ -483,7 +409,7 @@ def _sparsity_point(args) -> SparsityPoint | None:
     tree, tree_seed = TreeSource.ust().realize(g, rng)
     basis = build_basis(tree)
     try:
-        x = _draw_signal(cell.sampler, g, rho, 1.0, rng)
+        x = _SAMPLERS[cell.sampler](g, rho, 1.0, rng)
     except InfeasibleSignalError:
         return None
     levels = activation_bound(tree)
@@ -705,10 +631,7 @@ MU50_COLUMNS = ["family", "n", "rho", "mu50"]
 def _tree_source_from_config(d: dict) -> TreeSource:
     if not isinstance(d, dict):
         raise ValueError(f"tree must be a JSON object, got {d!r}")
-    kind = d.get("kind", "ust")
-    if kind == "fixed":
-        raise ValueError("config files cannot carry a fixed tree; use ust or bfs")
-    return TreeSource(kind=kind, root=_config_int("tree root", d.get("root", 0)))
+    return TreeSource(kind=d.get("kind", "ust"), root=_config_int("tree root", d.get("root", 0)))
 
 
 def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> ExperimentResult:

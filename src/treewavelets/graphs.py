@@ -172,24 +172,15 @@ class Graph:
 
 @dataclass(frozen=True)
 class Signal:
-    """A real vector over a graph's vertices with optional bookkeeping.
+    """A real vector over a graph's vertices with its boundary size.
 
-    ``cut`` and ``energy`` record what the generator that produced the signal
-    promised (boundary edge count and l2 norm); they are not recomputed on
-    access. Plain arrays are accepted anywhere a Signal is.
+    ``cut`` is the boundary edge count as computed by the generator that
+    produced the signal; it is not recomputed on access. Plain arrays are
+    accepted anywhere a Signal is.
     """
 
     values: np.ndarray
     cut: int | None = None
-    energy: float | None = None
-
-    def scale(self, factor: float) -> "Signal":
-        """Return this signal with its values multiplied by ``factor``."""
-        return Signal(
-            values=self.values * float(factor),
-            cut=self.cut,
-            energy=None if self.energy is None else self.energy * abs(float(factor)),
-        )
 
 
 def signal_values(x: Signal | np.ndarray) -> np.ndarray:

@@ -274,6 +274,15 @@ class TestValidate:
         assert "[FAIL]" not in out
         assert "all checks passed" in out
 
+    def test_disconnected_knn_draw_is_redrawn(self, capsys):
+        # Seed 3 first draws a kNN graph with two components.
+        first = gen_knn(40, 4, 2, int(np.random.default_rng(3).integers(2**32)))[0]
+        assert len(first.component_sizes) == 2
+        assert main(["validate", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == 10
+        assert "[FAIL]" not in out
+
     def test_components_after_removal_match_union_find(self):
         rng = np.random.default_rng(8)
         for _ in range(50):

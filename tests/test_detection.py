@@ -8,7 +8,6 @@ import pytest
 from treewavelets import (
     CellSpec,
     InfeasibleSignalError,
-    NoiseModel,
     activation_bound,
     apply_basis,
     bfs_spanning_tree,
@@ -115,17 +114,6 @@ class TestDetect:
         y[5] = 100.0
         with pytest.raises(ValueError, match="threshold"):
             detect(basis, y, tau=tau)
-
-
-class TestNoiseModel:
-    def test_sigma_validated(self):
-        with pytest.raises(ValueError):
-            NoiseModel(sigma=0.0)
-
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
-    def test_non_finite_sigma_raises(self, sigma):
-        with pytest.raises(ValueError, match="sigma"):
-            NoiseModel(sigma=sigma)
 
 
 class TestClusterSignal:

@@ -9,7 +9,6 @@ import pytest
 from treewavelets import (
     CellSpec,
     FitUndefinedError,
-    NoiseModel,
     SparsityPoint,
     TreeSource,
     activation_bound,
@@ -21,7 +20,6 @@ from treewavelets import (
     build_graph,
     detect,
     fit_sparsity_points,
-    gen_complete,
     gen_knn,
     gen_torus,
     gen_two_level_signal,
@@ -29,14 +27,15 @@ from treewavelets import (
     power_curve,
     preset_config,
     run_experiment,
-    run_trial,
     sample_ust,
     sparsity_experiment,
+    threshold,
     tree_cut_size,
     ust_concentration_check,
     validate_spanning_tree,
 )
 from helpers import binomial_band, edge_tuples, enumerate_spanning_trees
+from treewavelets import experiments
 from treewavelets.experiments import _named_edge_set
 
 
@@ -58,76 +57,11 @@ class TestTreeSource:
         assert s1 == s2 == -1
         assert edge_tuples(t1) == edge_tuples(t2) == edge_tuples(bfs_spanning_tree(g, 3))
 
-    def test_fixed_returns_given_tree(self):
-        g = gen_torus(4, 2)
-        t = bfs_spanning_tree(g, 0)
-        got, seed = TreeSource.fixed_tree(t).realize(g, np.random.default_rng(0))
-        assert got is t and seed == -1
-        # power_curve rebuilds each cell's graph, so the check is by value.
-        got, _ = TreeSource.fixed_tree(t).realize(gen_torus(4, 2), np.random.default_rng(0))
-        assert got is t
-
-    def test_fixed_rejects_other_graph(self):
-        t = bfs_spanning_tree(gen_torus(4, 2), 0)
-        with pytest.raises(ValueError, match="different graph"):
-            TreeSource.fixed_tree(t).realize(gen_complete(16), np.random.default_rng(0))
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             TreeSource(kind="dfs")
-        with pytest.raises(ValueError, match="needs a tree"):
+        with pytest.raises(ValueError, match="kind"):
             TreeSource(kind="fixed")
-
-
-class TestRunTrial:
-    def test_deterministic_for_integer_rng(self):
-        g = gen_torus(4, 2)
-        x = gen_two_level_signal(g, 8, 3.0, np.random.default_rng(0))
-        noise = NoiseModel(sigma=1.0)
-        a = run_trial(g, TreeSource.ust(), x, noise, 0.05, 11, family="torus", rho=8, trial=0)
-        b = run_trial(g, TreeSource.ust(), x, noise, 0.05, 11, family="torus", rho=8, trial=0)
-        assert a == b
-        assert a.seed == 11 and a.tree_seed >= 0
-
-    def test_numpy_integer_seed_recorded(self):
-        g = gen_torus(4, 2)
-        zeros = np.zeros(g.n)
-        noise = NoiseModel(sigma=1.0)
-        plain = run_trial(g, TreeSource.bfs(), zeros, noise, 0.05, 7)
-        numpy_seed = run_trial(g, TreeSource.bfs(), zeros, noise, 0.05, np.int64(7))
-        assert numpy_seed.seed == 7
-        assert numpy_seed == plain
-
-    def test_truth_flag_tracks_energy(self):
-        g = gen_torus(4, 2)
-        x = gen_two_level_signal(g, 8, 2.0, np.random.default_rng(0))
-        noise = NoiseModel(sigma=1.0)
-        alt = run_trial(g, TreeSource.bfs(), x, noise, 0.05, 1)
-        nul = run_trial(g, TreeSource.bfs(), x.scale(0.0), noise, 0.05, 1)
-        assert alt.truth and alt.mu == pytest.approx(2.0)
-        assert not nul.truth and nul.mu == 0.0
-
-    @pytest.mark.parametrize("source", ["ust", "bfs"])
-    def test_statistic_matches_direct_detection(self, source):
-        g = gen_torus(5, 2)
-        x = gen_two_level_signal(g, 10, 4.0, np.random.default_rng(3))
-        noise = NoiseModel(sigma=1.7)
-        tree_source = TreeSource(kind=source)
-        for seed in range(5):
-            rec = run_trial(g, tree_source, x, noise, 0.05, seed)
-            gen = np.random.default_rng(seed)
-            tree, _ = tree_source.realize(g, gen)
-            y = x.values + noise.sigma * gen.standard_normal(g.n)
-            direct = detect(build_basis(tree), y, rec.threshold)
-            assert abs(rec.statistic - direct.statistic) <= 1e-12
-            assert rec.reject == direct.reject
-
-    def test_reject_consistent_with_threshold(self):
-        g = gen_torus(4, 2)
-        x = gen_two_level_signal(g, 8, 50.0, np.random.default_rng(0))
-        rec = run_trial(g, TreeSource.bfs(), x, NoiseModel(sigma=1.0), 0.05, 2)
-        assert rec.reject == (rec.statistic > rec.threshold)
-        assert rec.reject  # mu = 50 on n = 16 is unmissable
 
 
 class TestCellSpec:
@@ -144,9 +78,9 @@ class TestCellSpec:
     def test_build_graph_and_label(self):
         cell = CellSpec.from_dict({"family": "torus", "side": 5, "dims": 2})
         g = cell.build_graph()
-        assert g.n == 25 and cell.label_n() == 25
+        assert g.n == 25
         cell = CellSpec.from_dict({"family": "complete", "n": 9})
-        assert cell.build_graph().n == 9 and cell.label_n() == 9
+        assert cell.build_graph().n == 9
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -3.0])
     def test_mu_grid_values_validated(self, bad):
@@ -199,6 +133,34 @@ class TestPowerCurve:
         assert null_rate <= 0.05 + binomial_band(0.05, 60)
         assert sum(r.reject for r in alts) / 60 == 1.0  # mu = 30 on n = 16
 
+    @pytest.mark.parametrize("source", ["ust", "bfs"])
+    def test_statistic_matches_direct_detection(self, source):
+        # Rebuild every trial from its own stream, in the trial's draw order:
+        # the tree, then the unit-energy shape, then the noise.
+        cell = self.tiny_cell(mu_grid=(0.0, 1.5, 4.0))
+        tree_source = TreeSource(kind=source)
+        sigma, delta, master_seed, cell_index = 1.7, 0.05, 4, 2
+        records = power_curve(
+            cell, trials=6, sigma=sigma, delta=delta, tree_source=tree_source,
+            master_seed=master_seed, cell_index=cell_index,
+        )
+        assert len(records) == 6 * 3
+        g = gen_torus(4, 2)
+        tau = threshold(sigma, g.n, delta)
+        for rec in records:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(master_seed, spawn_key=(cell_index, rec.trial))
+            )
+            tree, tree_seed = tree_source.realize(g, rng)
+            shape = gen_two_level_signal(g, cell.rho, 1.0, rng)
+            z = rng.standard_normal(g.n)
+            direct = detect(build_basis(tree), rec.mu * shape.values + sigma * z, tau)
+            assert rec.tree_seed == tree_seed and rec.threshold == tau
+            assert abs(rec.statistic - direct.statistic) <= 1e-12
+            assert rec.reject == (rec.statistic > rec.threshold)
+            assert rec.truth == (rec.mu > 0)
+            assert rec.cut == (shape.cut if rec.mu > 0 else 0)
+
     def test_worker_pool_gives_the_same_records(self):
         cell = self.tiny_cell()
         kw = dict(trials=12, sigma=1.0, delta=0.05, tree_source=TreeSource.ust(), master_seed=5)
@@ -230,6 +192,17 @@ class TestPowerCurve:
                 tree_source=TreeSource.ust(),
                 master_seed=0,
             )
+
+    @pytest.mark.parametrize(("sigma", "delta", "match"), [
+        (0.0, 0.05, "sigma"), (math.nan, 0.05, "sigma"), (1.0, 1.0, "delta"),
+    ])
+    def test_bad_sigma_or_delta_fails_before_any_trial(self, monkeypatch, sigma, delta, match):
+        ran = []
+        monkeypatch.setattr(experiments, "_power_trial", ran.append)
+        with pytest.raises(ValueError, match=match):
+            power_curve(self.tiny_cell(), trials=3, sigma=sigma, delta=delta,
+                        tree_source=TreeSource.ust(), master_seed=0)
+        assert ran == []
 
 
 class TestAggregateRecords:
@@ -498,7 +471,7 @@ class TestRunExperiment:
             run_experiment({"kind": "power"}, tmp_path)
         with pytest.raises(ValueError, match="unknown experiment kind"):
             run_experiment({"kind": "mystery", "seed": 1}, tmp_path)
-        with pytest.raises(ValueError, match="fixed tree"):
+        with pytest.raises(ValueError, match="'fixed'"):
             run_experiment(
                 {**self.power_config(), "tree": {"kind": "fixed"}}, tmp_path
             )
