@@ -232,6 +232,14 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 
 def _cmd_resistance(args: argparse.Namespace) -> int:
+    if args.validate_mtt is not None:
+        if args.validate_mtt < 1:
+            print(f"error: --validate-mtt must be >= 1, got {args.validate_mtt}",
+                  file=sys.stderr)
+            return 2
+        if args.seed is None:
+            print("error: --validate-mtt requires --seed", file=sys.stderr)
+            return 2
     g = read_edge_list(args.graph)
     profile = all_edge_resistances(g)
 
@@ -265,10 +273,7 @@ def _cmd_resistance(args: argparse.Namespace) -> int:
             f"foster check: sum={profile.total!r} target={target} "
             f"[{'ok' if ok else 'FAIL'}]"
         )
-    if args.validate_mtt:
-        if args.seed is None:
-            print("error: --validate-mtt requires --seed", file=sys.stderr)
-            return 2
+    if args.validate_mtt is not None:
         draws = args.validate_mtt
         rng = np.random.default_rng(args.seed)
         counts = np.zeros(g.m, dtype=np.int64)

@@ -184,10 +184,22 @@ class Signal:
 
 
 def signal_values(x: Signal | np.ndarray) -> np.ndarray:
-    """Return the value vector of a Signal, or the array itself."""
-    if isinstance(x, Signal):
-        return x.values
-    return np.asarray(x, dtype=np.float64)
+    """Return the value vector of a Signal, or of an array, as float64."""
+    return np.asarray(x.values if isinstance(x, Signal) else x, dtype=np.float64)
+
+
+def _finite_values(x: Signal | np.ndarray, n: int) -> np.ndarray:
+    """Value vector of x, after checking it has shape (n,) and is all finite.
+
+    A NaN compares false with every threshold, so an unchecked one would
+    silently read as "no change" wherever a level change is counted.
+    """
+    vals = signal_values(x)
+    if vals.shape != (n,):
+        raise ValueError(f"signal has shape {vals.shape}, expected ({n},)")
+    if not np.isfinite(vals).all():
+        raise ValueError("signal holds non-finite values")
+    return vals
 
 
 # =============================================================================
@@ -256,11 +268,10 @@ def build_graph(n: int, edges) -> Graph:
 def incidence_apply(g: Graph, x: Signal | np.ndarray) -> np.ndarray:
     """Apply the edge-incidence operator: one difference per canonical edge.
 
-    The entry for edge ``(u, v)`` with ``u < v`` is ``x[u] - x[v]``.
+    The entry for edge ``(u, v)`` with ``u < v`` is ``x[u] - x[v]``. Raises
+    ValueError when x holds a NaN or an infinity.
     """
-    vals = signal_values(x)
-    if vals.shape != (g.n,):
-        raise ValueError(f"signal has shape {vals.shape}, expected ({g.n},)")
+    vals = _finite_values(x, g.n)
     return vals[g.edges[:, 0]] - vals[g.edges[:, 1]]
 
 

@@ -1,8 +1,10 @@
 """Exact effective resistances of a connected graph.
 
-Everything goes through the Laplacian pseudoinverse: one symmetric
-eigendecomposition per graph, fine at desk scale. The Foster sum and the
-uniform spanning tree's edge marginals (P(e in T) = R_e) cross-check it.
+One solve per graph: the Laplacian grounded at vertex 0 (its row and column
+removed) is invertible on a connected graph, and with that inverse G,
+padded by a zero row and column, R(u, v) = G[u, u] + G[v, v] - 2 G[u, v].
+Dense, fine at desk scale. The Foster sum and the uniform spanning tree's
+edge marginals (P(e in T) = R_e) cross-check it.
 """
 
 from __future__ import annotations
@@ -19,14 +21,9 @@ __all__ = [
     "ResistanceProfile",
     "all_edge_resistances",
     "cut_resistance",
-    "effective_resistance",
     "laplacian",
-    "pseudoinverse",
     "write_resistance_csv",
 ]
-
-# relative eigenvalue cutoff separating the connectivity nullspace from signal
-_RANK_TOL = 1e-9
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -38,41 +35,15 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def pseudoinverse(lap: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a connected graph's Laplacian.
-
-    Uses a symmetric eigendecomposition and inverts every eigenvalue above a
-    relative cutoff. Exactly one zero eigenvalue is expected; more means the
-    graph behind the matrix is disconnected.
-    """
-    lap = np.asarray(lap, dtype=np.float64)
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        raise ValueError(f"laplacian must be square, got shape {lap.shape}")
-    if lap.shape[0] == 1:
-        return np.zeros((1, 1))
-    vals, vecs = np.linalg.eigh(lap)
-    cutoff = _RANK_TOL * max(float(vals[-1]), 1.0)
-    null_count = int(np.count_nonzero(np.abs(vals) <= cutoff))
-    if null_count != 1:
-        raise ValueError(
-            f"laplacian nullspace has dimension {null_count}; "
-            "expected 1 (a connected graph)"
-        )
-    null = np.abs(vals) <= cutoff
-    inv = np.where(null, 0.0, 1.0 / np.where(null, 1.0, vals))
-    return (vecs * inv) @ vecs.T
-
-
 @dataclass(frozen=True)
 class ResistanceProfile:
-    """Exact effective resistances of one connected graph.
+    """Exact effective resistances of one connected graph's edges.
 
-    ``edge_resistances`` aligns with ``graph.edges``; ``pinv`` is the
-    Laplacian pseudoinverse backing arbitrary-pair queries.
+    ``edge_resistances`` aligns with ``graph.edges``; it comes from one
+    inverse of the Laplacian grounded at vertex 0.
     """
 
     graph: Graph
-    pinv: np.ndarray
     edge_resistances: np.ndarray
 
     @cached_property
@@ -88,22 +59,14 @@ class ResistanceProfile:
 def all_edge_resistances(g: Graph) -> ResistanceProfile:
     """Compute the full resistance profile of a connected graph."""
     require_connected(g)
-    pinv = pseudoinverse(laplacian(g))
-    diag = np.diag(pinv)
+    # The inverse overwrites the Laplacian in place, so no padded copy is made.
+    grounded = laplacian(g)
+    grounded[1:, 1:] = np.linalg.inv(grounded[1:, 1:])
+    grounded[0, :] = 0.0
+    grounded[:, 0] = 0.0
+    diag = np.diag(grounded)
     u, v = g.edges.T
-    r = diag[u] + diag[v] - 2.0 * pinv[u, v]
-    return ResistanceProfile(graph=g, pinv=pinv, edge_resistances=r)
-
-
-def effective_resistance(profile: ResistanceProfile, v: int, w: int) -> float:
-    """Effective resistance between any vertex pair, from the pseudoinverse."""
-    n = profile.graph.n
-    if not (0 <= v < n and 0 <= w < n):
-        raise ValueError(f"vertices ({v}, {w}) out of range for n={n}")
-    if v == w:
-        return 0.0
-    p = profile.pinv
-    return float(p[v, v] + p[w, w] - 2.0 * p[v, w])
+    return ResistanceProfile(graph=g, edge_resistances=diag[u] + diag[v] - 2.0 * grounded[u, v])
 
 
 def cut_resistance(profile: ResistanceProfile, x: Signal | np.ndarray, eps: float = EPS_CUT) -> float:

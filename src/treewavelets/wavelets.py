@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import EPS_CUT, Signal, signal_values
+from .graphs import EPS_CUT, Signal, _finite_values
 from .trees import SpanningTree, _balance_walk, _root
 
 __all__ = [
@@ -223,12 +223,7 @@ def apply_basis(basis: WaveletBasis, y: Signal | np.ndarray) -> np.ndarray:
     Raises ValueError when y holds a NaN or an infinity, so that a corrupt
     observation can never pass the test as a silent accept.
     """
-    vals = signal_values(y)
-    if vals.shape != (basis.n,):
-        raise ValueError(f"signal has shape {vals.shape}, expected ({basis.n},)")
-    if not np.isfinite(vals).all():
-        raise ValueError("signal holds non-finite values")
-    return basis.matrix @ vals
+    return basis.matrix @ _finite_values(y, basis.n)
 
 
 def basis_sparsity(basis: WaveletBasis, x: Signal | np.ndarray, eps: float = EPS_CUT) -> int:

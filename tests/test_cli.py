@@ -142,6 +142,17 @@ class TestResistance:
                      "--out", str(tmp_path / "r.csv"), "--validate-mtt", "100"])
         assert code == 2
         assert "--seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [graph]
+
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_mtt_draws_must_be_positive(self, tmp_path, capsys, draws):
+        graph = tmp_path / "g.txt"
+        write_edge_list(gen_torus(4, 2), graph)
+        code = main(["resistance", "--graph", str(graph), "--out", str(tmp_path / "r.csv"),
+                     "--validate-mtt", draws, "--seed", "3"])
+        assert code == 2
+        assert "--validate-mtt" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [graph]
 
 
 class TestExperiment:

@@ -9,9 +9,14 @@ import pytest
 from helpers import edge_tuples
 from treewavelets import (
     DisconnectedGraphError,
+    Signal,
+    all_edge_resistances,
+    apply_basis,
     bfs_spanning_tree,
+    build_basis,
     build_graph,
     connected_components,
+    cut_resistance,
     cut_size,
     gen_complete,
     gen_epsilon,
@@ -22,10 +27,11 @@ from treewavelets import (
     read_edge_list,
     read_points,
     require_connected,
+    tree_cut_size,
     write_edge_list,
     write_points,
 )
-from treewavelets.graphs import read_edge_list_comments
+from treewavelets.graphs import read_edge_list_comments, signal_values
 
 
 class TestBuildGraph:
@@ -154,6 +160,32 @@ class TestIncidenceAndCut:
         g = build_graph(2, [(0, 1)])
         assert cut_size(g, np.array([0.0, 1e-12])) == 0
         assert cut_size(g, np.array([0.0, 1e-6])) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_raises(self, bad):
+        # A NaN vertex compares false with eps, so unchecked it is never a cut.
+        g = gen_torus(3, 2)
+        x = np.zeros(g.n)
+        x[0] = bad
+        prof = all_edge_resistances(g)
+        for count in (
+            lambda: incidence_apply(g, x),
+            lambda: cut_size(g, Signal(values=x)),
+            lambda: tree_cut_size(bfs_spanning_tree(g), x),
+            lambda: cut_resistance(prof, x),
+        ):
+            with pytest.raises(ValueError, match="non-finite"):
+                count()
+
+    def test_signal_values_coerced_to_float_array(self):
+        x = Signal(values=[1, 1, 0, 0])
+        vals = signal_values(x)
+        assert vals.dtype == np.float64
+        np.testing.assert_array_equal(vals, [1.0, 1.0, 0.0, 0.0])
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert cut_size(g, x) == 1
+        basis = build_basis(bfs_spanning_tree(g))
+        np.testing.assert_array_equal(apply_basis(basis, x), apply_basis(basis, vals))
 
 
 class TestGraphEquality:
