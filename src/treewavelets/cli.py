@@ -27,7 +27,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._version import __version__
 from .detection import detect, gen_two_level_signal, snr_condition, threshold
@@ -163,6 +162,8 @@ _ORTHO_LIMIT = 1e-10
 
 def _ortho_residual(basis) -> float:
     """max |B B^T - I| over the basis matrix B, from sparse products only."""
+    import scipy.sparse as sp
+
     b = basis.matrix
     return float(abs(b @ b.T - sp.identity(basis.n, format="csr")).max())
 

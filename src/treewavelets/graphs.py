@@ -14,6 +14,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily; load it with the package, not in the first draw
 
 from .errors import DisconnectedGraphError
 
@@ -277,6 +278,7 @@ def incidence_apply(g: Graph, x: Signal | np.ndarray) -> np.ndarray:
 
 def cut_size(g: Graph, x: Signal | np.ndarray, eps: float = EPS_CUT) -> int:
     """Number of edges across which the signal changes level by more than eps."""
+    _require_positive("eps", eps, zero_ok=True)
     return int(np.count_nonzero(np.abs(incidence_apply(g, x)) > eps))
 
 

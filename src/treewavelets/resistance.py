@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import EPS_CUT, Graph, Signal, incidence_apply, require_connected
+from .graphs import EPS_CUT, Graph, Signal, _require_positive, incidence_apply, require_connected
 
 __all__ = [
     "ResistanceProfile",
@@ -71,6 +71,7 @@ def all_edge_resistances(g: Graph) -> ResistanceProfile:
 
 def cut_resistance(profile: ResistanceProfile, x: Signal | np.ndarray, eps: float = EPS_CUT) -> float:
     """Total edge resistance across the signal's boundary edges."""
+    _require_positive("eps", eps, zero_ok=True)
     mask = np.abs(incidence_apply(profile.graph, x)) > eps
     return float(profile.edge_resistances[mask].sum())
 

@@ -13,13 +13,17 @@ logarithmically small for signals with few level changes.
 
 from __future__ import annotations
 
+from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graphs import EPS_CUT, Signal, _finite_values
+from .graphs import EPS_CUT, Signal, _finite_values, _require_positive
 from .trees import SpanningTree, _balance_walk, _root
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "WaveletBasis",
@@ -46,14 +50,16 @@ def _spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarra
 class WaveletBasis:
     """All basis elements of one tree as ranges over one vertex permutation.
 
-    Element i is positive on ``perm[lo[i]:mid[i]]``, negative on
+    Element i is ``pos[i]`` on ``perm[lo[i]:mid[i]]``, ``neg[i]`` on
     ``perm[mid[i]:hi[i]]`` and zero elsewhere. Element 0 is the constant
-    (``lo = 0``, ``mid = hi = n``); the split elements follow in depth-first
-    order. ``depths`` records which recursion level emitted each element and
-    ``pivots`` the balance vertex of its split (-1 for the constant and for
-    two-vertex subtrees). Every split groups whole components, so every
+    (``lo = 0``, ``mid = hi = n``, ``neg = 0``); the split elements follow in
+    depth-first order. ``depths`` records which recursion level emitted each
+    element and ``pivots`` the balance vertex of its split (-1 for the constant
+    and for two-vertex subtrees). Every split groups whole components, so every
     support is a contiguous run of ``perm`` and the ranges nest or are
-    disjoint. ``matrix`` holds the elements as sparse rows.
+    disjoint. ``matrix`` holds the same elements as sparse rows; it is built,
+    and scipy imported, on first access only, since :func:`apply_basis` needs
+    no matrix.
     """
 
     def __init__(
@@ -74,7 +80,7 @@ class WaveletBasis:
         self.hi = hi
         self.depths = depths
         self.pivots = pivots
-        self.matrix = self._rows()
+        self.pos, self.neg = self._values()
 
     def __len__(self) -> int:
         return len(self.lo)
@@ -82,9 +88,11 @@ class WaveletBasis:
     @property
     def vertices(self) -> np.ndarray:
         """Column indices of ``matrix``: the vertices of every support, back to back."""
-        return self.matrix.indices
+        row, k = _spans(self.lo, self.hi)
+        v = self.perm[k]
+        return v[np.lexsort((v, row))]
 
-    def _rows(self) -> sp.csr_matrix:
+    def _values(self) -> tuple[np.ndarray, np.ndarray]:
         # On a split of n1 positive against n2 negative vertices the element is
         # sqrt(n1 n2 / (n1 + n2)) times (1/n1 on the first group, -1/n2 on the
         # second). A two-vertex subtree (pivot -1) keeps 1/sqrt(2), which
@@ -100,9 +108,17 @@ class WaveletBasis:
         pair[0] = False
         pos[pair] = 1.0 / np.sqrt(2.0)
         neg[pair] = -1.0 / np.sqrt(2.0)
+        return pos, neg
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The elements as CSR rows with sorted column indices."""
+        import scipy.sparse as sp
+
+        lo, mid, hi = self.lo, self.mid, self.hi
         row, k = _spans(lo, hi)
         indptr = np.concatenate(([0], np.cumsum(hi - lo)))
-        values = np.where(k < mid[row], pos[row], neg[row])
+        values = np.where(k < mid[row], self.pos[row], self.neg[row])
         matrix = sp.csr_matrix((values, self.perm[k], indptr), shape=(len(self), self.n))
         matrix.sort_indices()
         return matrix
@@ -220,14 +236,26 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
 def apply_basis(basis: WaveletBasis, y: Signal | np.ndarray) -> np.ndarray:
     """Coefficient vector of y in the basis, one entry per element.
 
-    Raises ValueError when y holds a NaN or an infinity, so that a corrupt
-    observation can never pass the test as a silent accept.
+    Every element is constant on two runs of ``perm``, so each coefficient is
+    a difference of prefix sums of ``y[perm]``; no matrix is formed. y is
+    centered on its mean first, which the zero-sum elements do not see, so
+    that an offset costs no precision. Raises ValueError when y holds a NaN
+    or an infinity, so that a corrupt observation can never pass the test as
+    a silent accept.
     """
-    return basis.matrix @ _finite_values(y, basis.n)
+    y = _finite_values(y, basis.n)
+    total = y.sum()
+    s = np.zeros(basis.n + 1)
+    np.cumsum(y[basis.perm] - total / basis.n, out=s[1:])
+    s_mid = s[basis.mid]
+    coef = basis.pos * (s_mid - s[basis.lo]) + basis.neg * (s[basis.hi] - s_mid)
+    coef[0] = total / np.sqrt(basis.n)
+    return coef
 
 
 def basis_sparsity(basis: WaveletBasis, x: Signal | np.ndarray, eps: float = EPS_CUT) -> int:
     """Number of coefficients of x that exceed eps in magnitude."""
+    _require_positive("eps", eps, zero_ok=True)
     return int(np.count_nonzero(np.abs(apply_basis(basis, x)) > eps))
 
 

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from treewavelets import (
     read_tree,
     write_edge_list,
 )
+import treewavelets
 from treewavelets.cli import _components_after_removal, _ortho_residual, main
 
 
@@ -188,6 +193,37 @@ class TestExperiment:
         assert manifest["inputs"]["config.json"] == sha256(config)
         for name, digest in manifest["outputs"].items():
             assert digest == sha256(out_a / name)
+
+    # Runs in a fresh interpreter; prints which modules were loaded on its last line.
+    IMPORT_PROBE = """
+import json, sys
+import treewavelets
+random_on_import = "numpy.random" in sys.modules
+from treewavelets.cli import main
+codes = [main(["experiment", "--config", c, "--out", c + ".out", "--threads", "1"])
+         for c in sys.argv[1:]]
+print(json.dumps({"random_on_import": random_on_import, "codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+    def test_experiments_run_without_scipy(self, tmp_path):
+        power = json.loads(self.config(tmp_path).read_text())
+        configs = [
+            power,
+            {**power, "tree": {"kind": "bfs"}},
+            {"kind": "concentration", "seed": 1, "samples": 4, "deltas": [0.5],
+             "cells": [{"family": "torus", "side": 4, "dims": 2}]},
+        ]
+        paths = [tmp_path / f"config{i}.json" for i in range(len(configs))]
+        for path, config in zip(paths, configs):
+            path.write_text(json.dumps(config))
+        src = str(Path(treewavelets.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", self.IMPORT_PROBE, *map(str, paths)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report == {"random_on_import": True, "codes": [0, 0, 0], "scipy": []}
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = self.config(tmp_path)

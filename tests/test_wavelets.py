@@ -368,6 +368,40 @@ class TestBuildBasis:
         np.testing.assert_array_equal(d1, d2)
 
 
+TRANSFORM_GRAPHS = {
+    "torus64x64": lambda: gen_torus(64, 2),
+    "knn500": lambda: gen_knn(500, 8, 2, 51)[0],
+    "K256": lambda: gen_complete(256),
+}
+
+
+class TestMatrixFreeTransform:
+    """apply_basis against the CSR product it replaced, to 1e-12 of max |y|."""
+
+    @staticmethod
+    def check(b, rng):
+        for offset in (0.0, 100.0):
+            y = rng.standard_normal(b.n) + offset
+            atol = 1e-12 * max(1.0, np.abs(y).max())
+            np.testing.assert_allclose(apply_basis(b, y), b.matrix @ y, rtol=0, atol=atol)
+        np.testing.assert_array_equal(b.vertices, b.matrix.indices)
+
+    @pytest.mark.parametrize("tree", ["ust", "bfs"])
+    @pytest.mark.parametrize("graph", sorted(TRANSFORM_GRAPHS))
+    def test_matches_matrix_product(self, graph, tree):
+        g = TRANSFORM_GRAPHS[graph]()
+        b = build_basis(sample_ust(g, rng=3) if tree == "ust" else bfs_spanning_tree(g))
+        assert "matrix" not in b.__dict__
+        self.check(b, np.random.default_rng(8))
+        assert "matrix" in b.__dict__
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_trees(self, n):
+        b = build_basis(tree_on(n, [(0, 1)][: n - 1]))
+        assert "matrix" not in b.__dict__
+        self.check(b, np.random.default_rng(n))
+
+
 class TestSparsityBound:
     def test_mean_zero_indicator_sweep(self):
         # For mean-zero signals the coefficient count never exceeds the
