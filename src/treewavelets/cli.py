@@ -22,7 +22,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -30,7 +29,6 @@ import numpy as np
 
 from ._version import __version__
 from .detection import detect, gen_two_level_signal, snr_condition, threshold
-from .errors import DisconnectedGraphError
 from .experiments import _is_int, preset_config, run_experiment
 from .graphs import (
     build_graph,
@@ -113,31 +111,31 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     params: dict = {"family": family, "out": str(out)}
     comments = []
     points = None
+    # The graph is made before any file is written, so bad parameters leave none.
     if family == "torus":
         params.update(side=args.side, dims=args.dims)
         comments.append(f"torus side={args.side} dims={args.dims}")
-        make = lambda: (gen_torus(args.side, args.dims), None)
+        g, pts = gen_torus(args.side, args.dims), None
     elif family == "complete":
         params.update(n=args.n)
         comments.append(f"complete n={args.n}")
-        make = lambda: (gen_complete(args.n), None)
+        g, pts = gen_complete(args.n), None
     elif family == "knn":
         params.update(n=args.n, k=args.k, dim=args.dim, seed=args.seed)
         comments.append(f"knn n={args.n} k={args.k} dim={args.dim} seed={args.seed}")
-        make = lambda: gen_knn(args.n, args.k, args.dim, args.seed)
+        g, pts = gen_knn(args.n, args.k, args.dim, args.seed)
     else:
         params.update(n=args.n, eps=args.eps, dim=args.dim, seed=args.seed)
         comments.append(
             f"epsilon n={args.n} eps={args.eps} dim={args.dim} seed={args.seed}"
         )
-        make = lambda: gen_epsilon(args.n, args.eps, args.dim, args.seed)
+        g, pts = gen_epsilon(args.n, args.eps, args.dim, args.seed)
 
     manifest = out.parent / (out.name + ".manifest.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     seed = getattr(args, "seed", None)
     _write_manifest(manifest, "gen", params, seed, {}, None)
 
-    g, pts = make()
     write_edge_list(g, out, comments=comments)
     written = [out]
     if pts is not None:
@@ -301,6 +299,10 @@ def _cmd_resistance(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    workers = args.threads
+    if workers < 1:
+        print(f"error: --threads must be >= 1, got {workers}", file=sys.stderr)
+        return 2
     inputs: dict[str, str] = {}
     if args.config:
         config = json.loads(Path(args.config).read_text())
@@ -320,25 +322,21 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    workers = args.threads
-    if workers is None:
-        workers = int(os.environ.get("TREEWAVELETS_THREADS", "1"))
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = out / "manifest.json"
     params = {"config": config, "out": str(out), "workers": workers}
     _write_manifest(manifest, "experiment", params, config["seed"], inputs, None)
 
-    result = run_experiment(config, out, workers=workers)
+    summary = run_experiment(config, out, workers=workers)
 
     produced = [p for p in out.iterdir() if p.is_file() and p.name != "manifest.json"]
     _write_manifest(
         manifest, "experiment", params, config["seed"], inputs,
         _digest_outputs(produced),
     )
-    print(f"experiment kind: {result.kind}")
-    for key, val in result.summary.items():
+    print(f"experiment kind: {config['kind']}")
+    for key, val in summary.items():
         print(f"  {key}: {val}")
     print(f"wrote {len(produced)} files to {out}")
     return 0
@@ -548,8 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="built-in configuration")
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.add_argument("--seed", type=int, help="master seed (overrides config)")
-    p_exp.add_argument("--threads", type=int,
-                       help="worker processes (default $TREEWAVELETS_THREADS or 1)")
+    p_exp.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_val = sub.add_parser("validate", help="fast invariant battery")
@@ -563,10 +560,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DisconnectedGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    # DisconnectedGraphError and json.JSONDecodeError are ValueErrors.
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ and keeps empirical power curves tight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,6 @@ from .wavelets import activation_bound, apply_basis, basis_sparsity, build_basis
 __all__ = [
     "CellSpec",
     "ConcentrationRow",
-    "ExperimentResult",
     "FitRow",
     "SparsityPoint",
     "TreeSource",
@@ -178,10 +177,16 @@ class CellSpec:
     def from_dict(cls, d: dict) -> CellSpec:
         if not isinstance(d, dict):
             raise ValueError(f"a cell must be a JSON object, got {d!r}")
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown cell fields: {sorted(unknown)}")
+        _reject_unknown("cell fields", d, cls.__dataclass_fields__)
         return cls(**d)
+
+
+def _reject_unknown(what: str, d: dict, known) -> None:
+    """Raise ValueError naming every key of d outside known: a misspelt key
+    would otherwise run silently with its default."""
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what}: {unknown}")
 
 
 def _is_int(value) -> bool:
@@ -305,7 +310,7 @@ def power_curve(
     return rows
 
 
-def aggregate_records(records: list[TrialRecord], trials_requested: int | None = None) -> list[dict]:
+def aggregate_records(records: list[TrialRecord], trials_requested: int) -> list[dict]:
     """Collapse raw rows into per-(family, n, rho, mu) power aggregates.
 
     The risk column adds the cell's type-I rate (its mu=0 companion rows) to
@@ -334,7 +339,7 @@ def aggregate_records(records: list[TrialRecord], trials_requested: int | None =
                 "rho": rho,
                 "mu": mu,
                 "trials": done,
-                "trials_requested": trials_requested if trials_requested is not None else done,
+                "trials_requested": trials_requested,
                 "rejections": rej,
                 "power": power,
                 "type_i": t1 if t1 is not None else float("nan"),
@@ -344,8 +349,8 @@ def aggregate_records(records: list[TrialRecord], trials_requested: int | None =
     return out
 
 
-def mu_at_power(aggregates: list[dict], target: float = 0.5) -> list[dict]:
-    """Interpolate, per (family, n), the mu at which power first crosses target."""
+def mu_at_power(aggregates: list[dict]) -> list[dict]:
+    """Interpolate, per (family, n, rho), the mu at which power first reaches 0.5."""
     curves: dict[tuple, list[tuple[float, float]]] = {}
     for a in aggregates:
         curves.setdefault((a["family"], a["n"], a["rho"]), []).append((a["mu"], a["power"]))
@@ -354,11 +359,11 @@ def mu_at_power(aggregates: list[dict], target: float = 0.5) -> list[dict]:
         pts.sort()
         crossing = float("nan")
         for (mu0, p0), (mu1, p1) in zip(pts, pts[1:]):
-            if p0 < target <= p1:
-                frac = (target - p0) / (p1 - p0)
+            if p0 < 0.5 <= p1:
+                frac = (0.5 - p0) / (p1 - p0)
                 crossing = mu0 + frac * (mu1 - mu0)
                 break
-        if math.isnan(crossing) and pts and pts[0][1] >= target:
+        if math.isnan(crossing) and pts and pts[0][1] >= 0.5:
             crossing = pts[0][0]
         out.append({"family": family, "n": n, "rho": rho, "mu50": crossing})
     return out
@@ -574,21 +579,6 @@ def ust_concentration_check(
 # =============================================================================
 
 
-@dataclass
-class ExperimentResult:
-    """Everything one experiment run produced, before it hits disk."""
-
-    kind: str
-    config: dict
-    trial_records: list[TrialRecord] = field(default_factory=list)
-    aggregates: list[dict] = field(default_factory=list)
-    mu50: list[dict] = field(default_factory=list)
-    points: list[SparsityPoint] = field(default_factory=list)
-    fits: list[FitRow] = field(default_factory=list)
-    concentration: list[tuple[str, str, ConcentrationRow]] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-
-
 def write_csv(path: str | Path, columns: list[str], rows: list[list[str]]) -> None:
     """Write a CSV with a fixed column order and repr-formatted floats."""
     lines = [",".join(columns)]
@@ -628,20 +618,31 @@ AGGREGATE_COLUMNS = [
 MU50_COLUMNS = ["family", "n", "rho", "mu50"]
 
 
+# Config keys every experiment kind reads; each kind adds its own.
+_COMMON_KEYS = ("kind", "seed", "cells")
+
+
 def _tree_source_from_config(d: dict) -> TreeSource:
     if not isinstance(d, dict):
         raise ValueError(f"tree must be a JSON object, got {d!r}")
+    _reject_unknown("tree keys", d, ("kind", "root"))
     return TreeSource(kind=d.get("kind", "ust"), root=_config_int("tree root", d.get("root", 0)))
 
 
-def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> ExperimentResult:
+def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
     """Run one experiment config and write its CSV outputs plus a schema note.
 
     The config's kind selects the harness: "power" sweeps mu grids per cell,
     "sparsity" scatters coefficient counts against cut budgets, and
     "concentration" checks uniform-tree overlap tails. Files land in out_dir
     with fixed names and column orders; rerunning the same config and seed
-    rewrites identical bytes.
+    rewrites identical bytes. A key the kind does not read raises ValueError
+    once the kind's own values have been read, before any work starts.
+
+    Returns
+    -------
+    dict
+        A short summary of the run for printing, such as row counts.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -652,7 +653,6 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> Exper
     if kind not in ("power", "sparsity", "concentration"):
         raise ValueError(f"unknown experiment kind {kind!r}")
     cells = [CellSpec.from_dict(c) for c in _config_list("cells", config["cells"])]
-    result = ExperimentResult(kind=str(kind), config=config)
     schema: list[str] = []
 
     if kind == "power":
@@ -660,8 +660,12 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> Exper
         delta = _config_number("delta", config.get("delta", 0.05))
         trials = _config_int("trials", config["trials"])
         tree_source = _tree_source_from_config(config.get("tree", {}))
+        _reject_unknown(
+            "power config keys", config, (*_COMMON_KEYS, "sigma", "delta", "trials", "tree")
+        )
+        records: list[TrialRecord] = []
         for ci, cell in enumerate(cells):
-            result.trial_records.extend(
+            records.extend(
                 power_curve(
                     cell,
                     trials=trials,
@@ -673,11 +677,11 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> Exper
                     workers=workers,
                 )
             )
-        result.aggregates = aggregate_records(result.trial_records, trials_requested=trials)
-        result.mu50 = mu_at_power(result.aggregates, target=0.5)
-        write_csv(out / "trials.csv", TRIAL_COLUMNS, _attr_rows(result.trial_records, TRIAL_COLUMNS))
-        write_csv(out / "power.csv", AGGREGATE_COLUMNS, _dict_rows(result.aggregates, AGGREGATE_COLUMNS))
-        write_csv(out / "mu50.csv", MU50_COLUMNS, _dict_rows(result.mu50, MU50_COLUMNS))
+        aggregates = aggregate_records(records, trials)
+        mu50 = mu_at_power(aggregates)
+        write_csv(out / "trials.csv", TRIAL_COLUMNS, _attr_rows(records, TRIAL_COLUMNS))
+        write_csv(out / "power.csv", AGGREGATE_COLUMNS, _dict_rows(aggregates, AGGREGATE_COLUMNS))
+        write_csv(out / "mu50.csv", MU50_COLUMNS, _dict_rows(mu50, MU50_COLUMNS))
         schema += [
             "trials.csv: one row per (trial, mu); columns " + ", ".join(TRIAL_COLUMNS),
             "  reject/truth are 0/1; statistic is the max coefficient magnitude;",
@@ -689,18 +693,19 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> Exper
             "mu50.csv: linear interpolation of the mu where power crosses 0.5;"
             " columns " + ", ".join(MU50_COLUMNS),
         ]
-        result.summary = {
+        summary = {
             "cells": len(cells),
-            "rows": len(result.trial_records),
-            "mu50": {f"{m['family']}/n={m['n']}": m["mu50"] for m in result.mu50},
+            "rows": len(records),
+            "mu50": {f"{m['family']}/n={m['n']}": m["mu50"] for m in mu50},
         }
     elif kind == "sparsity":
         signals = _config_int("signals", config["signals"])
-        result.points, result.fits = sparsity_experiment(
+        _reject_unknown("sparsity config keys", config, (*_COMMON_KEYS, "signals"))
+        points, fits = sparsity_experiment(
             cells, signals=signals, master_seed=seed, workers=workers
         )
-        write_csv(out / "points.csv", SPARSITY_COLUMNS, _attr_rows(result.points, SPARSITY_COLUMNS))
-        write_csv(out / "fits.csv", FIT_COLUMNS, _attr_rows(result.fits, FIT_COLUMNS))
+        write_csv(out / "points.csv", SPARSITY_COLUMNS, _attr_rows(points, SPARSITY_COLUMNS))
+        write_csv(out / "fits.csv", FIT_COLUMNS, _attr_rows(fits, FIT_COLUMNS))
         schema += [
             "points.csv: one row per sampled (tree, signal) pair; columns "
             + ", ".join(SPARSITY_COLUMNS),
@@ -709,26 +714,35 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> Exper
             "fits.csv: least squares of sparsity on cut*levels per cell; columns "
             + ", ".join(FIT_COLUMNS),
         ]
-        result.summary = {
-            f.family: {"slope": f.slope, "r2": f.r2, "points": f.points} for f in result.fits
-        }
-    elif kind == "concentration":
+        summary = {f.family: {"slope": f.slope, "r2": f.r2, "points": f.points} for f in fits}
+    else:
         samples = _config_int("samples", config["samples"])
         deltas = [_config_number("deltas", d) for d in _config_list("deltas", config["deltas"])]
         set_labels = _config_list("sets", config.get("sets", ["edge", "star", "ball"]))
+        _reject_unknown(
+            "concentration config keys", config, (*_COMMON_KEYS, "samples", "deltas", "sets")
+        )
+        graphs = [cell.build_graph() for cell in cells]
+        # The sets draw no random numbers, so a bad one fails here, before any
+        # solve or tree draw, and the tree stream stays as it is.
+        edge_sets = []
+        for cell, g in zip(cells, graphs):
+            try:
+                edge_sets.append([_named_edge_set(g, label) for label in set_labels])
+            except ValueError as exc:
+                raise ValueError(f"{cell.family} n={g.n}: {exc}") from None
         rows_out: list[list[str]] = []
+        failed = 0
         gen = as_rng(seed)
-        for cell in cells:
-            g = cell.build_graph()
+        for cell, g, sets in zip(cells, graphs, edge_sets):
             profile = all_edge_resistances(g)
             trees = [sample_ust(g, int(gen.integers(2**32))) for _ in range(samples)]
-            for label in set_labels:
-                edge_set = _named_edge_set(g, label)
+            for label, edge_set in zip(set_labels, sets):
                 rows = ust_concentration_check(
                     g, edge_set, samples, deltas, profile=profile, trees=trees
                 )
                 for r in rows:
-                    result.concentration.append((cell.family, label, r))
+                    failed += not r.passed
                     rows_out.append(
                         [cell.family, str(g.n), label]
                         + [_fmt(getattr(r, c)) for c in CONCENTRATION_COLUMNS]
@@ -744,28 +758,28 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> Exper
             + ", ".join(CONCENTRATION_COLUMNS),
             "  passed means empirical <= bound + band (3 binomial SE at the bound).",
         ]
-        failed = sum(1 for _, _, r in result.concentration if not r.passed)
-        result.summary = {
-            "rows": len(result.concentration),
-            "failed": failed,
-        }
+        summary = {"rows": len(rows_out), "failed": failed}
 
     (out / "schema.txt").write_text("\n".join(schema) + "\n")
-    return result
+    return summary
 
 
 def _named_edge_set(g: Graph, label: str) -> np.ndarray:
-    """Deterministic edge sets used by the concentration experiment."""
+    """Deterministic edge sets used by the concentration experiment; never empty."""
     ea = g.edges
     if label == "edge":
-        return ea[:1]
-    if label == "star":
-        return ea[(ea == 0).any(axis=1)]
-    if label == "ball":
+        edge_set = ea[:1]
+    elif label == "star":
+        edge_set = ea[(ea == 0).any(axis=1)]
+    elif label == "ball":
         indptr, indices = g.csr
         inside = np.isin(np.arange(g.n), [0, *indices[: indptr[1]]])
-        return ea[inside[ea[:, 0]] != inside[ea[:, 1]]]
-    raise ValueError(f"unknown edge-set label {label!r}")
+        edge_set = ea[inside[ea[:, 0]] != inside[ea[:, 1]]]
+    else:
+        raise ValueError(f"unknown edge-set label {label!r}")
+    if not len(edge_set):
+        raise ValueError(f"edge set {label!r} is empty")
+    return edge_set
 
 
 # =============================================================================

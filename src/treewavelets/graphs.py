@@ -276,10 +276,9 @@ def incidence_apply(g: Graph, x: Signal | np.ndarray) -> np.ndarray:
     return vals[g.edges[:, 0]] - vals[g.edges[:, 1]]
 
 
-def cut_size(g: Graph, x: Signal | np.ndarray, eps: float = EPS_CUT) -> int:
-    """Number of edges across which the signal changes level by more than eps."""
-    _require_positive("eps", eps, zero_ok=True)
-    return int(np.count_nonzero(np.abs(incidence_apply(g, x)) > eps))
+def cut_size(g: Graph, x: Signal | np.ndarray) -> int:
+    """Number of edges across which the signal changes level by more than ``EPS_CUT``."""
+    return int(np.count_nonzero(np.abs(incidence_apply(g, x)) > EPS_CUT))
 
 
 def connected_components(g: Graph) -> list[list[int]]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import EPS_CUT, Graph, Signal, _require_positive, incidence_apply, require_connected
+from .graphs import EPS_CUT, Graph, Signal, incidence_apply, require_connected
 
 __all__ = [
     "ResistanceProfile",
@@ -69,10 +69,9 @@ def all_edge_resistances(g: Graph) -> ResistanceProfile:
     return ResistanceProfile(graph=g, edge_resistances=diag[u] + diag[v] - 2.0 * grounded[u, v])
 
 
-def cut_resistance(profile: ResistanceProfile, x: Signal | np.ndarray, eps: float = EPS_CUT) -> float:
+def cut_resistance(profile: ResistanceProfile, x: Signal | np.ndarray) -> float:
     """Total edge resistance across the signal's boundary edges."""
-    _require_positive("eps", eps, zero_ok=True)
-    mask = np.abs(incidence_apply(profile.graph, x)) > eps
+    mask = np.abs(incidence_apply(profile.graph, x)) > EPS_CUT
     return float(profile.edge_resistances[mask].sum())
 
 

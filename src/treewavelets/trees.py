@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DisconnectedGraphError
 from .graphs import (
-    EPS_CUT,
     Graph,
     Signal,
     _bfs,
@@ -166,9 +165,9 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
     return _parents_to_tree(g, parent)
 
 
-def tree_cut_size(t: SpanningTree, x: Signal | np.ndarray, eps: float = EPS_CUT) -> int:
-    """Number of tree edges across which the signal changes level."""
-    return cut_size(t, x, eps)
+def tree_cut_size(t: SpanningTree, x: Signal | np.ndarray) -> int:
+    """Number of tree edges across which the signal changes level by more than ``EPS_CUT``."""
+    return cut_size(t, x)
 
 
 # =============================================================================
@@ -176,20 +175,20 @@ def tree_cut_size(t: SpanningTree, x: Signal | np.ndarray, eps: float = EPS_CUT)
 # =============================================================================
 
 
-def _root(ptr, nbrs, root, inside) -> tuple[list[int], list[int], list[int]]:
-    """Root the subtree of ``inside`` vertices that holds root; return parent, size and low.
+def _root(ptr, nbrs) -> tuple[list[int], list[int], list[int]]:
+    """Root the tree at vertex 0; return parent, size and low.
 
     ``ptr`` and ``nbrs`` are the tree's CSR as lists. ``size[v]`` and
     ``low[v]`` are the vertex count and the smallest vertex of v's subtree;
-    ``parent`` is -1 at the root and at every vertex the rooting does not reach.
+    ``parent`` is -1 at the root.
     """
-    n = len(inside)
+    n = len(ptr) - 1
     parent, size, low = [-1] * n, [1] * n, list(range(n))
-    order = [root]
+    order = [0]
     for v in order:
         pv = parent[v]
         for w in nbrs[ptr[v] : ptr[v + 1]]:
-            if w != pv and inside[w]:
+            if w != pv:
                 parent[w] = v
                 order.append(w)
     for v in order[:0:-1]:
@@ -224,43 +223,23 @@ def _balance_walk(ptr, nbrs, parent, size, low, cut, top) -> tuple[int, int]:
         v, visits = w, visits + 1
 
 
-def _prepare_verts(t: SpanningTree, vertices) -> list[int]:
-    if vertices is None:
-        return list(range(t.n))
-    verts = sorted({int(v) for v in vertices})
-    if not verts:
-        raise ValueError("vertex subset is empty")
-    if verts[0] < 0 or verts[-1] >= t.n:
-        raise ValueError(f"vertex subset out of range for n={t.n}")
-    return verts
-
-
-def find_balance(t: SpanningTree, vertices=None) -> int:
-    """Find a balance vertex of a tree (or of a connected subtree of it).
+def find_balance(t: SpanningTree) -> int:
+    """Find a balance vertex of a tree.
 
     The returned vertex v has the property that every component of the
-    subtree with v removed has at most ceil(size/2) vertices.
-
-    Parameters
-    ----------
-    t : SpanningTree
-    vertices : iterable of int, optional
-        Subset inducing a connected subtree; the whole tree by default.
+    tree with v removed has at most ceil(n/2) vertices.
     """
-    return find_balance_walk(t, vertices)[0]
+    return find_balance_walk(t)[0]
 
 
-def find_balance_walk(t: SpanningTree, vertices=None) -> tuple[int, int]:
-    """Like :func:`find_balance` but also reports the walk's visit count."""
-    verts = _prepare_verts(t, vertices)
-    inside = [False] * t.n
-    for v in verts:
-        inside[v] = True
+def find_balance_walk(t: SpanningTree) -> tuple[int, int]:
+    """Like :func:`find_balance` but also reports the walk's visit count.
+
+    The walk starts at vertex 0, the root of the whole tree.
+    """
     ptr, nbrs = (a.tolist() for a in t.csr)
-    parent, size, low = _root(ptr, nbrs, verts[0], inside)
-    if size[verts[0]] != len(verts):
-        raise ValueError("vertices do not induce a connected subtree")
-    return _balance_walk(ptr, nbrs, parent, size, low, [False] * t.n, verts[0])
+    parent, size, low = _root(ptr, nbrs)
+    return _balance_walk(ptr, nbrs, parent, size, low, [False] * t.n, 0)
 
 
 # =============================================================================

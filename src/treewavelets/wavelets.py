@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import EPS_CUT, Signal, _finite_values, _require_positive
+from .graphs import EPS_CUT, Signal, _finite_values
 from .trees import SpanningTree, _balance_walk, _root
 
 if TYPE_CHECKING:
@@ -165,7 +165,7 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
     ptr, nbrs = (a.tolist() for a in t.csr)
     # size[v] and low[v] are the vertex count and smallest vertex of v's
     # subtree inside v's part; cut[v] separates v from its parent's part.
-    parent, size, low = _root(ptr, nbrs, 0, [True] * n)
+    parent, size, low = _root(ptr, nbrs)
     cut = [False] * n
     perm = [0] * n
     elements = [(0, n, n, 0, -1)]  # (lo, mid, hi, depth, pivot)
@@ -253,10 +253,9 @@ def apply_basis(basis: WaveletBasis, y: Signal | np.ndarray) -> np.ndarray:
     return coef
 
 
-def basis_sparsity(basis: WaveletBasis, x: Signal | np.ndarray, eps: float = EPS_CUT) -> int:
-    """Number of coefficients of x that exceed eps in magnitude."""
-    _require_positive("eps", eps, zero_ok=True)
-    return int(np.count_nonzero(np.abs(apply_basis(basis, x)) > eps))
+def basis_sparsity(basis: WaveletBasis, x: Signal | np.ndarray) -> int:
+    """Number of coefficients of x that exceed ``EPS_CUT`` in magnitude."""
+    return int(np.count_nonzero(np.abs(apply_basis(basis, x)) > EPS_CUT))
 
 
 def _clamped_log2(x: int) -> int:

@@ -62,6 +62,7 @@ class TestGen:
         out = tmp_path / "g.txt"
         assert main(["gen", "torus", "--side", "2", "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBasis:
@@ -258,6 +259,38 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
         code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "rho must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_exits_2_and_writes_nothing(self, tmp_path, capsys, threads):
+        config = self.config(tmp_path)
+        out = tmp_path / "o"
+        code = main(["experiment", "--config", str(config), "--out", str(out),
+                     "--threads", threads])
+        assert code == 2
+        assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda c: c.update(sigam=5.0), "sigam"),
+            (lambda c: c["tree"].update(kind="bfs", rooot=3), "rooot"),
+            (lambda c: c.update(signals=4), "signals"),
+            (lambda c: c.update(kind="sparsity", signals=4), "sigma"),
+            (lambda c: c.update(kind="concentration", samples=4, deltas=[0.5]), "trials"),
+        ],
+        ids=["power-typo", "tree-typo", "power-signals", "sparsity-sigma", "concentration-trials"],
+    )
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, edit, key):
+        config = self.config(tmp_path)
+        payload = json.loads(config.read_text())
+        edit(payload)
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown" in err and repr(key) in err
+        assert [p.name for p in out.glob("*") if p.name != "manifest.json"] == []
 
     def test_zero_concentration_samples_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -426,10 +426,10 @@ class TestRunExperiment:
         for name in ("trials.csv", "power.csv", "mu50.csv", "schema.txt"):
             assert (tmp_path / "a" / name).exists()
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        assert r1.summary == r2.summary
+        assert r1 == r2
         header = (tmp_path / "a" / "trials.csv").read_text().splitlines()[0]
         assert header == "family,n,rho,mu,trial,seed,tree_seed,cut,statistic,threshold,reject,truth"
-        assert len(r1.trial_records) == 20  # 10 trials x 2 mu values
+        assert r1["rows"] == 20  # 10 trials x 2 mu values
 
     def test_sparsity_outputs(self, tmp_path):
         config = {
@@ -449,7 +449,7 @@ class TestRunExperiment:
         for row in rows:
             assert int(row["sparsity"]) <= int(row["bound"])
         assert (tmp_path / "fits.csv").exists()
-        assert result.summary["torus"]["points"] == 12
+        assert result["torus"]["points"] == 12
 
     def test_concentration_outputs(self, tmp_path):
         config = {
@@ -464,7 +464,30 @@ class TestRunExperiment:
         lines = (tmp_path / "concentration.csv").read_text().splitlines()
         assert lines[0].startswith("family,n,set,delta,")
         assert len(lines) == 1 + 2 * 2  # two sets x two deltas
-        assert result.summary["rows"] == 4
+        assert result == {"rows": 4, "failed": 0}
+
+    @pytest.mark.parametrize(
+        "cells, sets, message",
+        [
+            # K6's ball around vertex 0 holds every vertex, so no edge leaves it.
+            ([{"family": "torus", "side": 4, "dims": 2}, {"family": "complete", "n": 6}],
+             None, "complete n=6: edge set 'ball' is empty"),
+            ([{"family": "torus", "side": 4, "dims": 2}],
+             ["edge", "bal"], "torus n=16: unknown edge-set label 'bal'"),
+        ],
+        ids=["empty-ball", "unknown-label"],
+    )
+    def test_bad_edge_set_fails_before_any_work(self, tmp_path, monkeypatch, cells, sets, message):
+        ran = []
+        monkeypatch.setattr(experiments, "all_edge_resistances", ran.append)
+        monkeypatch.setattr(experiments, "sample_ust", ran.append)
+        config = {"kind": "concentration", "seed": 5, "samples": 3, "deltas": [0.5],
+                  "cells": cells}
+        if sets is not None:
+            config["sets"] = sets
+        with pytest.raises(ValueError, match=message):
+            run_experiment(config, tmp_path)
+        assert ran == []
 
     def test_bad_configs_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="seed"):

@@ -82,16 +82,6 @@ class TestFindBalance:
         t = tree_on(2, [(0, 1)])
         assert find_balance(t) in (0, 1)
 
-    def test_subset_restriction(self):
-        # Balance of the sub-path {2, 3, 4} alone is its middle vertex.
-        t = tree_on(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert find_balance(t, [2, 3, 4]) == 3
-
-    def test_disconnected_subset_rejected(self):
-        t = tree_on(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        with pytest.raises(ValueError, match="connected"):
-            find_balance(t, [0, 4])
-
     def test_guarantee_on_random_trees(self):
         # Oracle: remove the returned vertex and size the pieces by
         # union-find; none may exceed ceil(n/2). The walk also must not
