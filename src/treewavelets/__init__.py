@@ -8,151 +8,23 @@ spanning trees concentrate over edge sets.
 """
 
 from ._version import __version__
-from .detection import (
-    DecisionRecord,
-    detect,
-    gen_cluster_signal,
-    gen_prior_signal,
-    gen_two_level_signal,
-    prior_support_size,
-    snr_condition,
-    threshold,
-)
-from .errors import (
-    DisconnectedGraphError,
-    FitUndefinedError,
-    InfeasibleSignalError,
-)
-from .experiments import (
-    CellSpec,
-    ConcentrationRow,
-    FitRow,
-    SparsityPoint,
-    TreeSource,
-    TrialRecord,
-    aggregate_records,
-    fit_sparsity_points,
-    mu_at_power,
-    power_curve,
-    preset_config,
-    run_experiment,
-    sparsity_experiment,
-    ust_concentration_check,
-    write_csv,
-)
-from .graphs import (
-    EPS_CUT,
-    Graph,
-    Signal,
-    build_graph,
-    connected_components,
-    cut_size,
-    gen_complete,
-    gen_epsilon,
-    gen_knn,
-    gen_torus,
-    graph_digest,
-    incidence_apply,
-    read_edge_list,
-    read_points,
-    require_connected,
-    write_edge_list,
-    write_points,
-)
-from .resistance import (
-    ResistanceProfile,
-    all_edge_resistances,
-    cut_resistance,
-    laplacian,
-    write_resistance_csv,
-)
-from .trees import (
-    SpanningTree,
-    bfs_spanning_tree,
-    build_spanning_tree,
-    find_balance,
-    find_balance_walk,
-    read_tree,
-    sample_ust,
-    tree_cut_size,
-    validate_spanning_tree,
-    write_tree,
-)
-from .wavelets import (
-    WaveletBasis,
-    activation_bound,
-    apply_basis,
-    basis_sparsity,
-    build_basis,
-    edge_activations,
-    write_basis_csv,
-)
+from .detection import *
+from .errors import *
+from .experiments import *
+from .graphs import *
+from .resistance import *
+from .trees import *
+from .wavelets import *
 
+# Each module's __all__ declares its public names. Importing a submodule binds
+# its name in the package, so each name below is the module itself.
 __all__ = [
     "__version__",
-    "CellSpec",
-    "DecisionRecord",
-    "ConcentrationRow",
-    "DisconnectedGraphError",
-    "EPS_CUT",
-    "FitRow",
-    "FitUndefinedError",
-    "Graph",
-    "InfeasibleSignalError",
-    "ResistanceProfile",
-    "Signal",
-    "SpanningTree",
-    "SparsityPoint",
-    "TreeSource",
-    "TrialRecord",
-    "WaveletBasis",
-    "activation_bound",
-    "aggregate_records",
-    "all_edge_resistances",
-    "apply_basis",
-    "basis_sparsity",
-    "bfs_spanning_tree",
-    "build_basis",
-    "build_graph",
-    "build_spanning_tree",
-    "connected_components",
-    "cut_resistance",
-    "cut_size",
-    "detect",
-    "edge_activations",
-    "find_balance",
-    "find_balance_walk",
-    "fit_sparsity_points",
-    "gen_cluster_signal",
-    "gen_complete",
-    "gen_epsilon",
-    "gen_knn",
-    "gen_prior_signal",
-    "gen_torus",
-    "gen_two_level_signal",
-    "graph_digest",
-    "incidence_apply",
-    "laplacian",
-    "mu_at_power",
-    "power_curve",
-    "preset_config",
-    "prior_support_size",
-    "read_edge_list",
-    "read_points",
-    "read_tree",
-    "require_connected",
-    "run_experiment",
-    "sample_ust",
-    "snr_condition",
-    "sparsity_experiment",
-    "threshold",
-    "tree_cut_size",
-    "ust_concentration_check",
-    "validate_spanning_tree",
-    "write_basis_csv",
-    "write_csv",
-    "write_edge_list",
-    "write_points",
-    "write_resistance_csv",
-    "write_tree",
+    *detection.__all__,
+    *errors.__all__,
+    *experiments.__all__,
+    *graphs.__all__,
+    *resistance.__all__,
+    *trees.__all__,
+    *wavelets.__all__,
 ]

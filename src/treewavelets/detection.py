@@ -82,7 +82,8 @@ def _check_budget(rho: float, mu: float) -> None:
 
 def _ball_layers(g: Graph, seed_vertex: int) -> list[list[int]]:
     """BFS layers around a vertex, each sorted ascending."""
-    _, dist = _bfs(g, seed_vertex)
+    ptr, nbrs = (a.tolist() for a in g.csr)
+    _, dist, _ = _bfs(ptr, nbrs, seed_vertex)
     layers: list[list[int]] = [[] for _ in range(max(dist) + 1)]
     for v, d in enumerate(dist):
         if d >= 0:

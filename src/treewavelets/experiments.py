@@ -30,6 +30,7 @@ from .graphs import (
     gen_epsilon,
     gen_knn,
     gen_torus,
+    write_csv,
 )
 from .resistance import ResistanceProfile, all_edge_resistances
 from .trees import SpanningTree, bfs_spanning_tree, sample_ust, tree_cut_size
@@ -50,7 +51,6 @@ __all__ = [
     "run_experiment",
     "sparsity_experiment",
     "ust_concentration_check",
-    "write_csv",
 ]
 
 
@@ -210,6 +210,15 @@ def _config_list(name: str, value) -> list:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list, got {value!r}")
     return list(value)
+
+
+def _config_items(name: str, value) -> list:
+    """A config list that must hold something: an empty one would write
+    header-only CSVs as if the run had succeeded."""
+    items = _config_list(name, value)
+    if not items:
+        raise ValueError(f"config key {name!r} must not be an empty list")
+    return items
 
 
 def _trial_rng(master_seed: int, cell_index: int, trial: int) -> np.random.Generator:
@@ -579,27 +588,12 @@ def ust_concentration_check(
 # =============================================================================
 
 
-def write_csv(path: str | Path, columns: list[str], rows: list[list[str]]) -> None:
-    """Write a CSV with a fixed column order and repr-formatted floats."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+def _dict_rows(dicts: list[dict], columns: list[str]) -> list[list]:
+    return [[d[c] for c in columns] for d in dicts]
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _dict_rows(dicts: list[dict], columns: list[str]) -> list[list[str]]:
-    return [[_fmt(d[c]) for c in columns] for d in dicts]
-
-
-def _attr_rows(records: list, columns: list[str]) -> list[list[str]]:
-    return [[_fmt(getattr(r, c)) for c in columns] for r in records]
+def _attr_rows(records: list, columns: list[str]) -> list[list]:
+    return [[getattr(r, c) for c in columns] for r in records]
 
 
 AGGREGATE_COLUMNS = [
@@ -652,7 +646,7 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
         raise ValueError("config needs an integer master seed under 'seed'")
     if kind not in ("power", "sparsity", "concentration"):
         raise ValueError(f"unknown experiment kind {kind!r}")
-    cells = [CellSpec.from_dict(c) for c in _config_list("cells", config["cells"])]
+    cells = [CellSpec.from_dict(c) for c in _config_items("cells", config["cells"])]
     schema: list[str] = []
 
     if kind == "power":
@@ -717,8 +711,8 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
         summary = {f.family: {"slope": f.slope, "r2": f.r2, "points": f.points} for f in fits}
     else:
         samples = _config_int("samples", config["samples"])
-        deltas = [_config_number("deltas", d) for d in _config_list("deltas", config["deltas"])]
-        set_labels = _config_list("sets", config.get("sets", ["edge", "star", "ball"]))
+        deltas = [_config_number("deltas", d) for d in _config_items("deltas", config["deltas"])]
+        set_labels = _config_items("sets", config.get("sets", ["edge", "star", "ball"]))
         _reject_unknown(
             "concentration config keys", config, (*_COMMON_KEYS, "samples", "deltas", "sets")
         )
@@ -731,7 +725,7 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
                 edge_sets.append([_named_edge_set(g, label) for label in set_labels])
             except ValueError as exc:
                 raise ValueError(f"{cell.family} n={g.n}: {exc}") from None
-        rows_out: list[list[str]] = []
+        rows_out: list[list] = []
         failed = 0
         gen = as_rng(seed)
         for cell, g, sets in zip(cells, graphs, edge_sets):
@@ -744,8 +738,7 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
                 for r in rows:
                     failed += not r.passed
                     rows_out.append(
-                        [cell.family, str(g.n), label]
-                        + [_fmt(getattr(r, c)) for c in CONCENTRATION_COLUMNS]
+                        [cell.family, g.n, label, *(getattr(r, c) for c in CONCENTRATION_COLUMNS)]
                     )
         write_csv(
             out / "concentration.csv",

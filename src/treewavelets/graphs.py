@@ -22,7 +22,6 @@ __all__ = [
     "EPS_CUT",
     "Graph",
     "Signal",
-    "as_rng",
     "build_graph",
     "connected_components",
     "cut_size",
@@ -35,7 +34,7 @@ __all__ = [
     "read_edge_list",
     "read_points",
     "require_connected",
-    "signal_values",
+    "write_csv",
     "write_edge_list",
     "write_points",
 ]
@@ -286,7 +285,9 @@ def connected_components(g: Graph) -> list[list[int]]:
 
     Components are ordered by their smallest vertex, vertices increasing
     within each. The search reads one vertex's CSR run at a time, so no
-    temporary outgrows a degree even on dense graphs.
+    temporary outgrows a degree even on dense graphs. :func:`_bfs` would
+    need the whole CSR as Python lists, two ints per edge: about 1M ints,
+    tens of MB, on the complete graph K1024 that ``paper-fig2`` checks.
     """
     indptr, indices = g.csr
     ptr = indptr.tolist()
@@ -309,25 +310,28 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [c.tolist() for c in np.split(order, bounds)]
 
 
-def _bfs(g: Graph, root: int) -> tuple[list[int], list[int]]:
-    """Breadth-first search from root, neighbors in increasing order.
+def _bfs(ptr: list[int], nbrs: list[int], root: int) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search from root over CSR lists, neighbors in list order.
 
-    Returns ``(parent, dist)`` per vertex: the vertex that discovered it and
-    its hop count from root, both -1 where it is unreachable (parent also at
-    the root).
+    ``ptr`` and ``nbrs`` are a graph's CSR as Python lists, which suits
+    sparse graphs and trees; a dense graph is better served by
+    :func:`connected_components`. Returns ``(parent, dist, order)``: per
+    vertex the vertex that discovered it and its hop count from root, both
+    -1 where it is unreachable (parent also at the root), and the reached
+    vertices in the order they were found.
     """
-    ptr, nbrs = (a.tolist() for a in g.csr)
-    parent, dist = [-1] * g.n, [-1] * g.n
+    n = len(ptr) - 1
+    parent, dist = [-1] * n, [-1] * n
     dist[root] = 0
-    queue = [root]
-    for v in queue:
+    order = [root]
+    for v in order:
         d = dist[v] + 1
         for w in nbrs[ptr[v] : ptr[v + 1]]:
             if dist[w] < 0:
                 dist[w] = d
                 parent[w] = v
-                queue.append(w)
-    return parent, dist
+                order.append(w)
+    return parent, dist, order
 
 
 def require_connected(g: Graph) -> None:
@@ -491,16 +495,35 @@ def read_edge_list_comments(path: str | Path) -> list[str]:
     return out
 
 
+def _fmt(v) -> str:
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def write_csv(path: str | Path, columns: list[str], rows) -> None:
+    """Write a CSV with a fixed column order.
+
+    Each row is a sequence of values: a bool is written 0/1, a float by
+    ``repr`` (so it reads back exactly), anything else by ``str``. Numpy
+    scalars are written as their Python values.
+    """
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_points(points: np.ndarray, path: str | Path) -> None:
     """Write point coordinates as CSV: header ``vertex,x0,...``, repr floats."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be 2-d, got shape {points.shape}")
-    header = "vertex," + ",".join(f"x{d}" for d in range(points.shape[1]))
-    lines = [header]
-    for i, row in enumerate(points):
-        lines.append(f"{i}," + ",".join(repr(float(c)) for c in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = ["vertex", *(f"x{d}" for d in range(points.shape[1]))]
+    write_csv(path, columns, ([i, *row] for i, row in enumerate(points.tolist())))
 
 
 def read_points(path: str | Path) -> np.ndarray:

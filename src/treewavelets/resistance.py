@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import EPS_CUT, Graph, Signal, incidence_apply, require_connected
+from .graphs import EPS_CUT, Graph, Signal, incidence_apply, require_connected, write_csv
 
 __all__ = [
     "ResistanceProfile",
@@ -77,7 +77,5 @@ def cut_resistance(profile: ResistanceProfile, x: Signal | np.ndarray) -> float:
 
 def write_resistance_csv(profile: ResistanceProfile, path: str | Path) -> None:
     """Dump per-edge resistances as CSV rows ``u,v,r_e``."""
-    lines = ["u,v,r_e"]
-    for (u, v), r in zip(profile.graph.edges.tolist(), profile.edge_resistances):
-        lines.append(f"{u},{v},{repr(float(r))}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    u, v = profile.graph.edges.T.tolist()
+    write_csv(path, ["u", "v", "r_e"], zip(u, v, profile.edge_resistances.tolist()))

@@ -15,14 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DisconnectedGraphError
 from .graphs import (
     Graph,
     Signal,
     _bfs,
     _canonical_edges,
     as_rng,
-    connected_components,
     cut_size,
     graph_digest,
     read_edge_list,
@@ -66,7 +64,11 @@ class SpanningTree(Graph):
 
 
 def validate_spanning_tree(t: SpanningTree) -> None:
-    """Raise ValueError unless t is a spanning tree of its host graph."""
+    """Raise ValueError unless t is a spanning tree of its host graph.
+
+    With n-1 edges, all of them host edges, the tree edges form a spanning
+    tree exactly when a search from vertex 0 reaches every vertex.
+    """
     g = t.graph
     if t.n != g.n:
         raise ValueError(f"tree has {t.n} vertices, host graph has {g.n}")
@@ -76,7 +78,8 @@ def validate_spanning_tree(t: SpanningTree) -> None:
     if missing.size:
         u, v = t.edges[missing[0]].tolist()
         raise ValueError(f"tree edge {(u, v)} is not an edge of the host graph")
-    if len(connected_components(t)) != 1:
+    ptr, nbrs = (a.tolist() for a in t.csr)
+    if len(_bfs(ptr, nbrs, 0)[2]) != t.n:
         raise ValueError("tree edges do not connect all vertices")
 
 
@@ -161,8 +164,8 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
     require_connected(g)
-    parent, _ = _bfs(g, root)
-    return _parents_to_tree(g, parent)
+    ptr, nbrs = (a.tolist() for a in g.csr)
+    return _parents_to_tree(g, _bfs(ptr, nbrs, root)[0])
 
 
 def tree_cut_size(t: SpanningTree, x: Signal | np.ndarray) -> int:
@@ -182,15 +185,8 @@ def _root(ptr, nbrs) -> tuple[list[int], list[int], list[int]]:
     ``low[v]`` are the vertex count and the smallest vertex of v's subtree;
     ``parent`` is -1 at the root.
     """
-    n = len(ptr) - 1
-    parent, size, low = [-1] * n, [1] * n, list(range(n))
-    order = [0]
-    for v in order:
-        pv = parent[v]
-        for w in nbrs[ptr[v] : ptr[v + 1]]:
-            if w != pv:
-                parent[w] = v
-                order.append(w)
+    parent, _, order = _bfs(ptr, nbrs, 0)
+    size, low = [1] * len(parent), list(range(len(parent)))
     for v in order[:0:-1]:
         p = parent[v]
         size[p] += size[v]

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import EPS_CUT, Signal, _finite_values
+from .graphs import EPS_CUT, Signal, _finite_values, write_csv
 from .trees import SpanningTree, _balance_walk, _root
 
 if TYPE_CHECKING:
@@ -326,11 +326,5 @@ def write_basis_csv(basis: WaveletBasis, path: str | Path) -> None:
     """Dump the basis as CSV rows ``element,vertex,value,depth``."""
     m = basis.matrix
     row = np.repeat(np.arange(len(basis)), np.diff(m.indptr))
-    lines = ["element,vertex,value,depth"]
-    lines += [
-        f"{i},{v},{val!r},{d}"
-        for i, v, val, d in zip(
-            row.tolist(), m.indices.tolist(), m.data.tolist(), basis.depths[row].tolist()
-        )
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = (row, m.indices, m.data, basis.depths[row])
+    write_csv(path, ["element", "vertex", "value", "depth"], zip(*(c.tolist() for c in columns)))

@@ -132,6 +132,12 @@ class TestResistance:
         first = lines[1].split(",")
         assert (int(first[0]), int(first[1])) == edge_tuples(g)[0]
         assert float(first[2]) == pytest.approx(profile.edge_resistances[0], rel=1e-12)
+        write_edge_list(build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), graph)
+        assert main(["resistance", "--graph", str(graph), "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "u,v,r_e\n0,1,0.6666666666666667\n0,2,0.6666666666666667\n"
+            "1,2,0.6666666666666667\n2,3,1.0\n"
+        )
 
     def test_tree_draw_check(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
@@ -290,6 +296,27 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
         assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "unknown" in err and repr(key) in err
+        assert [p.name for p in out.glob("*") if p.name != "manifest.json"] == []
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda c: c.update(cells=[]), "cells"),
+            (lambda c: c.update(kind="sparsity", signals=4, cells=[]), "cells"),
+            (lambda c: c.update(kind="concentration", samples=4, deltas=[]), "deltas"),
+            (lambda c: c.update(kind="concentration", samples=4, deltas=[0.5], sets=[]), "sets"),
+        ],
+        ids=["power-cells", "sparsity-cells", "concentration-deltas", "concentration-sets"],
+    )
+    def test_empty_config_list_exits_2(self, tmp_path, capsys, edit, key):
+        config = self.config(tmp_path)
+        payload = json.loads(config.read_text())
+        edit(payload)
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "empty" in err and repr(key) in err
         assert [p.name for p in out.glob("*") if p.name != "manifest.json"] == []
 
     def test_zero_concentration_samples_exits_2(self, tmp_path, capsys):

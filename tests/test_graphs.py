@@ -28,6 +28,7 @@ from treewavelets import (
     read_points,
     require_connected,
     tree_cut_size,
+    write_csv,
     write_edge_list,
     write_points,
 )
@@ -549,6 +550,15 @@ class TestEdgeListIO:
         assert edge_tuples(g) == ((0, 1), (1, 2))
 
 
+class TestWriteCsv:
+    def test_numpy_scalars_written_as_python_values(self, tmp_path):
+        # Under numpy 2, repr(np.float64(0.5)) is "np.float64(0.5)" and
+        # str(np.True_) is "True"; neither may reach a cell.
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c"], [[np.float64(0.5), np.True_, np.int64(3)]])
+        assert path.read_text() == "a,b,c\n0.5,1,3\n"
+
+
 class TestPointsIO:
     def test_roundtrip_full_precision(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -557,6 +567,8 @@ class TestPointsIO:
         write_points(pts, path)
         back = read_points(path)
         np.testing.assert_array_equal(back, pts)
+        write_points(np.array([[0.1, -2.0], [1 / 3, 1e-20]]), path)
+        assert path.read_text() == "vertex,x0,x1\n0,0.1,-2.0\n1,0.3333333333333333,1e-20\n"
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "pts.csv"

@@ -53,10 +53,19 @@ class TestValidateSpanningTree:
         with pytest.raises(ValueError, match="not an edge"):
             build_spanning_tree(g, [(0, 1), (1, 2), (0, 2)])
 
-    def test_cycle_plus_isolated_rejected(self):
-        g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        with pytest.raises(ValueError):
-            build_spanning_tree(g, [(0, 1), (1, 2), (0, 2)])
+    @pytest.mark.parametrize(
+        "host, cycle",
+        [
+            ([(0, 1), (1, 2), (0, 2), (2, 3)], [(0, 1), (1, 2), (0, 2)]),
+            ([(0, 1), (1, 2), (2, 3), (1, 3)], [(1, 2), (2, 3), (1, 3)]),
+        ],
+        ids=["root-in-cycle", "root-isolated"],
+    )
+    def test_cycle_plus_isolated_rejected(self, host, cycle):
+        # The search from vertex 0 stops short of vertex 3, or at its start.
+        g = build_graph(4, host)
+        with pytest.raises(ValueError, match="connect"):
+            build_spanning_tree(g, cycle)
 
     def test_valid_tree_accepted(self):
         g = gen_torus(3, 2)
