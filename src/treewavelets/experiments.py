@@ -284,6 +284,11 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
         return pool.map(fn, tasks, chunksize=chunk)
 
 
+def _require_mu_grid(cell_index: int, cell: CellSpec) -> None:
+    if not cell.mu_grid:
+        raise ValueError(f"cell {cell_index}: mu_grid must be nonempty")
+
+
 def power_curve(
     cell: CellSpec,
     *,
@@ -305,8 +310,7 @@ def power_curve(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not cell.mu_grid:
-        raise ValueError("cell.mu_grid must be nonempty")
+    _require_mu_grid(cell_index, cell)
     g = cell.build_graph()
     tau = threshold(sigma, g.n, delta)
     tasks = [
@@ -474,19 +478,21 @@ def sparsity_experiment(
 ) -> tuple[list[SparsityPoint], list[FitRow]]:
     """Sample (tree, signal) pairs per cell and fit sparsity against the budget.
 
-    Every cell needs rho_lo <= rho_hi and at least two signals so the fit is
-    defined. Returns the raw scatter and one fit row per cell.
+    Every cell needs 0 <= rho_lo <= rho_hi and there must be at least two
+    signals so the fit is defined; both are checked before any cell runs.
+    Returns the raw scatter and one fit row per cell.
     """
     if signals < 2:
         raise ValueError(f"need at least 2 signals per cell, got {signals}")
-    points: list[SparsityPoint] = []
-    fits: list[FitRow] = []
     for ci, cell in enumerate(cells):
         if cell.rho_lo < 0 or cell.rho_hi < cell.rho_lo:
             raise ValueError(
                 f"cell {ci}: need 0 <= rho_lo <= rho_hi, got "
                 f"[{cell.rho_lo}, {cell.rho_hi}]"
             )
+    points: list[SparsityPoint] = []
+    fits: list[FitRow] = []
+    for ci, cell in enumerate(cells):
         g = cell.build_graph()
         tasks = [(g, cell, master_seed, ci, i) for i in range(signals)]
         cell_points = [p for p in _map_tasks(_sparsity_point, tasks, workers) if p is not None]
@@ -517,6 +523,14 @@ class ConcentrationRow:
 CONCENTRATION_COLUMNS = [f.name for f in fields(ConcentrationRow)]
 
 
+def _delta_values(deltas) -> list[float]:
+    """The relative overshoots as floats, each checked positive and finite."""
+    values = [float(d) for d in deltas]
+    for d in values:
+        _require_positive("delta values", d)
+    return values
+
+
 def ust_concentration_check(
     g: Graph,
     edge_set,
@@ -536,8 +550,10 @@ def ust_concentration_check(
 
     Pass ``trees`` to reuse one pool of sampled trees across several edge
     sets; otherwise ``samples`` fresh trees are drawn here. Either way at
-    least one tree is needed.
+    least one tree is needed. Every delta must be positive and finite; the
+    deltas and the edge set are checked before any solve or tree draw.
     """
+    deltas = _delta_values(deltas)
     pairs = _pair_array(edge_set)
     if not len(pairs):
         raise ValueError("edge set is empty")
@@ -561,8 +577,6 @@ def ust_concentration_check(
     n_draws = len(counts)
     rows = []
     for d in deltas:
-        d = float(d)
-        _require_positive("delta values", d)
         at = (1.0 + d) * r_set
         empirical = float(np.count_nonzero(counts >= at) / n_draws)
         bound = math.exp(r_set * (d - (1.0 + d) * math.log1p(d)))
@@ -657,6 +671,8 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
         _reject_unknown(
             "power config keys", config, (*_COMMON_KEYS, "sigma", "delta", "trials", "tree")
         )
+        for ci, cell in enumerate(cells):
+            _require_mu_grid(ci, cell)
         records: list[TrialRecord] = []
         for ci, cell in enumerate(cells):
             records.extend(
@@ -711,7 +727,9 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
         summary = {f.family: {"slope": f.slope, "r2": f.r2, "points": f.points} for f in fits}
     else:
         samples = _config_int("samples", config["samples"])
-        deltas = [_config_number("deltas", d) for d in _config_items("deltas", config["deltas"])]
+        deltas = _delta_values(
+            _config_number("deltas", d) for d in _config_items("deltas", config["deltas"])
+        )
         set_labels = _config_items("sets", config.get("sets", ["edge", "star", "ball"]))
         _reject_unknown(
             "concentration config keys", config, (*_COMMON_KEYS, "samples", "deltas", "sets")

@@ -25,6 +25,7 @@ from treewavelets import (
     write_edge_list,
 )
 import treewavelets
+from treewavelets import experiments
 from treewavelets.cli import _components_after_removal, _ortho_residual, main
 
 
@@ -318,6 +319,49 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
         err = capsys.readouterr().err
         assert "empty" in err and repr(key) in err
         assert [p.name for p in out.glob("*") if p.name != "manifest.json"] == []
+
+    def test_bad_concentration_delta_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started before the deltas were checked")
+
+        monkeypatch.setattr(experiments.CellSpec, "build_graph", must_not_run)
+        monkeypatch.setattr(experiments, "all_edge_resistances", must_not_run)
+        monkeypatch.setattr(experiments, "sample_ust", must_not_run)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "concentration", "seed": 1, "samples": 3000, "deltas": [-0.5],
+            "cells": [{"family": "torus", "side": 16, "dims": 2}],
+        }))
+        code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "delta values must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, counted, message",
+        [
+            ({"kind": "power", "seed": 7, "trials": 8,
+              "cells": [{"family": "torus", "side": 4, "rho": 8.0, "mu_grid": [0.0, 25.0]},
+                        {"family": "torus", "side": 5, "rho": 8.0, "mu_grid": []}]},
+             "_power_trial", "cell 1: mu_grid must be nonempty"),
+            ({"kind": "sparsity", "seed": 7, "signals": 4,
+              "cells": [{"family": "torus", "side": 4, "rho_lo": 2, "rho_hi": 4},
+                        {"family": "torus", "side": 5, "rho_lo": 9, "rho_hi": 3}]},
+             "_sparsity_point", "cell 1: need 0 <= rho_lo <= rho_hi"),
+        ],
+        ids=["power-empty-mu-grid", "sparsity-rho-range"],
+    )
+    def test_bad_second_cell_exits_2_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, config, counted, message
+    ):
+        ran = []
+        monkeypatch.setattr(experiments, counted, ran.append)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["experiment", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--threads", "1"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert ran == []
 
     def test_zero_concentration_samples_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -390,6 +390,15 @@ class TestConcentration:
         for label, edges in want.items():
             assert [tuple(e) for e in _named_edge_set(g, label).tolist()] == edges
 
+    def test_bad_delta_fails_before_any_solve_or_draw(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started before the deltas were checked")
+
+        monkeypatch.setattr(experiments, "all_edge_resistances", must_not_run)
+        monkeypatch.setattr(experiments, "sample_ust", must_not_run)
+        with pytest.raises(ValueError, match="delta values must be positive"):
+            ust_concentration_check(self.triangle(), [(0, 1)], 10, [0.5, -0.5], rng=0)
+
     def test_validates_arguments(self):
         g = self.triangle()
         with pytest.raises(ValueError, match="not in the graph"):

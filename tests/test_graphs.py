@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,33 @@ PINNED_DIGESTS = {
         lambda: gen_epsilon(100, 0.2, rng=2)[0],
         "6675b6a977c325cc72f06aefede13c6efd4064771f2d4458c91f57ff82007f32",
     ),
+    # Each spans several blocks of distance rows. The digests come from the
+    # earlier whole-matrix generators, whose numpy reduction added the dim-9
+    # squares in another order.
+    "knn 2000/8 seed 51": (
+        lambda: gen_knn(2000, 8, rng=51)[0],
+        "406fff69139f0d1fc10221ad98a4fbbaf1d0b5aee0ab3bde2d5789c73090b3ab",
+    ),
+    "knn 1000/8 seed 61": (
+        lambda: gen_knn(1000, 8, rng=61)[0],
+        "77b553275a4581dc4efe02b8966999e8052214778c4a4fe879f214c94c78505c",
+    ),
+    "knn 513/8 dim 3 seed 5": (
+        lambda: gen_knn(513, 8, 3, 5)[0],
+        "c70de9e555b6ce5a22d77b1537ef20284cac834a6bb7de6efd6d180be93968aa",
+    ),
+    "knn 600/10 dim 9 seed 7": (
+        lambda: gen_knn(600, 10, 9, 7)[0],
+        "f325d3fb6b6e74d8f7cc4b55144bfd28cf92941d59a6d5cb767841aa3681face",
+    ),
+    "epsilon 1000/0.06 seed 3": (
+        lambda: gen_epsilon(1000, 0.06, rng=3)[0],
+        "38820eb25c7bb5cfcd37ddf518504d192a7328a09a6897af89253a9e66ed9248",
+    ),
+    "epsilon 700/0.9 dim 9 seed 1": (
+        lambda: gen_epsilon(700, 0.9, 9, 1)[0],
+        "6b14121603e6444a92b919464fab8238604f23b429c54cf7bf30d7cffd75c947",
+    ),
 }
 
 
@@ -488,6 +516,25 @@ class TestKnn:
                 want.add((min(u, v), max(u, v)))
         assert set(edge_tuples(g)) == want
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_grid_ties_match_stable_sort(self, monkeypatch, k, dim):
+        # 300 points on the grid {0, 1/4, 1/2, 3/4}^dim: most distances tie,
+        # repeated points included, and the ties span several row blocks.
+        n = 300
+        pts = np.random.default_rng(dim).integers(0, 4, (n, dim)) / 4
+        monkeypatch.setattr("treewavelets.graphs._uniform_points", lambda *args: pts)
+        g, got_pts = gen_knn(n, k, dim, 0)
+        assert got_pts is pts
+        # Oracle: the first k of each row under a stable sort of the whole
+        # distance matrix, so equal distances keep index order.
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
+        np.fill_diagonal(dist, np.inf)
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        want = {(min(u, v), max(u, v)) for u, row in enumerate(nearest.tolist()) for v in row}
+        assert set(edge_tuples(g)) == want
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             gen_knn(5, 5, 2, 0)
@@ -505,20 +552,37 @@ class TestEpsilon:
         assert g.m == 0
 
     def test_edges_match_pairwise_distances(self):
-        n, eps = 40, 0.3
-        g, pts = gen_epsilon(n, eps, 2, 5)
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        want = {
-            (u, v)
-            for u, v in itertools.combinations(range(n), 2)
-            if dist[u, v] <= eps
-        }
-        assert set(edge_tuples(g)) == want
+        # n = 300 spans several blocks of distance rows.
+        for n, eps in ((40, 0.3), (300, 0.1)):
+            g, pts = gen_epsilon(n, eps, 2, 5)
+            diff = pts[:, None, :] - pts[None, :, :]
+            dist = np.sqrt((diff**2).sum(axis=2))
+            want = {
+                (u, v)
+                for u, v in itertools.combinations(range(n), 2)
+                if dist[u, v] <= eps
+            }
+            assert set(edge_tuples(g)) == want
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             gen_epsilon(5, 0.0, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: gen_knn(2000, 8, rng=51), lambda: gen_epsilon(2000, 0.06, rng=3)],
+    ids=["knn", "epsilon"],
+)
+def test_point_generators_use_far_less_than_n_squared_memory(make):
+    # One 2000 x 2000 float64 matrix alone is 32 MB.
+    tracemalloc.start()
+    try:
+        make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 class TestEdgeListIO:
