@@ -46,9 +46,8 @@ from .graphs import (
 from .resistance import all_edge_resistances, write_resistance_csv
 from .trees import (
     bfs_spanning_tree,
-    find_balance,
+    find_balance_walk,
     sample_ust,
-    tree_cut_size,
     validate_spanning_tree,
     write_tree,
 )
@@ -396,7 +395,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         kn = gen_complete(n)
         for _ in range(60):
             t = sample_ust(kn, int(rng.integers(2**32)))
-            v = find_balance(t)
+            v, _ = find_balance_walk(t)
             sizes = _components_after_removal(t, v)
             trees += 1
             if sizes and max(sizes) > -(-n // 2):
@@ -467,7 +466,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         x = gen_two_level_signal(g, 8, 1.0, rng)
         mu = 2.0 * snr_condition(
             "remark1", n=g.n, d=t.max_degree, delta=delta,
-            rho=tree_cut_size(t, x.values),
+            rho=cut_size(t, x.values),
         )
         noise = np.random.default_rng(int(rng.integers(2**32))).standard_normal(g.n)
         hits += detect(basis, mu * x.values + noise, tau).reject

@@ -26,6 +26,7 @@ from .graphs import (
     _pair_array,
     _require_positive,
     as_rng,
+    cut_size,
     gen_complete,
     gen_epsilon,
     gen_knn,
@@ -33,7 +34,7 @@ from .graphs import (
     write_csv,
 )
 from .resistance import ResistanceProfile, all_edge_resistances
-from .trees import SpanningTree, bfs_spanning_tree, sample_ust, tree_cut_size
+from .trees import SpanningTree, bfs_spanning_tree, sample_ust
 from .wavelets import activation_bound, apply_basis, basis_sparsity, build_basis
 
 __all__ = [
@@ -441,7 +442,7 @@ def _sparsity_point(args) -> SparsityPoint | None:
         levels=levels,
         rho_target=rho,
         cut=cut,
-        tree_cut=tree_cut_size(tree, x.values),
+        tree_cut=cut_size(tree, x.values),
         sparsity=basis_sparsity(basis, x.values),
         bound=cut * levels + 1,
     )

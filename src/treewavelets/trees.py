@@ -2,26 +2,25 @@
 
 The balance walk is the combinatorial heart of the wavelet construction, so
 it lives here, shared by :func:`find_balance_walk` and the basis builder. It
-reads the tree's CSR as Python lists. One rooting computes every vertex's
-subtree size and smallest vertex, and the walk needs nothing else: the basis
-builder roots the whole tree once and tracks each part by its top vertex and
-cut parent edges, so a split only updates sizes along the walk path.
+reads children lists made from the parent array, not the tree's CSR. One
+pass computes every vertex's subtree size and smallest vertex, and the walk
+needs nothing else: the builder tracks each part by its top vertex and cut
+parent edges, so a split only updates sizes along the walk path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .graphs import (
     Graph,
-    Signal,
     _bfs,
     _canonical_edges,
     as_rng,
-    cut_size,
     graph_digest,
     read_edge_list,
     read_edge_list_comments,
@@ -33,11 +32,9 @@ __all__ = [
     "SpanningTree",
     "bfs_spanning_tree",
     "build_spanning_tree",
-    "find_balance",
     "find_balance_walk",
     "read_tree",
     "sample_ust",
-    "tree_cut_size",
     "validate_spanning_tree",
     "write_tree",
 ]
@@ -51,7 +48,10 @@ class SpanningTree(Graph):
     derived view (degrees, CSR, edge ids). Construct through
     :func:`build_spanning_tree` (validating) or one of the samplers; the
     dataclass itself does not re-check the tree property. Two trees are
-    equal when their edges and their host graphs are.
+    equal when their edges and their host graphs are. ``parent`` holds each
+    vertex's parent in the tree rooted at vertex 0 (read-only int64, -1 at
+    the root). Samplers rooted at 0 store it; other trees derive it on first
+    use, raising ValueError unless the edges form a spanning tree.
     """
 
     graph: Graph
@@ -62,25 +62,32 @@ class SpanningTree(Graph):
             return same
         return self.graph == other.graph
 
+    @cached_property
+    def parent(self) -> np.ndarray:
+        # n-1 edges span exactly when a search from vertex 0 reaches every vertex.
+        if self.m != self.n - 1:
+            raise ValueError(f"spanning tree needs {self.n - 1} edges, got {self.m}")
+        parent, _, order = _bfs(*(a.tolist() for a in self.csr), 0)
+        if len(order) != self.n:
+            raise ValueError("tree edges do not connect all vertices")
+        parent = np.array(parent, dtype=np.int64)
+        parent.flags.writeable = False
+        return parent
+
 
 def validate_spanning_tree(t: SpanningTree) -> None:
     """Raise ValueError unless t is a spanning tree of its host graph.
 
-    With n-1 edges, all of them host edges, the tree edges form a spanning
-    tree exactly when a search from vertex 0 reaches every vertex.
+    Rooting the tree (``t.parent``) checks the edge count and connectivity.
     """
     g = t.graph
     if t.n != g.n:
         raise ValueError(f"tree has {t.n} vertices, host graph has {g.n}")
-    if t.m != g.n - 1:
-        raise ValueError(f"spanning tree needs {g.n - 1} edges, got {t.m}")
     missing = np.flatnonzero(g.edge_ids(t.edges) < 0)
     if missing.size:
         u, v = t.edges[missing[0]].tolist()
         raise ValueError(f"tree edge {(u, v)} is not an edge of the host graph")
-    ptr, nbrs = (a.tolist() for a in t.csr)
-    if len(_bfs(ptr, nbrs, 0)[2]) != t.n:
-        raise ValueError("tree edges do not connect all vertices")
+    t.parent
 
 
 def build_spanning_tree(g: Graph, edges) -> SpanningTree:
@@ -91,10 +98,15 @@ def build_spanning_tree(g: Graph, edges) -> SpanningTree:
 
 
 def _parents_to_tree(g: Graph, parents: list[int]) -> SpanningTree:
-    parent = np.asarray(parents, dtype=np.int64)
+    """The tree of a parent list, kept as ``parent`` when rooted at vertex 0."""
+    parent = np.array(parents, dtype=np.int64)
+    parent.flags.writeable = False
     child = np.flatnonzero(parent >= 0)
     pairs = np.column_stack((parent[child], child))
-    return SpanningTree(n=g.n, edges=_canonical_edges(g.n, pairs), graph=g)
+    t = SpanningTree(n=g.n, edges=_canonical_edges(g.n, pairs), graph=g)
+    if parent[0] < 0:
+        t.__dict__["parent"] = parent
+    return t
 
 
 # Uniforms drawn per numpy call by the walk; one call per step would cost
@@ -168,49 +180,49 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
     return _parents_to_tree(g, _bfs(ptr, nbrs, root)[0])
 
 
-def tree_cut_size(t: SpanningTree, x: Signal | np.ndarray) -> int:
-    """Number of tree edges across which the signal changes level by more than ``EPS_CUT``."""
-    return cut_size(t, x)
-
-
 # =============================================================================
 # Balance vertex
 # =============================================================================
 
 
-def _root(ptr, nbrs) -> tuple[list[int], list[int], list[int]]:
-    """Root the tree at vertex 0; return parent, size and low.
+def _rooted(parent: list[int]) -> tuple[list[list[int]], list[int], list[int]]:
+    """Children lists, size and low of the tree that ``parent`` roots at vertex 0.
 
-    ``ptr`` and ``nbrs`` are the tree's CSR as lists. ``size[v]`` and
-    ``low[v]`` are the vertex count and the smallest vertex of v's subtree;
-    ``parent`` is -1 at the root.
+    Each vertex lists its children in increasing order. ``size[v]`` and
+    ``low[v]`` are the vertex count and the smallest vertex of v's subtree.
     """
-    parent, _, order = _bfs(ptr, nbrs, 0)
-    size, low = [1] * len(parent), list(range(len(parent)))
+    n = len(parent)
+    kids = [[] for _ in range(n)]
+    for v in range(1, n):
+        kids[parent[v]].append(v)
+    order = [0]
+    for v in order:
+        order.extend(kids[v])
+    size, low = [1] * n, list(range(n))
     for v in order[:0:-1]:
         p = parent[v]
         size[p] += size[v]
         if low[v] < low[p]:
             low[p] = low[v]
-    return parent, size, low
+    return kids, size, low
 
 
-def _balance_walk(ptr, nbrs, parent, size, low, cut, top) -> tuple[int, int]:
+def _balance_walk(kids, size, low, cut, top) -> tuple[int, int]:
     """Walk from a part's top vertex to its balance vertex; return (vertex, visits).
 
-    The part is top's subtree under the rooting ``parent``, less the
-    subtrees hanging from cut edges (``cut[w]`` cuts w from its parent).
-    ``size[v]`` and ``low[v]`` are the vertex count and smallest vertex of
-    v's subtree inside the part. The walk steps to the child that holds more
-    than half the part and stops at a centroid. A part with two centroids has a child holding exactly half:
-    the walk takes it when that half holds the part's smallest vertex, so it
-    stops where a walk from the smallest vertex would stop first.
+    The part is top's subtree under the rooting ``kids``, less the subtrees
+    hanging from cut edges (``cut[w]`` cuts w from its parent). ``size[v]``
+    and ``low[v]`` are the vertex count and smallest vertex of v's subtree
+    inside the part. The walk steps to the child that holds more than half
+    the part and stops at a centroid. A part with two centroids has a child
+    holding exactly half: the walk takes it when that half holds the part's
+    smallest vertex, so it stops where a walk from that vertex would stop first.
     """
     total, least = size[top], low[top]
     v, visits = top, 1
     while True:
-        for w in nbrs[ptr[v] : ptr[v + 1]]:
-            if parent[w] == v and not cut[w] and 2 * size[w] >= total:
+        for w in kids[v]:
+            if not cut[w] and 2 * size[w] >= total:
                 break
         else:
             return v, visits
@@ -219,23 +231,14 @@ def _balance_walk(ptr, nbrs, parent, size, low, cut, top) -> tuple[int, int]:
         v, visits = w, visits + 1
 
 
-def find_balance(t: SpanningTree) -> int:
-    """Find a balance vertex of a tree.
-
-    The returned vertex v has the property that every component of the
-    tree with v removed has at most ceil(n/2) vertices.
-    """
-    return find_balance_walk(t)[0]
-
-
 def find_balance_walk(t: SpanningTree) -> tuple[int, int]:
-    """Like :func:`find_balance` but also reports the walk's visit count.
+    """Find a balance vertex of a tree and the walk's visit count.
 
-    The walk starts at vertex 0, the root of the whole tree.
+    No component of the tree less that vertex has over ceil(n/2) vertices.
+    The walk reads ``t.parent`` and starts at its root, vertex 0.
     """
-    ptr, nbrs = (a.tolist() for a in t.csr)
-    parent, size, low = _root(ptr, nbrs)
-    return _balance_walk(ptr, nbrs, parent, size, low, [False] * t.n, 0)
+    kids, size, low = _rooted(t.parent.tolist())
+    return _balance_walk(kids, size, low, [False] * t.n, 0)
 
 
 # =============================================================================

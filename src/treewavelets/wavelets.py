@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graphs import EPS_CUT, Signal, _finite_values, write_csv
-from .trees import SpanningTree, _balance_walk, _root
+from .trees import SpanningTree, _balance_walk, _rooted
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -152,9 +152,9 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
     rest, then each half the same way. Components of two or more vertices
     are split in turn, a two-vertex subtree giving one final element.
 
-    The tree is rooted once, at vertex 0. A part is then its top vertex's
-    subtree less the subtrees below cut parent edges, so a split cuts edges
-    and updates subtree sizes on the walk path only; no part is re-rooted.
+    The builder reads ``t.parent``, the tree rooted at vertex 0. A part is
+    its top vertex's subtree less the subtrees below cut parent edges, so a
+    split cuts edges and updates subtree sizes on the walk path only.
 
     Returns
     -------
@@ -162,16 +162,16 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
         Exactly n elements: the constant, then depth-first split elements.
     """
     n = t.n
-    ptr, nbrs = (a.tolist() for a in t.csr)
+    parent = t.parent.tolist()
     # size[v] and low[v] are the vertex count and smallest vertex of v's
     # subtree inside v's part; cut[v] separates v from its parent's part.
-    parent, size, low = _root(ptr, nbrs)
+    kids, size, low = _rooted(parent)
     cut = [False] * n
     perm = [0] * n
     elements = [(0, n, n, 0, -1)]  # (lo, mid, hi, depth, pivot)
 
     def children(v: int) -> list[int]:
-        return [w for w in nbrs[ptr[v] : ptr[v + 1]] if parent[w] == v and not cut[w]]
+        return [w for w in kids[v] if not cut[w]]
 
     # (perm offset, top, depth). Parts are pushed in reverse layout order, so
     # they split depth first, left to right. A loop, not a recursive closure,
@@ -183,7 +183,7 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
             perm[lo : lo + 2] = sorted([top, *children(top)])
             elements.append((lo, lo + 1, lo + 2, depth, -1))
             continue
-        v, _ = _balance_walk(ptr, nbrs, parent, size, low, cut, top)
+        v, _ = _balance_walk(kids, size, low, cut, top)
         tops = children(v)
         for w in tops:
             cut[w] = True
@@ -196,11 +196,7 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
                 a = parent[a]
                 size[a] -= sv
                 if low[a] == gone:
-                    least = a
-                    for w in nbrs[ptr[a] : ptr[a + 1]]:
-                        if parent[w] == a and not cut[w] and low[w] < least:
-                            least = low[w]
-                    low[a] = least
+                    low[a] = min([a] + [low[w] for w in children(a)])
             tops.append(top)
         # v joins the smallest component, of equals the one with the smallest vertex.
         host = min(tops, key=lambda w: (size[w], low[w]))

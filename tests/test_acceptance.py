@@ -24,6 +24,7 @@ from treewavelets import (
     build_basis,
     build_graph,
     build_spanning_tree,
+    cut_size,
     find_balance_walk,
     gen_cluster_signal,
     gen_complete,
@@ -40,7 +41,6 @@ from treewavelets import (
     snr_condition,
     sparsity_experiment,
     threshold,
-    tree_cut_size,
     ust_concentration_check,
 )
 from helpers import component_sizes_without, random_tree_edges
@@ -120,7 +120,7 @@ def test_c02_sparsity_bound():
             basis = build_basis(tree)
             rho = float(rng.integers(d, 4 * d + 1))
             x = gen_two_level_signal(g, rho, 1.0, rng)
-            bound = tree_cut_size(tree, x.values) * activation_bound(tree)
+            bound = cut_size(tree, x.values) * activation_bound(tree)
             if basis_sparsity(basis, x.values) > bound:
                 violations += 1
             mean_zero_pairs += 1
@@ -129,7 +129,7 @@ def test_c02_sparsity_bound():
             basis = build_basis(tree)
             rho = float(rng.integers(d, 4 * d + 1))
             x = gen_cluster_signal(g, rho, 1.0, rng)
-            bound = tree_cut_size(tree, x.values) * activation_bound(tree) + 1
+            bound = cut_size(tree, x.values) * activation_bound(tree) + 1
             if basis_sparsity(basis, x.values) > bound:
                 general_violations += 1
             general_pairs += 1

@@ -30,7 +30,6 @@ from treewavelets import (
     sample_ust,
     sparsity_experiment,
     threshold,
-    tree_cut_size,
     ust_concentration_check,
     validate_spanning_tree,
 )

@@ -28,7 +28,6 @@ from treewavelets import (
     read_edge_list,
     read_points,
     require_connected,
-    tree_cut_size,
     write_csv,
     write_edge_list,
     write_points,
@@ -173,7 +172,7 @@ class TestIncidenceAndCut:
         for count in (
             lambda: incidence_apply(g, x),
             lambda: cut_size(g, Signal(values=x)),
-            lambda: tree_cut_size(bfs_spanning_tree(g), x),
+            lambda: cut_size(bfs_spanning_tree(g), x),
             lambda: cut_resistance(prof, x),
         ):
             with pytest.raises(ValueError, match="non-finite"):

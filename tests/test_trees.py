@@ -21,19 +21,20 @@ from treewavelets import (
     Graph,
     SpanningTree,
     bfs_spanning_tree,
+    build_basis,
     build_graph,
     build_spanning_tree,
     cut_size,
-    find_balance,
     find_balance_walk,
     gen_complete,
+    gen_knn,
     gen_torus,
     read_tree,
     sample_ust,
-    tree_cut_size,
     validate_spanning_tree,
     write_tree,
 )
+from treewavelets.graphs import _bfs
 
 
 def tree_on(n, edges):
@@ -81,15 +82,15 @@ class TestValidateSpanningTree:
 class TestFindBalance:
     def test_path_five_center(self):
         t = tree_on(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert find_balance(t) == 2
+        assert find_balance_walk(t)[0] == 2
 
     def test_star_center(self):
         t = tree_on(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)])
-        assert find_balance(t) == 0
+        assert find_balance_walk(t)[0] == 0
 
     def test_two_vertices(self):
         t = tree_on(2, [(0, 1)])
-        assert find_balance(t) in (0, 1)
+        assert find_balance_walk(t)[0] in (0, 1)
 
     def test_guarantee_on_random_trees(self):
         # Oracle: remove the returned vertex and size the pieces by
@@ -115,13 +116,6 @@ class TestFindBalance:
             t = tree_on(n, random_tree_edges(n, rng))
             h.update(np.array(find_balance_walk(t), dtype=np.int64).tobytes())
         assert h.hexdigest() == "524552e2188a5939d153a8f07c42c2d7596b8e97ec5375db4d1ab40ab4bec792"
-
-    def test_walk_and_plain_agree(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            n = int(rng.integers(2, 40))
-            t = tree_on(n, random_tree_edges(n, rng))
-            assert find_balance(t) == find_balance_walk(t)[0]
 
 
 class TestSampleUst:
@@ -285,12 +279,12 @@ class TestTreeCut:
         for seed in range(40):
             t = sample_ust(g, seed)
             x = (rng.random(g.n) < 0.5).astype(float)
-            assert tree_cut_size(t, x) <= cut_size(g, x)
+            assert cut_size(t, x) <= cut_size(g, x)
 
     def test_known_value(self):
         t = tree_on(4, [(0, 1), (1, 2), (2, 3)])
         x = np.array([1.0, 1.0, 0.0, 0.0])
-        assert tree_cut_size(t, x) == 1
+        assert cut_size(t, x) == 1
 
 
 class TestTreeIO:
@@ -317,3 +311,58 @@ class TestTreeIO:
         write_tree(t, path)
         with pytest.raises(ValueError, match="digest"):
             read_tree(path, other)
+
+
+def _host(kind):
+    return gen_torus(16, 2) if kind == "torus" else gen_knn(200, 6, 2, 3)[0]
+
+
+def _tree(source, kind, arg, tmp_path):
+    g = _host(kind)
+    if source == "ust":
+        return sample_ust(g, arg)
+    if source == "bfs":
+        return bfs_spanning_tree(g, arg)
+    if source == "edges":
+        return build_spanning_tree(g, sample_ust(g, arg).edges[::-1])
+    path = tmp_path / "tree.txt"
+    write_tree(sample_ust(g, arg), path)
+    return read_tree(path, g)
+
+
+class TestParent:
+    @pytest.mark.parametrize(
+        "source, kind, arg",
+        [("ust", kind, seed) for kind in ("torus", "knn") for seed in range(5)]
+        + [("bfs", "knn", 0), ("bfs", "knn", 5), ("edges", "torus", 9), ("file", "knn", 11)],
+    )
+    def test_roots_the_tree_at_zero(self, source, kind, arg, tmp_path):
+        t = _tree(source, kind, arg, tmp_path)
+        parent = t.parent
+        assert parent.dtype == np.int64 and parent[0] == -1
+        child = np.arange(1, t.n)
+        pairs = zip(np.minimum(parent[child], child).tolist(), np.maximum(parent[child], child).tolist())
+        assert set(pairs) == set(edge_tuples(t))
+        ptr, nbrs = (a.tolist() for a in t.csr)
+        assert parent.tolist() == _bfs(ptr, nbrs, 0)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            parent[1] = 0
+        assert pickle.loads(pickle.dumps(t)).parent.tolist() == parent.tolist()
+
+    @pytest.mark.parametrize("kind", ["torus", "knn"])
+    def test_builder_never_builds_the_tree_csr(self, kind):
+        g = _host(kind)
+        for t in [sample_ust(g, seed) for seed in range(3)] + [bfs_spanning_tree(g)]:
+            build_basis(t)
+            find_balance_walk(t)
+            assert "csr" not in t.__dict__
+
+    @pytest.mark.parametrize("count", [15, 32], ids=["disconnected", "cyclic"])
+    def test_non_tree_fails_loudly(self, count):
+        # Fifteen torus edges on sixteen vertices leave a vertex out; all 32
+        # hold cycles. Neither may give a basis.
+        g = gen_torus(4, 2)
+        t = SpanningTree(n=g.n, edges=g.edges[:count], graph=g)
+        for use in (build_basis, find_balance_walk):
+            with pytest.raises(ValueError, match="connect" if count == 15 else "edges"):
+                use(t)

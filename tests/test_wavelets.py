@@ -22,7 +22,6 @@ from treewavelets import (
     gen_knn,
     gen_torus,
     sample_ust,
-    tree_cut_size,
     write_basis_csv,
 )
 
@@ -415,7 +414,7 @@ class TestSparsityBound:
             x -= x.mean()
             if np.abs(x).max() < 1e-9:
                 continue
-            budget = tree_cut_size(t, x) * activation_bound(t)
+            budget = cut_size(t, x) * activation_bound(t)
             assert basis_sparsity(b, x) <= budget
 
     def test_general_signal_adds_one(self):
@@ -425,7 +424,7 @@ class TestSparsityBound:
             t = random_tree(n, rng)
             b = build_basis(t)
             x = (rng.random(n) < 0.5).astype(float)
-            budget = tree_cut_size(t, x) * activation_bound(t) + 1
+            budget = cut_size(t, x) * activation_bound(t) + 1
             assert basis_sparsity(b, x) <= budget
 
     def test_graph_cut_dominates_tree_cut(self):
