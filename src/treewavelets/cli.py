@@ -13,7 +13,7 @@ Commands that write files also write a ``*.manifest.json`` (or
 ``manifest.json`` inside an experiment directory) recording the resolved
 parameters, the seed, and sha256 digests of inputs and outputs; the manifest
 is written before computation starts and rewritten with output digests once
-the run finishes.
+the run finishes. A failed experiment removes its manifest.
 """
 
 from __future__ import annotations
@@ -327,13 +327,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     params = {"config": config, "out": str(out), "workers": workers}
     _write_manifest(manifest, "experiment", params, config["seed"], inputs, None)
 
-    summary = run_experiment(config, out, workers=workers)
+    try:
+        summary = run_experiment(config, out, workers=workers)
+    except BaseException:
+        manifest.unlink()  # a failed run leaves no manifest, as gen and resistance leave no file
+        raise
 
     produced = [p for p in out.iterdir() if p.is_file() and p.name != "manifest.json"]
-    _write_manifest(
-        manifest, "experiment", params, config["seed"], inputs,
-        _digest_outputs(produced),
-    )
+    outputs = _digest_outputs(produced)
+    _write_manifest(manifest, "experiment", params, config["seed"], inputs, outputs)
     print(f"experiment kind: {config['kind']}")
     for key, val in summary.items():
         print(f"  {key}: {val}")

@@ -5,15 +5,15 @@ element plus n-1 localized two-level elements. Each two-level element takes
 one positive value on a vertex group, one negative value on a sibling group,
 and zero elsewhere, so the whole basis is orthonormal by construction.
 
-The builder recursively splits the tree at a balance vertex, groups the
-resulting components, and lays Haar differences over the group list; every
-split at least halves the subtree, which is what keeps coefficient supports
-logarithmically small for signals with few level changes.
+The builder splits the tree at balance vertices again and again, which keeps
+coefficient supports logarithmically small for signals with few level
+changes. Splits record only their group bounds; the Haar elements are expanded
+from one template per group count, and one sort fixes the depth-first order.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -127,19 +127,18 @@ class WaveletBasis:
         return self.matrix.toarray()
 
 
-def _haar(bounds: list[int], depth: int, pivot: int, out: list) -> None:
-    """Append the Haar elements over the groups that ``bounds`` delimit to out.
+@cache
+def _haar_template(p: int) -> np.ndarray:
+    """Columns (lo, mid, hi, depth, pivot, part offset) of a p-group split's elements.
 
-    The first ceil(p/2) of the p groups go against the rest, then each half
-    the same way. A module-level function, so that no closure cycle keeps a
-    finished build's lists alive until the garbage collector runs.
+    They index the split's record: its depth, pivot and p+1 group bounds. The
+    first ceil(p/2) groups go against the rest, then each half the same way.
     """
-    if len(bounds) < 3:
-        return
-    h = len(bounds) // 2
-    out.append((bounds[0], bounds[h], bounds[-1], depth, pivot))
-    _haar(bounds[: h + 1], depth, pivot, out)
-    _haar(bounds[h:], depth, pivot, out)
+    if p < 2:
+        return np.empty((0, 6), dtype=np.intp)
+    h = (p + 1) // 2
+    right = _haar_template(p - h) + (h, h, h, 0, 0, 0)
+    return np.concatenate(([(2, h + 2, p + 2, 0, 1, 2)], _haar_template(h), right))
 
 
 def build_basis(t: SpanningTree) -> WaveletBasis:
@@ -149,12 +148,16 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
     component, the components are ordered by smallest vertex and laid out
     side by side in ``perm``, and Haar differences over that group list give
     one element per group boundary: the first ceil(p/2) groups against the
-    rest, then each half the same way. Components of two or more vertices
-    are split in turn, a two-vertex subtree giving one final element.
+    rest, then each half the same way. Components of three or more vertices
+    are split in turn; a two-vertex component gives one final element.
 
     The builder reads ``t.parent``, the tree rooted at vertex 0. A part is
     its top vertex's subtree less the subtrees below cut parent edges, so a
-    split cuts edges and updates subtree sizes on the walk path only.
+    split cuts edges and updates subtree sizes on the walk path only. The
+    loop records each split's group bounds, depth and pivot, a two-vertex
+    part as a split of its two vertices with pivot -1; the elements are
+    expanded from one template per group count p, and one stable sort by
+    (part offset, depth) puts them in depth-first order.
 
     Returns
     -------
@@ -168,23 +171,35 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
     kids, size, low = _rooted(parent)
     cut = [False] * n
     perm = [0] * n
-    elements = [(0, n, n, 0, -1)]  # (lo, mid, hi, depth, pivot)
-
-    def children(v: int) -> list[int]:
-        return [w for w in kids[v] if not cut[w]]
-
-    # (perm offset, top, depth). Parts are pushed in reverse layout order, so
-    # they split depth first, left to right. A loop, not a recursive closure,
-    # for the reason _haar gives.
-    parts = [(0, 0, 1)] if n >= 2 else []
-    while parts:
+    # Records by group count; two-vertex parts' records (apart while a 2-group
+    # record may be growing); (perm offset, top, depth) of the parts to split.
+    splits, pairs, parts = {}, [], []
+    lo, depth, v, tops = 0, 0, -1, [0]  # the root, as the one group of a split at depth 0
+    while True:
+        record = splits.setdefault(len(tops), [])
+        record += (depth, v, lo)
+        for w in tops:
+            s = size[w]
+            if s == 1:
+                perm[lo] = w
+            elif s == 2:
+                # w's other vertex is low[w] below it, or else its one uncut child.
+                u = low[w]
+                if u == w:
+                    for u in kids[w]:
+                        if not cut[u]:
+                            break
+                perm[lo], perm[lo + 1] = (u, w) if u < w else (w, u)
+                pairs += (depth + 1, -1, lo, lo + 1, lo + 2)
+            else:
+                parts.append((lo, w, depth + 1))
+            lo += s
+            record.append(lo)
+        if not parts:
+            break
         lo, top, depth = parts.pop()
-        if size[top] == 2:
-            perm[lo : lo + 2] = sorted([top, *children(top)])
-            elements.append((lo, lo + 1, lo + 2, depth, -1))
-            continue
         v, _ = _balance_walk(kids, size, low, cut, top)
-        tops = children(v)
+        tops = [w for w in kids[v] if not cut[w]]
         for w in tops:
             cut[w] = True
         if v != top:
@@ -196,10 +211,14 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
                 a = parent[a]
                 size[a] -= sv
                 if low[a] == gone:
-                    low[a] = min([a] + [low[w] for w in children(a)])
+                    least = a
+                    for w in kids[a]:
+                        if not cut[w] and low[w] < least:
+                            least = low[w]
+                    low[a] = least
             tops.append(top)
         # v joins the smallest component, of equals the one with the smallest vertex.
-        host = min(tops, key=lambda w: (size[w], low[w]))
+        host = min([(size[w], low[w], w) for w in tops])[2]
         if host == top:
             # v joins the part above as a leaf under its parent.
             cut[v] = False
@@ -215,17 +234,16 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
             size[v], low[v] = size[host] + 1, min(v, low[host])
             tops[tops.index(host)] = v
         tops.sort(key=low.__getitem__)
-        bounds = [lo]
-        for w in tops:
-            bounds.append(bounds[-1] + size[w])
-        _haar(bounds, depth, v, elements)
-        for start, w in zip(bounds[-2::-1], reversed(tops)):
-            if size[w] == 1:
-                perm[start] = w
-            else:
-                parts.append((start, w, depth + 1))
 
-    lo, mid, hi, depths, pivots = np.array(elements, dtype=np.int64).T.copy()
+    splits.setdefault(2, []).extend(pairs)
+    blocks = [np.array([[0, n, n, 0, -1, 0]])]
+    for p, records in splits.items():
+        rows = np.array(records, dtype=np.int64).reshape(-1, p + 3)
+        blocks.append(rows[:, _haar_template(p)].reshape(-1, 6))
+    elements = np.concatenate(blocks)
+    # Stable, so a split's elements keep their template order.
+    order = np.lexsort((elements[:, 3], elements[:, 5]))
+    lo, mid, hi, depths, pivots, _ = elements.T[:, order]
     return WaveletBasis(t, np.array(perm, dtype=np.int64), lo, mid, hi, depths, pivots)
 
 

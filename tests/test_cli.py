@@ -297,7 +297,7 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
         assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "unknown" in err and repr(key) in err
-        assert [p.name for p in out.glob("*") if p.name != "manifest.json"] == []
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "edit, key",
@@ -318,7 +318,20 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
         assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "empty" in err and repr(key) in err
-        assert [p.name for p in out.glob("*") if p.name != "manifest.json"] == []
+        assert list(out.iterdir()) == []
+
+    def test_disconnected_knn_cell_exits_2_and_leaves_no_file(self, tmp_path, capsys):
+        # kNN with k=1 on 30 points (graph seed 3) comes out disconnected; the
+        # failure needs the graph, so it comes after the first manifest.
+        config = self.config(tmp_path)
+        payload = json.loads(config.read_text())
+        payload["cells"] = [{"family": "knn", "n": 30, "k": 1, "graph_seed": 3,
+                             "rho": 8.0, "sampler": "two_level", "mu_grid": [0.0]}]
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+        assert "connected" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_bad_concentration_delta_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
         def must_not_run(*args, **kwargs):

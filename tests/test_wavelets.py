@@ -121,19 +121,51 @@ class TestFormWavelets:
         assert b.depths.tolist() == [0] + [1] * 7 + [2]
         assert b.to_dense()[8, [0, 1]].tolist() == [1 / np.sqrt(2.0), -1 / np.sqrt(2.0)]
 
+    @pytest.mark.parametrize("p", range(2, 41))
+    def test_star_haar_order_matches_recursive_oracle(self, p):
+        # Star on center 0 and leaves 1..p: the center joins leaf 1, so the
+        # groups are {0, 1}, {2}, ..., {p}, halved at depth 1 with pivot 0;
+        # then the pair {0, 1} at depth 2 with pivot -1.
+        def halve(bounds, out):
+            if len(bounds) > 2:
+                h = len(bounds) // 2
+                out.append((bounds[0], bounds[h], bounds[-1], 1, 0))
+                halve(bounds[: h + 1], out)
+                halve(bounds[h:], out)
+            return out
+
+        expect = [(0, p + 1, p + 1, 0, -1)]
+        expect += halve([0, *range(2, p + 2)], [])
+        expect.append((0, 1, 2, 2, -1))
+        b = build_basis(tree_on(p + 1, [(0, i) for i in range(1, p + 1)]))
+        got = np.column_stack((b.lo, b.mid, b.hi, b.depths, b.pivots))
+        assert got.tolist() == [list(e) for e in expect]
+        assert b.perm.tolist() == list(range(p + 1))
+
+
+PINNED_GRAPHS = {
+    "torus16": lambda: gen_torus(16, 2),
+    "torus64": lambda: gen_torus(64, 2),
+    "knn200": lambda: gen_knn(200, 6, 2, 3)[0],
+    "K1024": lambda: gen_complete(1024),
+}
+
 
 def pinned_tree(name):
     """Tree named ``prufer-<n>`` (seed 0) or ``<graph>-bfs`` / ``<graph>-ust<seed>``."""
     family, kind = name.split("-")
     if family == "prufer":
         return random_tree(int(kind), np.random.default_rng(0))
-    g = gen_torus(16, 2) if family == "torus16" else gen_knn(200, 6, 2, 3)[0]
+    g = PINNED_GRAPHS[family]()
     return bfs_spanning_tree(g) if kind == "bfs" else sample_ust(g, int(kind[3:]))
 
 
 # sha256 over the int64 indptr and indices, the float64 data, the depths and
 # the pivots of each basis, as the element-by-element builder of earlier
-# versions wrote them: element order and value bits are pinned.
+# versions wrote them: element order and value bits are pinned. The last two,
+# the shapes the benchmark builds, were taken with the builder that emitted
+# every element from inside its split loop, before elements were expanded
+# from per-group-count templates.
 PINNED = {
     "prufer-1": "f6abecb82326249e151a2fd66682396cffca1112451e19d26e4191090277024c",
     "prufer-2": "2cb82577b214a214bf3b47bc3e92deeeb155f4fe814a1bb2799e19e3a8915887",
@@ -150,6 +182,8 @@ PINNED = {
     "knn200-ust0": "0b781a7da152ec34a4a90bc1e088b04cc9ff9eaaa02def4bc8600ac63c7f5413",
     "knn200-ust1": "78077b7f5ef21a8433334925e08d958772fe0fb62dbea5f59ba7a9d759a70cfa",
     "knn200-ust2": "8d7fd1f068128ca0995b49cd2e33303ca451daae434b53fdb75619396eeacb6f",
+    "torus64-bfs": "120df85dda7b7305d6c2dcc5103892792b0ccc97fe1f8b8081aa47a9688a63ba",
+    "K1024-ust0": "ac2e2935609c2a4279dff108ac34bea8d03bc2ff8659f87cd5d27bd756aa4f89",
 }
 
 
