@@ -12,8 +12,8 @@ Exit codes: 0 success, 1 a computed validation failed, 2 bad input or usage.
 Commands that write files also write a ``*.manifest.json`` (or
 ``manifest.json`` inside an experiment directory) recording the resolved
 parameters, the seed, and sha256 digests of inputs and outputs; the manifest
-is written before computation starts and rewritten with output digests once
-the run finishes. A failed experiment removes its manifest.
+is written before the outputs are and rewritten with their digests once they
+are all written. A command that fails after writing its manifest removes it.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
 from .detection import detect, gen_two_level_signal, snr_condition, threshold
-from .experiments import _is_int, preset_config, run_experiment
+from .experiments import _read_config, preset_config, run_experiment
 from .graphs import (
     build_graph,
     connected_components,
@@ -95,8 +96,21 @@ def _write_manifest(
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _digest_outputs(paths: list[Path]) -> dict[str, str]:
-    return {p.name: _sha256_file(p) for p in sorted(paths)}
+@contextmanager
+def _manifest(path: Path, command: str, params: dict, seed: int | None, inputs: dict[str, str]):
+    """Write the pending manifest and yield a list for the paths the block
+    writes; then rewrite the manifest with their digests, or remove it if the
+    block raises, so a failed command leaves no manifest behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_manifest(path, command, params, seed, inputs, None)
+    written: list[Path] = []
+    try:
+        yield written
+    except BaseException:
+        path.unlink()
+        raise
+    outputs = {p.name: _sha256_file(p) for p in sorted(written)}
+    _write_manifest(path, command, params, seed, inputs, outputs)
 
 
 # =============================================================================
@@ -131,18 +145,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         g, pts = gen_epsilon(args.n, args.eps, args.dim, args.seed)
 
     manifest = out.parent / (out.name + ".manifest.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    seed = getattr(args, "seed", None)
-    _write_manifest(manifest, "gen", params, seed, {}, None)
-
-    write_edge_list(g, out, comments=comments)
-    written = [out]
-    if pts is not None:
-        points = args.points or str(out.parent / (out.stem + ".points.csv"))
-        write_points(pts, points)
-        params["points"] = points
-        written.append(Path(points))
-    _write_manifest(manifest, "gen", params, seed, {}, _digest_outputs(written))
+    with _manifest(manifest, "gen", params, getattr(args, "seed", None), {}) as written:
+        write_edge_list(g, out, comments=comments)
+        written.append(out)
+        if pts is not None:
+            points = args.points or str(out.parent / (out.stem + ".points.csv"))
+            write_points(pts, points)
+            params["points"] = points
+            written.append(Path(points))
 
     print(f"wrote {out} (n={g.n}, m={g.m})")
     if points:
@@ -184,43 +194,37 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         "tree_out": args.tree_out,
     }
     inputs = {Path(args.graph).name: _sha256_file(args.graph)}
-    manifest = None
+    lifecycle = nullcontext([])
     if args.out:
         manifest = Path(args.out).parent / (Path(args.out).name + ".manifest.json")
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        _write_manifest(manifest, "basis", params, args.seed, inputs, None)
+        lifecycle = _manifest(manifest, "basis", params, args.seed, inputs)
+    with lifecycle as written:
+        basis = build_basis(tree)
+        residual = _ortho_residual(basis)
+        acts = edge_activations(basis, tree)
+        max_act = int(acts.max()) if acts.size else 0
+        bound = activation_bound(tree)
 
-    basis = build_basis(tree)
-    residual = _ortho_residual(basis)
-    acts = edge_activations(basis, tree)
-    max_act = int(acts.max()) if acts.size else 0
-    bound = activation_bound(tree)
-
-    ok_ortho = residual <= _ORTHO_LIMIT
-    ok_act = max_act <= bound
-    print(f"elements: {len(basis)}")
-    print(
-        f"orthonormality residual: {residual:.3e} "
-        f"(limit {_ORTHO_LIMIT:.0e}) [{'ok' if ok_ortho else 'FAIL'}]"
-    )
-    print(
-        f"max edge activations: {max_act} (bound {bound}) "
-        f"[{'ok' if ok_act else 'FAIL'}]"
-    )
-
-    written = []
-    if args.out:
-        write_basis_csv(basis, args.out)
-        written.append(Path(args.out))
-        print(f"wrote {args.out}")
-    if args.tree_out:
-        write_tree(tree, args.tree_out)
-        written.append(Path(args.tree_out))
-        print(f"wrote {args.tree_out}")
-    if manifest is not None:
-        _write_manifest(
-            manifest, "basis", params, args.seed, inputs, _digest_outputs(written)
+        ok_ortho = residual <= _ORTHO_LIMIT
+        ok_act = max_act <= bound
+        print(f"elements: {len(basis)}")
+        print(
+            f"orthonormality residual: {residual:.3e} "
+            f"(limit {_ORTHO_LIMIT:.0e}) [{'ok' if ok_ortho else 'FAIL'}]"
         )
+        print(
+            f"max edge activations: {max_act} (bound {bound}) "
+            f"[{'ok' if ok_act else 'FAIL'}]"
+        )
+
+        if args.out:
+            write_basis_csv(basis, args.out)
+            written.append(Path(args.out))
+            print(f"wrote {args.out}")
+        if args.tree_out:
+            write_tree(tree, args.tree_out)
+            written.append(Path(args.tree_out))
+            print(f"wrote {args.tree_out}")
     return 0 if (ok_ortho and ok_act) else 1
 
 
@@ -249,14 +253,9 @@ def _cmd_resistance(args: argparse.Namespace) -> int:
     }
     inputs = {Path(args.graph).name: _sha256_file(args.graph)}
     manifest = Path(args.out).parent / (Path(args.out).name + ".manifest.json")
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    _write_manifest(manifest, "resistance", params, args.seed, inputs, None)
-
-    write_resistance_csv(profile, args.out)
-    _write_manifest(
-        manifest, "resistance", params, args.seed, inputs,
-        _digest_outputs([Path(args.out)]),
-    )
+    with _manifest(manifest, "resistance", params, args.seed, inputs) as written:
+        write_resistance_csv(profile, args.out)
+        written.append(Path(args.out))
     print(f"wrote {args.out} ({g.m} edges)")
     print(f"total resistance: {profile.total!r}")
     print(f"max edge resistance: {profile.max_edge_resistance!r}")
@@ -305,10 +304,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     inputs: dict[str, str] = {}
     if args.config:
         config = json.loads(Path(args.config).read_text())
-        if not isinstance(config, dict):
-            print("error: config must be a JSON object", file=sys.stderr)
-            return 2
-        if args.seed is not None:
+        if args.seed is not None and isinstance(config, dict):  # the reader rejects a non-object
             config["seed"] = args.seed
         inputs[Path(args.config).name] = _sha256_file(args.config)
     else:
@@ -316,30 +312,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print("error: --preset requires --seed", file=sys.stderr)
             return 2
         config = preset_config(args.preset, args.seed)
-    if not _is_int(config.get("seed")):
-        print("error: no integer master seed (pass --seed or put 'seed' in the config)",
-              file=sys.stderr)
-        return 2
+    # A config that fails a check needing no graph creates no --out.
+    kind, seed, _, _ = _read_config(config)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = out / "manifest.json"
     params = {"config": config, "out": str(out), "workers": workers}
-    _write_manifest(manifest, "experiment", params, config["seed"], inputs, None)
-
-    try:
+    with _manifest(out / "manifest.json", "experiment", params, seed, inputs) as written:
         summary = run_experiment(config, out, workers=workers)
-    except BaseException:
-        manifest.unlink()  # a failed run leaves no manifest, as gen and resistance leave no file
-        raise
-
-    produced = [p for p in out.iterdir() if p.is_file() and p.name != "manifest.json"]
-    outputs = _digest_outputs(produced)
-    _write_manifest(manifest, "experiment", params, config["seed"], inputs, outputs)
-    print(f"experiment kind: {config['kind']}")
+        written.extend(p for p in out.iterdir() if p.is_file() and p.name != "manifest.json")
+    print(f"experiment kind: {kind}")
     for key, val in summary.items():
         print(f"  {key}: {val}")
-    print(f"wrote {len(produced)} files to {out}")
+    print(f"wrote {len(written)} files to {out}")
     return 0
 
 

@@ -66,11 +66,10 @@ class TreeSource:
 
     kind="ust" draws a fresh uniform spanning tree per trial (seeded from the
     trial's stream); kind="bfs" reuses the deterministic breadth-first tree
-    from ``root`` and draws nothing.
+    from vertex 0 and draws nothing.
     """
 
     kind: str = "ust"
-    root: int = 0
 
     def __post_init__(self):
         if self.kind not in ("ust", "bfs"):
@@ -81,15 +80,15 @@ class TreeSource:
         return cls(kind="ust")
 
     @classmethod
-    def bfs(cls, root: int = 0) -> "TreeSource":
-        return cls(kind="bfs", root=root)
+    def bfs(cls) -> "TreeSource":
+        return cls(kind="bfs")
 
     def realize(self, g: Graph, rng: np.random.Generator) -> tuple[SpanningTree, int]:
         """Produce this trial's tree; returns (tree, seed or -1)."""
         if self.kind == "ust":
             seed = int(rng.integers(2**32))
             return sample_ust(g, seed), seed
-        return bfs_spanning_tree(g, self.root), -1
+        return bfs_spanning_tree(g), -1
 
 
 @dataclass(frozen=True)
@@ -285,7 +284,9 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
         return pool.map(fn, tasks, chunksize=chunk)
 
 
-def _require_mu_grid(cell_index: int, cell: CellSpec) -> None:
+def _require_power_cell(cell_index: int, cell: CellSpec, trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if not cell.mu_grid:
         raise ValueError(f"cell {cell_index}: mu_grid must be nonempty")
 
@@ -309,9 +310,7 @@ def power_curve(
     Trials whose signal sampler cannot meet the cut budget contribute no
     rows; aggregation reports the shortfall.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _require_mu_grid(cell_index, cell)
+    _require_power_cell(cell_index, cell, trials)
     g = cell.build_graph()
     tau = threshold(sigma, g.n, delta)
     tasks = [
@@ -470,6 +469,17 @@ def fit_sparsity_points(points: list[SparsityPoint]) -> FitRow:
     )
 
 
+def _require_sparsity_cells(cells: list[CellSpec], signals: int) -> None:
+    if signals < 2:
+        raise ValueError(f"need at least 2 signals per cell, got {signals}")
+    for ci, cell in enumerate(cells):
+        if cell.rho_lo < 0 or cell.rho_hi < cell.rho_lo:
+            raise ValueError(
+                f"cell {ci}: need 0 <= rho_lo <= rho_hi, got "
+                f"[{cell.rho_lo}, {cell.rho_hi}]"
+            )
+
+
 def sparsity_experiment(
     cells: list[CellSpec],
     *,
@@ -483,14 +493,7 @@ def sparsity_experiment(
     signals so the fit is defined; both are checked before any cell runs.
     Returns the raw scatter and one fit row per cell.
     """
-    if signals < 2:
-        raise ValueError(f"need at least 2 signals per cell, got {signals}")
-    for ci, cell in enumerate(cells):
-        if cell.rho_lo < 0 or cell.rho_hi < cell.rho_lo:
-            raise ValueError(
-                f"cell {ci}: need 0 <= rho_lo <= rho_hi, got "
-                f"[{cell.rho_lo}, {cell.rho_hi}]"
-            )
+    _require_sparsity_cells(cells, signals)
     points: list[SparsityPoint] = []
     fits: list[FitRow] = []
     for ci, cell in enumerate(cells):
@@ -627,15 +630,72 @@ AGGREGATE_COLUMNS = [
 MU50_COLUMNS = ["family", "n", "rho", "mu50"]
 
 
-# Config keys every experiment kind reads; each kind adds its own.
-_COMMON_KEYS = ("kind", "seed", "cells")
-
-
-def _tree_source_from_config(d: dict) -> TreeSource:
+def _config_tree(name: str, d) -> TreeSource:
     if not isinstance(d, dict):
-        raise ValueError(f"tree must be a JSON object, got {d!r}")
-    _reject_unknown("tree keys", d, ("kind", "root"))
-    return TreeSource(kind=d.get("kind", "ust"), root=_config_int("tree root", d.get("root", 0)))
+        raise ValueError(f"{name} must be a JSON object, got {d!r}")
+    _reject_unknown(f"{name} keys", d, ("kind",))
+    return TreeSource(kind=d.get("kind", "ust"))
+
+
+def _config_deltas(name: str, value) -> list[float]:
+    return _delta_values(_config_number(name, d) for d in _config_items(name, value))
+
+
+# What each experiment kind reads besides kind, seed and cells: its config
+# keys, each with a reader and a default (None marks a required key), and the
+# signal fields its cells read. A signal field of another kind is rejected.
+_KINDS = {
+    "power": ({"sigma": (_config_number, 1.0), "delta": (_config_number, 0.05),
+               "trials": (_config_int, None), "tree": (_config_tree, {})},
+              ("rho", "sampler", "mu_grid")),
+    "sparsity": ({"signals": (_config_int, None)}, ("rho_lo", "rho_hi", "sampler")),
+    "concentration": ({"samples": (_config_int, None), "deltas": (_config_deltas, None),
+                       "sets": (_config_items, ("edge", "star", "ball"))},
+                      ()),
+}
+_SIGNAL_FIELDS = {f for _, reads in _KINDS.values() for f in reads}
+
+
+def _read_config(config) -> tuple[str, int, list[CellSpec], dict]:
+    """The one reader of a config dict: return (kind, seed, cells, values),
+    values mapping the kind's keys to typed values. It makes every check that
+    needs no graph, so a bad config fails before any file is written."""
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be a JSON object, got {config!r}")
+    seed = config.get("seed")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"config needs a non-negative integer master seed under 'seed', "
+                         f"got {seed!r}")
+    kind = config.get("kind")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    keys, reads = _KINDS[kind]
+    known = ("kind", "seed", "cells", *keys)
+
+    def value(key, default=None):
+        if key not in config and default is None:
+            _reject_unknown(f"{kind} config keys", config, known)  # a misspelt key first
+            raise ValueError(f"{kind} config needs key {key!r}")
+        return config.get(key, default)
+
+    cell_dicts = _config_items("cells", value("cells"))
+    cells = [CellSpec.from_dict(d) for d in cell_dicts]
+    values = {key: read(key, value(key, default)) for key, (read, default) in keys.items()}
+    _reject_unknown(f"{kind} config keys", config, known)
+    for ci, d in enumerate(cell_dicts):
+        other = sorted(set(d) & (_SIGNAL_FIELDS - set(reads)))
+        if other:
+            raise ValueError(f"cell {ci}: {kind} cells do not read {other}")
+    if kind == "power":
+        threshold(values["sigma"], 1, values["delta"])  # the test's own sigma and delta checks
+        for ci, cell in enumerate(cells):
+            _require_power_cell(ci, cell, values["trials"])
+    elif kind == "sparsity":
+        _require_sparsity_cells(cells, values["signals"])
+    elif values["samples"] < 1:
+        raise ValueError(f"samples must be >= 1 for at least one tree draw, "
+                         f"got {values['samples']}")
+    return kind, seed, cells, values
 
 
 def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
@@ -645,44 +705,30 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
     "sparsity" scatters coefficient counts against cut budgets, and
     "concentration" checks uniform-tree overlap tails. Files land in out_dir
     with fixed names and column orders; rerunning the same config and seed
-    rewrites identical bytes. A key the kind does not read raises ValueError
-    once the kind's own values have been read, before any work starts.
+    rewrites identical bytes. A config that ``_read_config`` rejects raises
+    ValueError before out_dir is created.
 
     Returns
     -------
     dict
         A short summary of the run for printing, such as row counts.
     """
+    kind, seed, cells, values = _read_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    kind = config.get("kind")
-    seed = config.get("seed")
-    if not _is_int(seed):
-        raise ValueError("config needs an integer master seed under 'seed'")
-    if kind not in ("power", "sparsity", "concentration"):
-        raise ValueError(f"unknown experiment kind {kind!r}")
-    cells = [CellSpec.from_dict(c) for c in _config_items("cells", config["cells"])]
     schema: list[str] = []
 
     if kind == "power":
-        sigma = _config_number("sigma", config.get("sigma", 1.0))
-        delta = _config_number("delta", config.get("delta", 0.05))
-        trials = _config_int("trials", config["trials"])
-        tree_source = _tree_source_from_config(config.get("tree", {}))
-        _reject_unknown(
-            "power config keys", config, (*_COMMON_KEYS, "sigma", "delta", "trials", "tree")
-        )
-        for ci, cell in enumerate(cells):
-            _require_mu_grid(ci, cell)
+        trials = values["trials"]
         records: list[TrialRecord] = []
         for ci, cell in enumerate(cells):
             records.extend(
                 power_curve(
                     cell,
                     trials=trials,
-                    sigma=sigma,
-                    delta=delta,
-                    tree_source=tree_source,
+                    sigma=values["sigma"],
+                    delta=values["delta"],
+                    tree_source=values["tree"],
                     master_seed=seed,
                     cell_index=ci,
                     workers=workers,
@@ -710,10 +756,8 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
             "mu50": {f"{m['family']}/n={m['n']}": m["mu50"] for m in mu50},
         }
     elif kind == "sparsity":
-        signals = _config_int("signals", config["signals"])
-        _reject_unknown("sparsity config keys", config, (*_COMMON_KEYS, "signals"))
         points, fits = sparsity_experiment(
-            cells, signals=signals, master_seed=seed, workers=workers
+            cells, signals=values["signals"], master_seed=seed, workers=workers
         )
         write_csv(out / "points.csv", SPARSITY_COLUMNS, _attr_rows(points, SPARSITY_COLUMNS))
         write_csv(out / "fits.csv", FIT_COLUMNS, _attr_rows(fits, FIT_COLUMNS))
@@ -727,14 +771,7 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
         ]
         summary = {f.family: {"slope": f.slope, "r2": f.r2, "points": f.points} for f in fits}
     else:
-        samples = _config_int("samples", config["samples"])
-        deltas = _delta_values(
-            _config_number("deltas", d) for d in _config_items("deltas", config["deltas"])
-        )
-        set_labels = _config_items("sets", config.get("sets", ["edge", "star", "ball"]))
-        _reject_unknown(
-            "concentration config keys", config, (*_COMMON_KEYS, "samples", "deltas", "sets")
-        )
+        samples, deltas, set_labels = values["samples"], values["deltas"], values["sets"]
         graphs = [cell.build_graph() for cell in cells]
         # The sets draw no random numbers, so a bad one fails here, before any
         # solve or tree draw, and the tree stream stays as it is.

@@ -168,6 +168,22 @@ class TestResistance:
         assert list(tmp_path.iterdir()) == [graph]
 
 
+@pytest.mark.parametrize("command", ["gen", "resistance", "basis"])
+def test_failed_write_leaves_no_manifest(tmp_path, capsys, command):
+    graph = tmp_path / "torus.txt"
+    write_edge_list(gen_torus(4, 2), graph)
+    out = tmp_path / "taken"
+    out.mkdir()  # writing the output file into its place fails
+    argv = {
+        "gen": ["gen", "torus", "--side", "4"],
+        "resistance": ["resistance", "--graph", str(graph)],
+        "basis": ["basis", "--graph", str(graph), "--seed", "1"],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "torus.txt"]
+
+
 class TestExperiment:
     @staticmethod
     def config(tmp_path):
@@ -282,11 +298,14 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
         [
             (lambda c: c.update(sigam=5.0), "sigam"),
             (lambda c: c["tree"].update(kind="bfs", rooot=3), "rooot"),
+            (lambda c: c["tree"].update(kind="bfs", root=0), "root"),
             (lambda c: c.update(signals=4), "signals"),
             (lambda c: c.update(kind="sparsity", signals=4), "sigma"),
             (lambda c: c.update(kind="concentration", samples=4, deltas=[0.5]), "trials"),
+            (lambda c: c.update(trails=c.pop("trials")), "trails"),
         ],
-        ids=["power-typo", "tree-typo", "power-signals", "sparsity-sigma", "concentration-trials"],
+        ids=["power-typo", "tree-typo", "tree-root", "power-signals", "sparsity-sigma",
+             "concentration-trials", "required-key-typo"],
     )
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, edit, key):
         config = self.config(tmp_path)
@@ -297,7 +316,68 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
         assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "unknown" in err and repr(key) in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"kind": "power", "seed": 7, "cells": [{"family": "torus", "side": 4}]},
+             "power config needs key 'trials'"),
+            ({"kind": "power", "seed": 7, "trials": 8}, "power config needs key 'cells'"),
+            ({"kind": "sparsity", "seed": 7, "cells": [{"family": "torus", "side": 4}]},
+             "sparsity config needs key 'signals'"),
+        ],
+        ids=["trials", "cells", "signals"],
+    )
+    def test_missing_required_key_is_named(self, tmp_path, capsys, config, message):
+        # It used to exit 2 with a bare KeyError such as "error: 'trials'".
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source",
+        [lambda config: ["--config", str(config)],
+         lambda config: ["--preset", "concentration", "--seed", "-1"]],
+        ids=["config", "preset"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, source):
+        # numpy used to reject it, unnamed, only after the graphs were built.
+        config = self.config(tmp_path)
+        config.write_text(config.read_text().replace('"seed": 7', '"seed": -3'))
+        out = tmp_path / "o"
+        assert main(["experiment", *source(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "non-negative integer master seed under 'seed'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"kind": "power", "seed": 7, "trials": 8,
+              "cells": [{"family": "torus", "side": 4, "rho_lo": 2, "rho_hi": 4,
+                         "mu_grid": [0.0, 25.0]}]},
+             "['rho_hi', 'rho_lo']"),
+            ({"kind": "sparsity", "seed": 7, "signals": 4,
+              "cells": [{"family": "torus", "side": 4, "rho_lo": 2, "rho_hi": 4, "rho": 8.0}]},
+             "['rho']"),
+            ({"kind": "concentration", "seed": 7, "samples": 4, "deltas": [0.5],
+              "cells": [{"family": "torus", "side": 4, "mu_grid": [0.0]}]},
+             "['mu_grid']"),
+        ],
+        ids=["power-rho-range", "sparsity-rho", "concentration-mu-grid"],
+    )
+    def test_cell_field_of_another_kind_exits_2(self, tmp_path, capsys, config, field):
+        # The power cell used to run at rho = 0 and write header-only CSVs.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        assert f"cell 0: {config['kind']} cells do not read {field}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit, key",
@@ -318,7 +398,7 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
         assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "empty" in err and repr(key) in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_disconnected_knn_cell_exits_2_and_leaves_no_file(self, tmp_path, capsys):
         # kNN with k=1 on 30 points (graph seed 3) comes out disconnected; the
@@ -382,9 +462,11 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
             "kind": "concentration", "seed": 1, "samples": 0, "deltas": [0.5],
             "cells": [{"family": "torus", "side": 4, "dims": 2}],
         }))
-        code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "at least one tree" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "samples" in err and "at least one tree" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -50,11 +50,11 @@ class TestTreeSource:
 
     def test_bfs_is_deterministic_and_unseeded(self):
         g = gen_torus(4, 2)
-        src = TreeSource.bfs(root=3)
+        src = TreeSource.bfs()
         t1, s1 = src.realize(g, np.random.default_rng(0))
         t2, s2 = src.realize(g, np.random.default_rng(99))
         assert s1 == s2 == -1
-        assert edge_tuples(t1) == edge_tuples(t2) == edge_tuples(bfs_spanning_tree(g, 3))
+        assert edge_tuples(t1) == edge_tuples(t2) == edge_tuples(bfs_spanning_tree(g))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
