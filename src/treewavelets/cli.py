@@ -201,7 +201,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     with lifecycle as written:
         basis = build_basis(tree)
         residual = _ortho_residual(basis)
-        acts = edge_activations(basis, tree)
+        acts = edge_activations(basis)
         max_act = int(acts.max()) if acts.size else 0
         bound = activation_bound(tree)
 
@@ -296,6 +296,16 @@ def _cmd_resistance(args: argparse.Namespace) -> int:
 # =============================================================================
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook that refuses a key given twice, at any depth."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"config key {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
     workers = args.threads
     if workers < 1:
@@ -303,7 +313,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return 2
     inputs: dict[str, str] = {}
     if args.config:
-        config = json.loads(Path(args.config).read_text())
+        config = json.loads(Path(args.config).read_text(), object_pairs_hook=_unique_keys)
         if args.seed is not None and isinstance(config, dict):  # the reader rejects a non-object
             config["seed"] = args.seed
         inputs[Path(args.config).name] = _sha256_file(args.config)

@@ -126,7 +126,7 @@ def _grow_ball(
 
 
 def gen_cluster_signal(
-    g: Graph, rho: float, mu: float, rng: np.random.Generator | int | None = None
+    g: Graph, rho: float, mu: float, rng: np.random.Generator | int
 ) -> Signal:
     """Constant-on-a-ball signal: mu/sqrt(|S|) on a grown BFS ball S.
 
@@ -143,7 +143,7 @@ def gen_cluster_signal(
 
 
 def gen_two_level_signal(
-    g: Graph, rho: float, mu: float, rng: np.random.Generator | int | None = None
+    g: Graph, rho: float, mu: float, rng: np.random.Generator | int
 ) -> Signal:
     """Mean-zero two-level signal: balanced levels on a ball S versus its complement.
 
@@ -172,7 +172,7 @@ def prior_support_size(g: Graph, rho: float) -> int:
 
 
 def gen_prior_signal(
-    g: Graph, rho: float, mu: float, rng: np.random.Generator | int | None = None
+    g: Graph, rho: float, mu: float, rng: np.random.Generator | int
 ) -> Signal:
     """Scattered worst-case-style signal: mu/sqrt(p) on a uniform size-p subset.
 

@@ -52,6 +52,7 @@ __all__ = [
     "run_experiment",
     "sparsity_experiment",
     "ust_concentration_check",
+    "ust_edge_ids",
 ]
 
 
@@ -535,15 +536,30 @@ def _delta_values(deltas) -> list[float]:
     return values
 
 
+def ust_edge_ids(g: Graph, draws: int, rng: np.random.Generator | int) -> np.ndarray:
+    """Host edge ids of ``draws`` uniform spanning trees, one row per draw.
+
+    Row i is ``g.edge_ids(sample_ust(g, s).edges)`` for the i-th seed
+    ``s = integers(2**32)`` of ``rng``'s stream, so the trees are the ones
+    drawn one at a time from the same stream. Returns a (draws, n - 1) int64
+    array; no tree object is kept.
+    """
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
+    gen = as_rng(rng)
+    ids = np.empty((draws, g.n - 1), dtype=np.int64)
+    for row in ids:
+        row[:] = g.edge_ids(sample_ust(g, int(gen.integers(2**32))).edges)
+    return ids
+
+
 def ust_concentration_check(
     g: Graph,
     edge_set,
-    samples: int,
     deltas,
-    rng: np.random.Generator | int | None = None,
+    tree_ids,
     *,
     profile: ResistanceProfile | None = None,
-    trees: list[SpanningTree] | None = None,
 ) -> list[ConcentrationRow]:
     """Compare tail probabilities of a uniform tree's overlap with an edge set.
 
@@ -552,10 +568,10 @@ def ust_concentration_check(
     exact resistance mass, and compares against the multiplicative Chernoff
     bound with a 3-standard-error allowance (binomial, evaluated at the bound).
 
-    Pass ``trees`` to reuse one pool of sampled trees across several edge
-    sets; otherwise ``samples`` fresh trees are drawn here. Either way at
-    least one tree is needed. Every delta must be positive and finite; the
-    deltas and the edge set are checked before any solve or tree draw.
+    ``tree_ids`` holds one row of host edge ids per sampled tree, as
+    :func:`ust_edge_ids` returns them; one array serves every edge set of a
+    graph. Every delta must be positive and finite. The deltas, the edge set
+    and ``tree_ids`` are checked, in that order, before any solve.
     """
     deltas = _delta_values(deltas)
     pairs = _pair_array(edge_set)
@@ -565,19 +581,20 @@ def ust_concentration_check(
     if (idx < 0).any():
         u, v = pairs[np.argmax(idx < 0)].tolist()
         raise ValueError(f"edge {(u, v)} is not in the graph")
+    tree_ids = np.asarray(tree_ids)
+    if tree_ids.ndim != 2 or tree_ids.shape[1] != g.n - 1:
+        raise ValueError(f"tree_ids must have shape (draws, {g.n - 1}), got {tree_ids.shape}")
+    if not len(tree_ids):
+        raise ValueError("concentration check needs at least one tree draw")
+    # A valid edge set means m >= 1 and n >= 2, so tree_ids is not empty here.
+    if tree_ids.dtype.kind not in "iu" or tree_ids.min() < 0 or tree_ids.max() >= g.m:
+        raise ValueError(f"tree_ids must hold edge ids in 0..{g.m - 1}")
     if profile is None:
         profile = all_edge_resistances(g)
     r_set = float(profile.edge_resistances[idx].sum())
-    if trees is None:
-        gen = as_rng(rng)
-        trees = [sample_ust(g, int(gen.integers(2**32))) for _ in range(samples)]
-    if not trees:
-        raise ValueError("concentration check needs at least one tree draw")
     member = np.zeros(g.m, dtype=bool)
     member[idx] = True
-    counts = np.array(
-        [np.count_nonzero(member[g.edge_ids(t.edges)]) for t in trees], dtype=np.int64
-    )
+    counts = np.count_nonzero(member[tree_ids], axis=1)
     n_draws = len(counts)
     rows = []
     for d in deltas:
@@ -786,11 +803,9 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
         gen = as_rng(seed)
         for cell, g, sets in zip(cells, graphs, edge_sets):
             profile = all_edge_resistances(g)
-            trees = [sample_ust(g, int(gen.integers(2**32))) for _ in range(samples)]
+            tree_ids = ust_edge_ids(g, samples, gen)
             for label, edge_set in zip(set_labels, sets):
-                rows = ust_concentration_check(
-                    g, edge_set, samples, deltas, profile=profile, trees=trees
-                )
+                rows = ust_concentration_check(g, edge_set, deltas, tree_ids, profile=profile)
                 for r in rows:
                     failed += not r.passed
                     rows_out.append(

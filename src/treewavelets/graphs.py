@@ -44,10 +44,15 @@ __all__ = [
 EPS_CUT = 1e-9
 
 
-def as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
-    """Coerce a seed or generator into a numpy Generator."""
+def as_rng(rng: np.random.Generator | int) -> np.random.Generator:
+    """Coerce a seed or generator into a numpy Generator.
+
+    None raises: every draw is seeded, so there is no hidden entropy.
+    """
     if isinstance(rng, np.random.Generator):
         return rng
+    if rng is None:
+        raise ValueError("a seed or numpy Generator is required, got None")
     return np.random.default_rng(rng)
 
 

@@ -150,7 +150,7 @@ def _wilson_parents(indptr: np.ndarray, indices: np.ndarray, n: int, seed: int) 
     return nxt
 
 
-def sample_ust(g: Graph, rng: np.random.Generator | int | None = None) -> SpanningTree:
+def sample_ust(g: Graph, rng: np.random.Generator | int) -> SpanningTree:
     """Draw a uniform spanning tree by Wilson's loop-erased random walk.
 
     The tree is rooted at vertex 0; walks start from the remaining vertices
@@ -160,7 +160,7 @@ def sample_ust(g: Graph, rng: np.random.Generator | int | None = None) -> Spanni
     Parameters
     ----------
     g : Graph
-    rng : Generator, int, or None
+    rng : Generator or int
         Source for the walk's seed. Passing the same seed reproduces the
         same tree.
     """

@@ -290,8 +290,8 @@ def activation_bound(t: SpanningTree) -> int:
     return _clamped_log2(t.max_degree) * _clamped_log2(t.n)
 
 
-def edge_activations(basis: WaveletBasis, t: SpanningTree) -> np.ndarray:
-    """Count, per tree edge, the zero-sum elements that engage it.
+def edge_activations(basis: WaveletBasis) -> np.ndarray:
+    """Count, per edge of the basis's tree, the zero-sum elements that engage it.
 
     An element engages an edge when both endpoints lie in the element's
     support augmented with the split vertex that produced it; the augmented
@@ -303,11 +303,8 @@ def edge_activations(basis: WaveletBasis, t: SpanningTree) -> np.ndarray:
     differ across the edge: differing values leak across support boundaries
     (an element is non-constant across every edge leaving its support), and
     that looser count can exceed the budget even on paths.
-
-    The basis must have been built from t (the trees are compared).
     """
-    if basis.tree != t:
-        raise ValueError("basis was not built from this tree")
+    t = basis.tree
     n, m = basis.n, t.m
     at = np.empty(n, dtype=np.int64)
     at[basis.perm] = np.arange(n)

@@ -42,6 +42,7 @@ from treewavelets import (
     sparsity_experiment,
     threshold,
     ust_concentration_check,
+    ust_edge_ids,
 )
 from helpers import component_sizes_without, random_tree_edges
 
@@ -240,14 +241,12 @@ def test_c06_overlap_concentration():
     deltas = (0.25, 0.5, 1.0, 2.0)
     rows_all = []
     for g in (gen_torus(8, 2), gen_knn(200, 6, 2, 21)[0]):
-        trees = [sample_ust(g, int(rng.integers(2**32))) for _ in range(20000)]
+        tree_ids = ust_edge_ids(g, 20000, rng)
         star = [e for e in g.edges if 0 in e]
         ball_members = {0, *(v for e in star for v in e)}
         ball = [e for e in g.edges if (e[0] in ball_members) != (e[1] in ball_members)]
         for edge_set in ([g.edges[0]], star, ball):
-            rows_all.extend(
-                ust_concentration_check(g, edge_set, len(trees), deltas, trees=trees)
-            )
+            rows_all.extend(ust_concentration_check(g, edge_set, deltas, tree_ids))
     failures = [r for r in rows_all if not r.passed]
     worst = max((r.empirical - r.bound) for r in rows_all)
     ok = not failures

@@ -503,6 +503,27 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
             col = lines[0].split(",").index("rho")
             assert {line.split(",")[col] for line in lines[1:]} == {"8.0"}, name
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"kind": "power", "seed": 7, "trials": 2, "trials": 3, "tree": {"kind": "ust"},'
+             ' "cells": [{"family": "torus", "side": 4, "mu_grid": [0.0, 1.0]}]}', "trials"),
+            ('{"kind": "power", "seed": 7, "trials": 2, "tree": {"kind": "ust", "kind": "bfs"},'
+             ' "cells": [{"family": "torus", "side": 4, "mu_grid": [0.0, 1.0]}]}', "kind"),
+            ('{"kind": "concentration", "seed": 7, "samples": 4, "deltas": [0.5],'
+             ' "cells": [{"family": "complete", "n": 5, "n": 6}]}', "n"),
+        ],
+        ids=["top", "tree", "cell"],
+    )
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys, text, key):
+        # Plain json.loads would keep the last of two equal keys and run on it.
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config key {key!r} is given twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,5 +1,6 @@
 """Threshold, decision rule, signal samplers, and sufficient-SNR formulas."""
 
+import inspect
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from treewavelets import (
     gen_torus,
     gen_two_level_signal,
     prior_support_size,
+    sample_ust,
     snr_condition,
     threshold,
     ust_concentration_check,
@@ -274,8 +276,8 @@ def _triangle():
         lambda: gen_epsilon(20, math.inf),
         lambda: CellSpec(family="torus", side=4, rho=math.nan),
         lambda: CellSpec(family="torus", side=4, rho=-1.0),
-        lambda: ust_concentration_check(_triangle(), [(0, 1)], 10, [math.nan], rng=0),
-        lambda: ust_concentration_check(_triangle(), [(0, 1)], 10, [math.inf], rng=0),
+        lambda: ust_concentration_check(_triangle(), [(0, 1)], [math.nan], [[0, 1]]),
+        lambda: ust_concentration_check(_triangle(), [(0, 1)], [math.inf], [[0, 1]]),
         lambda: snr_condition("remark1", n=64, d=4, delta=0.05, rho=math.nan),
         lambda: snr_condition("theorem3", n=64, d=4, r_max=math.nan),
         lambda: snr_condition("theorem3", n=64, d=4, r_max=math.inf),
@@ -291,6 +293,31 @@ def test_non_finite_or_negative_parameters_raise(call):
     # Each of these used to return a result: NaN slips past a plain ``< 0``.
     with pytest.raises(ValueError, match="must be"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sample_ust(gen_torus(4, 2), None),
+        lambda: gen_knn(30, 4),
+        lambda: gen_epsilon(30, 0.3),
+        lambda: gen_cluster_signal(gen_torus(4, 2), 8.0, 1.0, None),
+        lambda: gen_two_level_signal(gen_torus(4, 2), 8.0, 1.0, None),
+        lambda: gen_prior_signal(gen_complete(9), 16.0, 1.0, None),
+    ],
+    ids=["sample_ust", "knn", "epsilon", "cluster", "two_level", "prior"],
+)
+def test_no_seed_raises(call):
+    # numpy would seed None from the operating system, which no run could repeat.
+    with pytest.raises(ValueError, match="seed or numpy Generator is required"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "func", [sample_ust, gen_cluster_signal, gen_two_level_signal, gen_prior_signal]
+)
+def test_seed_has_no_default(func):
+    assert inspect.signature(func).parameters["rng"].default is inspect.Parameter.empty
 
 
 def test_infinite_cut_budget_means_no_budget():

@@ -31,6 +31,7 @@ from treewavelets import (
     sparsity_experiment,
     threshold,
     ust_concentration_check,
+    ust_edge_ids,
     validate_spanning_tree,
 )
 from helpers import binomial_band, edge_tuples, enumerate_spanning_trees
@@ -320,14 +321,40 @@ class TestFitSparsityPoints:
             fit_sparsity_points([])
 
 
+class TestUstEdgeIds:
+    @pytest.mark.parametrize("make", [lambda: gen_torus(4, 2), lambda: gen_knn(60, 4, 2, 3)[0]])
+    def test_rows_are_the_trees_of_the_same_stream(self, make):
+        g = make()
+        ids = ust_edge_ids(g, 7, 5)
+        assert ids.shape == (7, g.n - 1) and ids.dtype == np.int64
+        gen = np.random.default_rng(5)
+        for row in ids:
+            tree = sample_ust(g, int(gen.integers(2**32)))
+            np.testing.assert_array_equal(row, g.edge_ids(tree.edges))
+
+    def test_generator_continues_its_stream(self):
+        g = gen_torus(4, 2)
+        gen = np.random.default_rng(9)
+        first, second = ust_edge_ids(g, 3, gen), ust_edge_ids(g, 2, gen)
+        np.testing.assert_array_equal(np.vstack((first, second)), ust_edge_ids(g, 5, 9))
+
+    def test_no_draws_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            ust_edge_ids(gen_torus(4, 2), 0, 0)
+
+
 class TestConcentration:
     @staticmethod
     def triangle():
         return build_graph(3, [(0, 1), (0, 2), (1, 2)])
 
+    @staticmethod
+    def tree_ids(g, trees):
+        return np.array([g.edge_ids(t.edges) for t in trees])
+
     def test_triangle_edge_exact_resistance(self):
         g = self.triangle()
-        rows = ust_concentration_check(g, [(0, 1)], 2000, [0.4], rng=0)
+        rows = ust_concentration_check(g, [(0, 1)], [0.4], ust_edge_ids(g, 2000, 0))
         (row,) = rows
         # Two of the three spanning trees contain any given edge.
         trees = enumerate_spanning_trees(3, g.edges)
@@ -336,7 +363,8 @@ class TestConcentration:
         assert row.tail_at == pytest.approx(1.4 * 2 / 3)
 
     def test_triangle_bound_and_empirical(self):
-        rows = ust_concentration_check(self.triangle(), [(0, 1)], 3000, [0.4], rng=1)
+        g = self.triangle()
+        rows = ust_concentration_check(g, [(0, 1)], [0.4], ust_edge_ids(g, 3000, 1))
         (row,) = rows
         # exp((2/3)(0.4 - 1.4 ln 1.4)), evaluated directly.
         assert row.bound == pytest.approx(0.9537305521583674, abs=1e-12)
@@ -348,7 +376,7 @@ class TestConcentration:
     def test_shared_tree_pool(self):
         g = self.triangle()
         trees = [sample_ust(g, s) for s in range(50)]
-        rows = ust_concentration_check(g, [(0, 1)], 50, [0.4], trees=trees)
+        rows = ust_concentration_check(g, [(0, 1)], [0.4], self.tree_ids(g, trees))
         manual = sum(1 for t in trees if (0, 1) in edge_tuples(t))
         assert rows[0].empirical == pytest.approx(manual / 50)
 
@@ -357,7 +385,7 @@ class TestConcentration:
         # so the overlap count equals r_set = 2 deterministically and never
         # reaches (1 + delta) r_set.
         g = self.triangle()
-        rows = ust_concentration_check(g, g.edges, 500, [0.25, 1.0], rng=2)
+        rows = ust_concentration_check(g, g.edges, [0.25, 1.0], ust_edge_ids(g, 500, 2))
         for row in rows:
             assert row.r_set == pytest.approx(2.0, abs=1e-10)
             assert row.empirical == 0.0
@@ -366,10 +394,11 @@ class TestConcentration:
     def test_counts_match_set_oracle_in_either_orientation(self):
         g = gen_torus(4, 2)
         trees = [sample_ust(g, s) for s in range(40)]
+        ids = self.tree_ids(g, trees)
         star = [e for e in edge_tuples(g) if 0 in e]
         deltas = [0.25, 0.5, 1.0]
-        rows = ust_concentration_check(g, star, 40, deltas, trees=trees)
-        flipped = ust_concentration_check(g, [(v, u) for u, v in star], 40, deltas, trees=trees)
+        rows = ust_concentration_check(g, star, deltas, ids)
+        flipped = ust_concentration_check(g, [(v, u) for u, v in star], deltas, ids)
         assert rows == flipped
         counts = [sum(e in star for e in edge_tuples(t)) for t in trees]
         for row in rows:
@@ -389,27 +418,38 @@ class TestConcentration:
         for label, edges in want.items():
             assert [tuple(e) for e in _named_edge_set(g, label).tolist()] == edges
 
-    def test_bad_delta_fails_before_any_solve_or_draw(self, monkeypatch):
+    def test_bad_delta_fails_before_any_solve(self, monkeypatch):
         def must_not_run(*args, **kwargs):
             raise AssertionError("work started before the deltas were checked")
 
         monkeypatch.setattr(experiments, "all_edge_resistances", must_not_run)
-        monkeypatch.setattr(experiments, "sample_ust", must_not_run)
         with pytest.raises(ValueError, match="delta values must be positive"):
-            ust_concentration_check(self.triangle(), [(0, 1)], 10, [0.5, -0.5], rng=0)
+            ust_concentration_check(self.triangle(), [(0, 1)], [0.5, -0.5], [[0, 1]])
 
-    def test_validates_arguments(self):
+    def test_validates_arguments(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the resistance solve ran before the arguments were checked")
+
+        monkeypatch.setattr(experiments, "all_edge_resistances", must_not_run)
         g = self.triangle()
-        with pytest.raises(ValueError, match="not in the graph"):
-            ust_concentration_check(g, [(0, 5)], 10, [0.5], rng=0)
-        with pytest.raises(ValueError, match="empty"):
-            ust_concentration_check(g, [], 10, [0.5], rng=0)
-        with pytest.raises(ValueError, match="positive"):
-            ust_concentration_check(g, [(0, 1)], 10, [0.0], rng=0)
-        with pytest.raises(ValueError, match="at least one tree"):
-            ust_concentration_check(g, [(0, 1)], 0, [0.5], rng=0)
-        with pytest.raises(ValueError, match="at least one tree"):
-            ust_concentration_check(g, [(0, 1)], 10, [0.5], trees=[])
+        good = [[0, 1], [1, 2]]
+        cases = [
+            ([(0, 5)], [0.5], good, "not in the graph"),
+            ([], [0.5], good, "empty"),
+            ([(0, 1)], [0.0], good, "positive"),
+            # Deltas come before the edge set, the edge set before tree_ids.
+            ([(0, 5)], [0.0], [[0, 7]], "positive"),
+            ([(0, 5)], [0.5], [[0, 7]], "not in the graph"),
+            ([(0, 1)], [0.5], np.empty((0, 2), dtype=np.int64), "at least one tree"),
+            ([(0, 1)], [0.5], [[0, 1, 2]], r"shape \(draws, 2\)"),
+            ([(0, 1)], [0.5], [0, 1], r"shape \(draws, 2\)"),
+            ([(0, 1)], [0.5], [[0, 1], [-1, 2]], r"edge ids in 0\.\.2"),
+            ([(0, 1)], [0.5], [[0, 3]], r"edge ids in 0\.\.2"),
+            ([(0, 1)], [0.5], [[0.0, 1.0]], r"edge ids in 0\.\.2"),
+        ]
+        for edge_set, deltas, ids, message in cases:
+            with pytest.raises(ValueError, match=message):
+                ust_concentration_check(g, edge_set, deltas, ids)
 
 
 class TestRunExperiment:
