@@ -176,20 +176,23 @@ def _ortho_residual(basis) -> float:
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
+    ust = args.tree == "ust"
+    if ust and args.seed is None:
+        print("error: --tree ust requires --seed", file=sys.stderr)
+        return 2
+    for flag, value, mode in (("--seed", args.seed, "ust"), ("--root", args.root, "bfs")):
+        if value is not None and args.tree != mode:
+            print(f"error: {flag} applies only to --tree {mode}", file=sys.stderr)
+            return 2
     g = read_edge_list(args.graph)
     require_connected(g)
-    if args.tree == "ust":
-        if args.seed is None:
-            print("error: --tree ust requires --seed", file=sys.stderr)
-            return 2
-        tree = sample_ust(g, args.seed)
-    else:
-        tree = bfs_spanning_tree(g, args.root)
+    root = None if ust else args.root or 0
+    tree = sample_ust(g, args.seed) if ust else bfs_spanning_tree(g, root)
 
     params = {
         "graph": args.graph,
         "tree": args.tree,
-        "root": args.root,
+        "root": root,
         "out": args.out,
         "tree_out": args.tree_out,
     }
@@ -242,6 +245,9 @@ def _cmd_resistance(args: argparse.Namespace) -> int:
         if args.seed is None:
             print("error: --validate-mtt requires --seed", file=sys.stderr)
             return 2
+    elif args.seed is not None:
+        print("error: --seed applies only to --validate-mtt", file=sys.stderr)
+        return 2
     g = read_edge_list(args.graph)
     profile = all_edge_resistances(g)
 
@@ -519,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis.add_argument("--graph", required=True, help="edge-list input path")
     p_basis.add_argument("--tree", choices=["ust", "bfs"], default="ust")
     p_basis.add_argument("--seed", type=int, help="tree seed (required for ust)")
-    p_basis.add_argument("--root", type=int, default=0, help="root for bfs trees")
+    p_basis.add_argument("--root", type=int, help="root for bfs trees (default 0)")
     p_basis.add_argument("--out", help="basis CSV output path")
     p_basis.add_argument("--tree-out", help="spanning-tree edge-list output path")
     p_basis.set_defaults(func=_cmd_basis)

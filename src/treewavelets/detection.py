@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleSignalError
-from .graphs import Graph, Signal, _bfs, _require_positive, as_rng, cut_size
-from .wavelets import WaveletBasis, _clamped_log2, apply_basis
+from .graphs import Graph, Signal, _require_positive, as_rng, cut_size
+from .wavelets import WaveletBasis, _clamped_log2, _spans, apply_basis
 
 __all__ = [
     "DecisionRecord",
@@ -80,22 +80,6 @@ def _check_budget(rho: float, mu: float) -> None:
     _require_positive("signal energy", mu)
 
 
-def _ball_layers(g: Graph, seed_vertex: int) -> list[list[int]]:
-    """BFS layers around a vertex, each sorted ascending."""
-    ptr, nbrs = (a.tolist() for a in g.csr)
-    _, dist, _ = _bfs(ptr, nbrs, seed_vertex)
-    layers: list[list[int]] = [[] for _ in range(max(dist) + 1)]
-    for v, d in enumerate(dist):
-        if d >= 0:
-            layers[d].append(v)
-    return layers
-
-
-def _boundary_count(g: Graph, members: np.ndarray) -> int:
-    u, v = g.edges.T
-    return int(np.count_nonzero(members[u] != members[v]))
-
-
 def _grow_ball(
     g: Graph, rho: float, rng: np.random.Generator, proper: bool
 ) -> np.ndarray:
@@ -103,26 +87,33 @@ def _grow_ball(
 
     Adds whole layers; stops just before the first layer that would push the
     boundary cut over the budget (or, with proper=True, before the ball
-    swallows every vertex). Returns the member mask.
+    swallows every vertex), and searches no further. Returns the member mask.
     """
     seed_vertex = int(rng.integers(g.n))
-    layers = _ball_layers(g, seed_vertex)
+    indptr, indices = g.csr
     members = np.zeros(g.n, dtype=bool)
-    members[layers[0]] = True
-    if _boundary_count(g, members) > rho:
-        raise InfeasibleSignalError(
-            f"no ball around vertex {seed_vertex} fits the cut budget {rho}"
-        )
-    count = 1
-    for layer in layers[1:]:
-        if proper and count + len(layer) >= g.n:
-            break
+    layer = np.array([seed_vertex])
+    size = 0
+    while True:
         members[layer] = True
-        if _boundary_count(g, members) > rho:
+        nbrs = indices[_spans(indptr[layer], indptr[layer + 1])[1]]
+        # Every edge leaving a BFS ball starts in its last layer, so these
+        # entries are the ball's cut, and their ends are the next layer.
+        out = nbrs[~members[nbrs]]
+        if len(out) > rho:
+            if not size:
+                raise InfeasibleSignalError(
+                    f"no ball around vertex {seed_vertex} fits the cut budget {rho}"
+                )
             members[layer] = False
-            break
-        count += len(layer)
-    return members
+            return members
+        size += len(layer)
+        if not len(out):
+            return members
+        out.sort()
+        layer = out[np.concatenate(([True], out[1:] != out[:-1]))]
+        if proper and size + len(layer) >= g.n:
+            return members
 
 
 def gen_cluster_signal(

@@ -315,28 +315,25 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [c.tolist() for c in np.split(order, bounds)]
 
 
-def _bfs(ptr: list[int], nbrs: list[int], root: int) -> tuple[list[int], list[int], list[int]]:
+def _bfs(ptr: list[int], nbrs: list[int], root: int) -> tuple[list[int], list[int]]:
     """Breadth-first search from root over CSR lists, neighbors in list order.
 
     ``ptr`` and ``nbrs`` are a graph's CSR as Python lists, which suits
     sparse graphs and trees; a dense graph is better served by
-    :func:`connected_components`. Returns ``(parent, dist, order)``: per
-    vertex the vertex that discovered it and its hop count from root, both
-    -1 where it is unreachable (parent also at the root), and the reached
-    vertices in the order they were found.
+    :func:`connected_components`. Returns ``(parent, order)``: per vertex the
+    vertex that discovered it, -1 at the root and where it is unreachable,
+    and the reached vertices in the order they were found.
     """
-    n = len(ptr) - 1
-    parent, dist = [-1] * n, [-1] * n
-    dist[root] = 0
+    parent = [-1] * (len(ptr) - 1)
+    parent[root] = root  # marks the root as reached until the search ends
     order = [root]
     for v in order:
-        d = dist[v] + 1
         for w in nbrs[ptr[v] : ptr[v + 1]]:
-            if dist[w] < 0:
-                dist[w] = d
+            if parent[w] < 0:
                 parent[w] = v
                 order.append(w)
-    return parent, dist, order
+    parent[root] = -1
+    return parent, order
 
 
 def require_connected(g: Graph) -> None:

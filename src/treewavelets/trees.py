@@ -67,7 +67,7 @@ class SpanningTree(Graph):
         # n-1 edges span exactly when a search from vertex 0 reaches every vertex.
         if self.m != self.n - 1:
             raise ValueError(f"spanning tree needs {self.n - 1} edges, got {self.m}")
-        parent, _, order = _bfs(*(a.tolist() for a in self.csr), 0)
+        parent, order = _bfs(*(a.tolist() for a in self.csr), 0)
         if len(order) != self.n:
             raise ValueError("tree edges do not connect all vertices")
         parent = np.array(parent, dtype=np.int64)

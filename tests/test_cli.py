@@ -109,6 +109,20 @@ class TestBasis:
         assert main(["basis", "--graph", str(graph), "--tree", "ust"]) == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, unread",
+        [(["--tree", "ust", "--seed", "1", "--root", "9"], "--root"),
+         (["--tree", "bfs", "--seed", "3"], "--seed")],
+        ids=["ust-root", "bfs-seed"],
+    )
+    def test_flag_the_tree_never_reads_exits_2(self, tmp_path, capsys, flags, unread):
+        graph = self.torus_file(tmp_path)
+        code = main(["basis", "--graph", str(graph), *flags,
+                     "--out", str(tmp_path / "basis.csv")])
+        assert code == 2
+        assert unread in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [graph]
+
     def test_disconnected_graph_exits_2(self, tmp_path, capsys):
         path = tmp_path / "two_parts.txt"
         path.write_text("5 3\n0 1\n1 2\n3 4\n")
@@ -153,6 +167,15 @@ class TestResistance:
         write_edge_list(gen_torus(4, 2), graph)
         code = main(["resistance", "--graph", str(graph),
                      "--out", str(tmp_path / "r.csv"), "--validate-mtt", "100"])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [graph]
+
+    def test_seed_without_mtt_exits_2(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        write_edge_list(gen_torus(4, 2), graph)
+        code = main(["resistance", "--graph", str(graph),
+                     "--out", str(tmp_path / "r.csv"), "--seed", "3"])
         assert code == 2
         assert "--seed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [graph]

@@ -30,7 +30,7 @@ from treewavelets import (
     threshold,
     ust_concentration_check,
 )
-from treewavelets.detection import _ball_layers
+from treewavelets.detection import _grow_ball
 
 
 class TestThreshold:
@@ -141,7 +141,7 @@ class TestClusterSignal:
         np.testing.assert_array_equal(a.values, b.values)
 
 
-class TestBallLayers:
+class TestGrowBall:
     @staticmethod
     def layers_from_edges(g, seed_vertex):
         """BFS layers by repeated scans of the edge list."""
@@ -154,19 +154,49 @@ class TestBallLayers:
             seen |= nxt
             layers.append(sorted(nxt))
 
+    @classmethod
+    def reference_ball(cls, g, rho, rng, proper):
+        """Add whole layers, recounting the whole boundary after each one."""
+        seed_vertex = int(rng.integers(g.n))
+        layers = cls.layers_from_edges(g, seed_vertex)
+        members = np.zeros(g.n, dtype=bool)
+        size = 0
+        for layer in layers:
+            if proper and size + len(layer) >= g.n:
+                break
+            members[layer] = True
+            if np.count_nonzero(members[g.edges[:, 0]] != members[g.edges[:, 1]]) > rho:
+                if not size:
+                    raise InfeasibleSignalError(f"vertex {seed_vertex}")
+                members[layer] = False
+                break
+            size += len(layer)
+        return members
+
     @pytest.mark.parametrize(
         "make",
         [
             lambda: gen_torus(6, 2),
             lambda: gen_knn(80, 4, 2, 5)[0],
             lambda: build_graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (4, 6)]),
+            lambda: gen_complete(6),
         ],
-        ids=["torus", "knn", "forest"],
+        ids=["torus", "knn", "forest", "complete"],
     )
-    def test_layers_match_edge_scan(self, make):
+    def test_matches_layer_recount(self, make):
         g = make()
-        for s in range(g.n):
-            assert _ball_layers(g, s) == self.layers_from_edges(g, s)
+        for proper in (False, True):
+            for rho in (0, 3, 4.5, 12, 40, g.m, math.inf):
+                for seed in range(25):
+                    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    try:
+                        want = self.reference_ball(g, rho, ref, proper)
+                    except InfeasibleSignalError:
+                        with pytest.raises(InfeasibleSignalError):
+                            _grow_ball(g, rho, ours, proper)
+                    else:
+                        np.testing.assert_array_equal(_grow_ball(g, rho, ours, proper), want)
+                    assert ours.integers(2**32) == ref.integers(2**32)
 
 
 class TestTwoLevelSignal:
