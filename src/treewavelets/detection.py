@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleSignalError
-from .graphs import Graph, Signal, _require_positive, as_rng, cut_size
+from .graphs import EPS_CUT, Graph, Signal, _require_positive, as_rng, cut_size
 from .wavelets import WaveletBasis, _clamped_log2, _spans, apply_basis
 
 __all__ = [
@@ -82,18 +82,21 @@ def _check_budget(rho: float, mu: float) -> None:
 
 def _grow_ball(
     g: Graph, rho: float, rng: np.random.Generator, proper: bool
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Grow a BFS ball from a random seed while its boundary stays within rho.
 
     Adds whole layers; stops just before the first layer that would push the
     boundary cut over the budget (or, with proper=True, before the ball
-    swallows every vertex), and searches no further. Returns the member mask.
+    swallows every vertex), and searches no further. Returns the member mask
+    and the ball's cut, the number of edges leaving it. A signal's cut counts
+    those edges only where its levels differ by more than ``EPS_CUT``, so
+    the samplers fall back on ``cut_size`` below that.
     """
     seed_vertex = int(rng.integers(g.n))
     indptr, indices = g.csr
     members = np.zeros(g.n, dtype=bool)
     layer = np.array([seed_vertex])
-    size = 0
+    size = cut = 0
     while True:
         members[layer] = True
         nbrs = indices[_spans(indptr[layer], indptr[layer + 1])[1]]
@@ -106,14 +109,15 @@ def _grow_ball(
                     f"no ball around vertex {seed_vertex} fits the cut budget {rho}"
                 )
             members[layer] = False
-            return members
+            return members, cut
         size += len(layer)
-        if not len(out):
-            return members
+        cut = len(out)
+        if not cut:
+            return members, cut
         out.sort()
         layer = out[np.concatenate(([True], out[1:] != out[:-1]))]
         if proper and size + len(layer) >= g.n:
-            return members
+            return members, cut
 
 
 def gen_cluster_signal(
@@ -126,11 +130,11 @@ def gen_cluster_signal(
     the total edge count lets the ball cover every vertex.
     """
     _check_budget(rho, mu)
-    members = _grow_ball(g, rho, as_rng(rng), proper=False)
-    size = int(members.sum())
+    members, cut = _grow_ball(g, rho, as_rng(rng), proper=False)
+    level = mu / math.sqrt(int(members.sum()))
     values = np.zeros(g.n)
-    values[members] = mu / math.sqrt(size)
-    return Signal(values=values, cut=cut_size(g, values))
+    values[members] = level
+    return Signal(values=values, cut=cut if level > EPS_CUT else cut_size(g, values))
 
 
 def gen_two_level_signal(
@@ -145,13 +149,14 @@ def gen_two_level_signal(
     _check_budget(rho, mu)
     if g.n < 2:
         raise InfeasibleSignalError("a mean-zero two-level signal needs n >= 2")
-    members = _grow_ball(g, rho, as_rng(rng), proper=True)
+    members, cut = _grow_ball(g, rho, as_rng(rng), proper=True)
     ns = int(members.sum())
     nc = g.n - ns
+    inner, outer = mu * math.sqrt(nc / (g.n * ns)), -mu * math.sqrt(ns / (g.n * nc))
     values = np.empty(g.n)
-    values[members] = mu * math.sqrt(nc / (g.n * ns))
-    values[~members] = -mu * math.sqrt(ns / (g.n * nc))
-    return Signal(values=values, cut=cut_size(g, values))
+    values[members] = inner
+    values[~members] = outer
+    return Signal(values=values, cut=cut if inner - outer > EPS_CUT else cut_size(g, values))
 
 
 def prior_support_size(g: Graph, rho: float) -> int:

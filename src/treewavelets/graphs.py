@@ -43,6 +43,11 @@ __all__ = [
 # cut or a support is counted.
 EPS_CUT = 1e-9
 
+# Average degree up to which ``Graph._csr_lists`` holds the neighbors as a
+# Python list. Above it the list would be large (about 36 MB on K1024) and no
+# faster to index than a memoryview of the int64 array, which costs nothing.
+_LIST_MAX_MEAN_DEGREE = 32
+
 
 def as_rng(rng: np.random.Generator | int) -> np.random.Generator:
     """Coerce a seed or generator into a numpy Generator.
@@ -149,6 +154,16 @@ class Graph:
         indices[rank + (np.cumsum(n_upper) - n_upper)[hi[by_hi]]] = lo[by_hi]
         indices[rank + np.cumsum(n_lower)[lo]] = hi
         return indptr, indices
+
+    @cached_property
+    def _csr_lists(self) -> tuple[list[int], list[int], list[int] | memoryview]:
+        """The CSR for Python loops: ``(ptr, deg, nbrs)``, run starts and
+        degrees as lists, and ``indices`` as a list or, above an average
+        degree of ``_LIST_MAX_MEAN_DEGREE``, a memoryview; both yield ints."""
+        indptr, indices = self.csr
+        dense = 2 * self.m > _LIST_MAX_MEAN_DEGREE * self.n
+        nbrs = memoryview(indices) if dense else indices.tolist()
+        return indptr.tolist(), self.degrees.tolist(), nbrs
 
     @cached_property
     def _edge_keys(self) -> np.ndarray:
@@ -289,10 +304,11 @@ def connected_components(g: Graph) -> list[list[int]]:
     """Vertex sets of the connected components.
 
     Components are ordered by their smallest vertex, vertices increasing
-    within each. The search reads one vertex's CSR run at a time, so no
-    temporary outgrows a degree even on dense graphs. :func:`_bfs` would
-    need the whole CSR as Python lists, two ints per edge: about 1M ints,
-    tens of MB, on the complete graph K1024 that ``paper-fig2`` checks.
+    within each. The search reads one vertex's CSR run at a time as a numpy
+    array and labels its new neighbors in one step, which on dense graphs
+    beats :func:`_bfs`'s one Python step per entry. It needs no
+    ``Graph._csr_lists`` either, so checking a graph builds no list view:
+    only a tree draw or a breadth-first tree does.
     """
     indptr, indices = g.csr
     ptr = indptr.tolist()
@@ -315,12 +331,12 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [c.tolist() for c in np.split(order, bounds)]
 
 
-def _bfs(ptr: list[int], nbrs: list[int], root: int) -> tuple[list[int], list[int]]:
-    """Breadth-first search from root over CSR lists, neighbors in list order.
+def _bfs(ptr: list[int], nbrs, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first search from root over a CSR, neighbors in run order.
 
-    ``ptr`` and ``nbrs`` are a graph's CSR as Python lists, which suits
-    sparse graphs and trees; a dense graph is better served by
-    :func:`connected_components`. Returns ``(parent, order)``: per vertex the
+    ``ptr`` and ``nbrs`` are the first and last entries of
+    ``Graph._csr_lists``: ``nbrs`` is a list or an int64 memoryview, and a
+    slice of either yields ints. Returns ``(parent, order)``: per vertex the
     vertex that discovered it, -1 at the root and where it is unreachable,
     and the reached vertices in the order they were found.
     """

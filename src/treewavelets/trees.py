@@ -67,7 +67,8 @@ class SpanningTree(Graph):
         # n-1 edges span exactly when a search from vertex 0 reaches every vertex.
         if self.m != self.n - 1:
             raise ValueError(f"spanning tree needs {self.n - 1} edges, got {self.m}")
-        parent, order = _bfs(*(a.tolist() for a in self.csr), 0)
+        ptr, _, nbrs = self._csr_lists
+        parent, order = _bfs(ptr, nbrs, 0)
         if len(order) != self.n:
             raise ValueError("tree edges do not connect all vertices")
         parent = np.array(parent, dtype=np.int64)
@@ -98,12 +99,19 @@ def build_spanning_tree(g: Graph, edges) -> SpanningTree:
 
 
 def _parents_to_tree(g: Graph, parents: list[int]) -> SpanningTree:
-    """The tree of a parent list, kept as ``parent`` when rooted at vertex 0."""
+    """The tree of a parent list, kept as ``parent`` when rooted at vertex 0.
+
+    A parent list names each edge once, in range and without self-loops, so
+    one sort puts its edges in canonical order with nothing to check.
+    """
     parent = np.array(parents, dtype=np.int64)
     parent.flags.writeable = False
     child = np.flatnonzero(parent >= 0)
-    pairs = np.column_stack((parent[child], child))
-    t = SpanningTree(n=g.n, edges=_canonical_edges(g.n, pairs), graph=g)
+    lo, hi = np.minimum(parent[child], child), np.maximum(parent[child], child)
+    order = np.argsort(lo * g.n + hi, kind="stable")
+    edges = np.column_stack((lo[order], hi[order]))
+    edges.flags.writeable = False
+    t = SpanningTree(n=g.n, edges=edges, graph=g)
     if parent[0] < 0:
         t.__dict__["parent"] = parent
     return t
@@ -116,38 +124,41 @@ def _parents_to_tree(g: Graph, parents: list[int]) -> SpanningTree:
 _UNIFORM_BLOCK = 4096
 
 
-def _wilson_parents(indptr: np.ndarray, indices: np.ndarray, n: int, seed: int) -> list[int]:
+def _wilson_parents(ptr: list[int], deg: list[int], nbrs, n: int, seed: int) -> list[int]:
     """Parent list of a uniform spanning tree rooted at vertex 0 (-1 at the root).
 
     Wilson's algorithm: from each vertex not yet in the tree, taken in index
     order, walk at random until the tree is hit, then graft the walk's
     loop-erasure onto the tree. ``nxt[u]`` holds the last exit from u, so
-    later steps overwrite the loops away. The graph must be connected.
+    later steps overwrite the loops away. ``(ptr, deg, nbrs)`` is the
+    graph's ``_csr_lists``; the graph must be connected. Step i reads the
+    i-th uniform of the seed's stream, one loop per block of uniforms.
     """
-    ptr = indptr.tolist()
-    deg = np.diff(indptr).tolist()
-    neighbor = indices.item
+    nxt = [-1] * n
+    if n == 1:
+        return nxt
     gen = np.random.default_rng(seed)
-    uniforms = gen.random(min(_UNIFORM_BLOCK, 4 * n)).tolist()
-    pos, end = 0, len(uniforms)
     in_tree = [False] * n
     in_tree[0] = True
-    nxt = [-1] * n
-    for start in range(1, n):
-        u = start
-        while not in_tree[u]:
-            if pos == end:
-                uniforms = gen.random(_UNIFORM_BLOCK).tolist()
-                pos, end = 0, _UNIFORM_BLOCK
-            v = neighbor(ptr[u] + int(uniforms[pos] * deg[u]))
-            pos += 1
+    start = u = 1
+    block = min(_UNIFORM_BLOCK, 4 * n)
+    while True:
+        for x in gen.random(block).tolist():
+            v = nbrs[ptr[u] + int(x * deg[u])]
             nxt[u] = v
-            u = v
-        u = start
-        while not in_tree[u]:
-            in_tree[u] = True
-            u = nxt[u]
-    return nxt
+            if not in_tree[v]:
+                u = v
+                continue
+            u = start
+            while not in_tree[u]:
+                in_tree[u] = True
+                u = nxt[u]
+            while in_tree[start]:
+                start += 1
+                if start == n:
+                    return nxt
+            u = start
+        block = _UNIFORM_BLOCK
 
 
 def sample_ust(g: Graph, rng: np.random.Generator | int) -> SpanningTree:
@@ -166,9 +177,7 @@ def sample_ust(g: Graph, rng: np.random.Generator | int) -> SpanningTree:
     """
     require_connected(g)
     seed = int(as_rng(rng).integers(2**32))
-    indptr, indices = g.csr
-    parent = _wilson_parents(indptr, indices, g.n, seed)
-    return _parents_to_tree(g, parent)
+    return _parents_to_tree(g, _wilson_parents(*g._csr_lists, g.n, seed))
 
 
 def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
@@ -176,7 +185,7 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
     require_connected(g)
-    ptr, nbrs = (a.tolist() for a in g.csr)
+    ptr, _, nbrs = g._csr_lists
     return _parents_to_tree(g, _bfs(ptr, nbrs, root)[0])
 
 

@@ -195,8 +195,20 @@ class TestGrowBall:
                         with pytest.raises(InfeasibleSignalError):
                             _grow_ball(g, rho, ours, proper)
                     else:
-                        np.testing.assert_array_equal(_grow_ball(g, rho, ours, proper), want)
+                        members, cut = _grow_ball(g, rho, ours, proper)
+                        np.testing.assert_array_equal(members, want)
+                        assert cut == cut_size(g, members.astype(float))
                     assert ours.integers(2**32) == ref.integers(2**32)
+
+    @pytest.mark.parametrize("sampler", [gen_cluster_signal, gen_two_level_signal])
+    def test_samplers_record_the_ball_cut_above_eps(self, sampler):
+        # With mu = 1e-12 the levels differ by less than EPS_CUT, so no edge
+        # changes level and the recorded cut is 0, not the ball's.
+        g = gen_torus(5, 2)
+        tiny = sampler(g, 12, 1e-12, np.random.default_rng(4))
+        plain = sampler(g, 12, 1.0, np.random.default_rng(4))
+        assert tiny.cut == cut_size(g, tiny.values) == 0
+        assert plain.cut == cut_size(g, plain.values) > 0
 
 
 class TestTwoLevelSignal:

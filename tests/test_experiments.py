@@ -1,5 +1,6 @@
 """Experiment harness: trials, power curves, sparsity scatter, concentration."""
 
+import hashlib
 import json
 import math
 
@@ -546,6 +547,83 @@ class TestRunExperiment:
             run_experiment(
                 {**self.power_config(), "tree": {"kind": "fixed"}}, tmp_path
             )
+
+
+_PIN_POWER_CELLS = [
+    {"family": "torus", "side": 5, "dims": 2, "rho": 8.0, "sampler": "ball",
+     "mu_grid": [0.0, 12.0]},
+    {"family": "complete", "n": 40, "rho": 80.0, "sampler": "prior", "mu_grid": [0.0, 12.0]},
+    {"family": "knn", "n": 40, "k": 4, "dim": 2, "graph_seed": 3, "rho": 12.0,
+     "sampler": "two_level", "mu_grid": [0.0, 12.0]},
+]
+
+
+class TestPinnedOutputs:
+    """sha256 of every file ``run_experiment`` writes for small configs.
+
+    Other tests compare a run with a second run of the same code; these pins
+    compare it with the bytes an earlier version wrote, so a change that
+    moves any tree, signal, statistic or CSV byte shows here. Manifests are
+    not pinned: they hold absolute paths. K40 is above the list cutoff of
+    ``Graph._csr_lists`` and the other graphs below it.
+    """
+
+    CONFIGS = {
+        "power-ust": {"kind": "power", "seed": 11, "trials": 8, "tree": {"kind": "ust"},
+                      "cells": _PIN_POWER_CELLS},
+        "power-bfs": {"kind": "power", "seed": 11, "trials": 8, "tree": {"kind": "bfs"},
+                      "cells": _PIN_POWER_CELLS},
+        "sparsity": {"kind": "sparsity", "seed": 12, "signals": 10, "cells": [
+            {"family": "torus", "side": 6, "dims": 2, "rho_lo": 4, "rho_hi": 16,
+             "sampler": "two_level"},
+            {"family": "epsilon", "n": 40, "eps": 0.35, "dim": 2, "graph_seed": 4,
+             "rho_lo": 6, "rho_hi": 30, "sampler": "ball"},
+        ]},
+        "concentration": {"kind": "concentration", "seed": 13, "samples": 60,
+                          "deltas": [0.5, 1.0], "cells": [
+            {"family": "torus", "side": 5, "dims": 2},
+            {"family": "knn", "n": 40, "k": 4, "dim": 2, "graph_seed": 3},
+        ]},
+    }
+    POWER_SCHEMA = "c474d63b5ba02029d4032905af888b2da80119408fcccec2316c60141c70531a"
+    PINNED = {
+        "power-ust": {
+            "mu50.csv": "94273968f9b14135c701e7073e1fd3ada631786a4b700fd70d77ac61f7a05320",
+            "power.csv": "0815f0e4834102e66105e2149eb7d738c3311c6df3d8fd801b63dbd490c955ea",
+            "schema.txt": POWER_SCHEMA,
+            "trials.csv": "1bc2964b7f9bc81052775bbebeaf51acfbf0ee5b0ed63054f09801ae9b089d67",
+        },
+        "power-bfs": {
+            "mu50.csv": "971d54fbea09ff05d6b9fe6ecd70d16e2e6c145c83ade16e9fc6c9386868b09a",
+            "power.csv": "da17911d7b420b0428fd29c326f180e379d2fd371385ccddbe8ae369e8e01b6c",
+            "schema.txt": POWER_SCHEMA,
+            "trials.csv": "e5eb0276324235f0e986d41ae4e04bbca314f288e086d3e96cdcdf4c619a00c7",
+        },
+        "sparsity": {
+            "fits.csv": "5d125dc8d3510c283b73b3838604381e6c3902123f4319c86456df8e5adabaa4",
+            "points.csv": "fdc061c7d2a35b77bf800062b087b69702a140d5a301cd1afdf8584d52e925e1",
+            "schema.txt": "fbe0703c5db85fd05d60ab5a70b4f15e65f495bda689899452da1df3099620f0",
+        },
+        "concentration": {
+            "concentration.csv": "61982ea0e442c6d3c4e463fa560495abf65f9efab37d66bfa92cb06c46f9b128",
+            "schema.txt": "d3334b93715c8a638cf26ca0f7176fbe156d9df572e10348dbc4943311908842",
+        },
+    }
+
+    @staticmethod
+    def digests(config, out, workers=1):
+        run_experiment(config, out, workers=workers)
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_outputs_pinned(self, tmp_path, name):
+        assert self.digests(self.CONFIGS[name], tmp_path) == self.PINNED[name]
+
+    def test_worker_pool_writes_the_pinned_bytes(self, tmp_path):
+        # Each task pickles its graph, so the workers rebuild every cached
+        # view, the memoryview of K40 included.
+        got = self.digests(self.CONFIGS["power-ust"], tmp_path, workers=2)
+        assert got == self.PINNED["power-ust"]
 
 
 class TestPresets:

@@ -158,9 +158,13 @@ class TestSampleUst:
         with pytest.raises(DisconnectedGraphError):
             sample_ust(g, 0)
 
-    # sha256 over sample_ust(g, s).edges bytes for s = 0..199, taken
-    # when every draw began with a full 4096-uniform block: any change to
-    # which random numbers a walk reads shows here.
+    # sha256 over sample_ust(g, s).edges bytes for s = 0..199: any change to
+    # which random numbers a walk reads shows here. K5 and C10 were taken
+    # when every draw began with a full 4096-uniform block; K64 and the
+    # 24x24 torus when the walk read neighbors through ``indices.item``.
+    # K64 is above the list cutoff of ``Graph._csr_lists``, so its walk reads
+    # a memoryview; the torus walks take 8k-18k steps, past the first block
+    # of 4n = 2304 uniforms.
     @pytest.mark.parametrize(
         "g, digest",
         [
@@ -169,14 +173,29 @@ class TestSampleUst:
                 build_graph(10, [(i, (i + 1) % 10) for i in range(10)]),
                 "95ffe967f02b51f988671ce5fa2c694c91c5a57d4f34551bb2ac55134ff37850",
             ),
+            (gen_complete(64), "4ee9d8eddaf69d032194a3b1d6c402010f76e98e7722e6eaeb8dd68af4cd0213"),
+            (gen_torus(24, 2), "9e3a75d50f3ee20205b4f926692f597fd94fa6444def0edbd033d3dd5a30a696"),
         ],
-        ids=["K5", "C10"],
+        ids=["K5", "C10", "K64", "torus24"],
     )
     def test_small_graph_trees_pinned(self, g, digest):
         h = hashlib.sha256()
         for s in range(200):
             h.update(sample_ust(g, s).edges.astype("<i8").tobytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "g, view",
+        [(gen_torus(6, 2), list), (gen_complete(64), memoryview)],
+        ids=["list", "memoryview"],
+    )
+    def test_pickled_graph_draws_without_its_cached_view(self, g, view):
+        want = sample_ust(g, 5)
+        assert type(g._csr_lists[2]) is view
+        back = pickle.loads(pickle.dumps(g))
+        assert "_csr_lists" not in back.__dict__
+        np.testing.assert_array_equal(sample_ust(back, 5).parent, want.parent)
+        np.testing.assert_array_equal(sample_ust(back, 5).edges, want.edges)
 
 
 def _matrix_tree_count(g) -> int:
