@@ -88,9 +88,7 @@ def _grow_ball(
     Adds whole layers; stops just before the first layer that would push the
     boundary cut over the budget (or, with proper=True, before the ball
     swallows every vertex), and searches no further. Returns the member mask
-    and the ball's cut, the number of edges leaving it. A signal's cut counts
-    those edges only where its levels differ by more than ``EPS_CUT``, so
-    the samplers fall back on ``cut_size`` below that.
+    and the ball's cut, the number of edges leaving it.
     """
     seed_vertex = int(rng.integers(g.n))
     indptr, indices = g.csr
@@ -134,7 +132,7 @@ def gen_cluster_signal(
     level = mu / math.sqrt(int(members.sum()))
     values = np.zeros(g.n)
     values[members] = level
-    return Signal(values=values, cut=cut if level > EPS_CUT else cut_size(g, values))
+    return Signal(values=values, cut=cut if level > EPS_CUT else 0)
 
 
 def gen_two_level_signal(
@@ -156,7 +154,7 @@ def gen_two_level_signal(
     values = np.empty(g.n)
     values[members] = inner
     values[~members] = outer
-    return Signal(values=values, cut=cut if inner - outer > EPS_CUT else cut_size(g, values))
+    return Signal(values=values, cut=cut if inner - outer > EPS_CUT else 0)
 
 
 def prior_support_size(g: Graph, rho: float) -> int:

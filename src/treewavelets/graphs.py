@@ -244,13 +244,12 @@ def _canonical_edges(n: int, pairs) -> np.ndarray:
     or a duplicate (in either orientation).
     """
     p = _pair_array(pairs)
-    lo, hi = np.minimum(p[:, 0], p[:, 1]), np.maximum(p[:, 0], p[:, 1])
+    edges, order = _sorted_pairs(n, p[:, 0], p[:, 1])
+    lo, hi = edges[:, 0], edges[:, 1]
     # In range, the key orders pairs lexicographically. Out of range it may
     # collide with a real pair's key, but the stable sort then flags the
     # earlier out-of-range pair first.
     key = lo * n + hi
-    order = np.argsort(key, kind="stable")
-    lo, hi, key = lo[order], hi[order], key[order]
     bad = (lo < 0) | (hi >= n) | (lo == hi)
     bad[1:] |= key[1:] == key[:-1]
     if bad.any():
@@ -260,9 +259,21 @@ def _canonical_edges(n: int, pairs) -> np.ndarray:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
-    edges = np.column_stack((lo, hi))
-    edges.flags.writeable = False
     return edges
+
+
+def _sorted_pairs(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs as a read-only (m, 2) array, ``min, max`` per row, in canonical order.
+
+    Sorts stably by ``min * n + max`` and also returns the sort order. Checks
+    nothing: :func:`_canonical_edges` validates around it, and a tree's
+    parent list needs no check.
+    """
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.argsort(lo * n + hi, kind="stable")
+    edges = np.column_stack((lo[order], hi[order]))
+    edges.flags.writeable = False
+    return edges, order
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -334,7 +345,7 @@ def connected_components(g: Graph) -> list[list[int]]:
 def _bfs(ptr: list[int], nbrs, root: int) -> tuple[list[int], list[int]]:
     """Breadth-first search from root over a CSR, neighbors in run order.
 
-    ``ptr`` and ``nbrs`` are the first and last entries of
+    ``ptr`` and ``nbrs`` are a CSR's run starts and neighbors as in
     ``Graph._csr_lists``: ``nbrs`` is a list or an int64 memoryview, and a
     slice of either yields ints. Returns ``(parent, order)``: per vertex the
     vertex that discovered it, -1 at the root and where it is unreachable,

@@ -20,6 +20,7 @@ from .graphs import (
     Graph,
     _bfs,
     _canonical_edges,
+    _sorted_pairs,
     as_rng,
     graph_digest,
     read_edge_list,
@@ -67,8 +68,7 @@ class SpanningTree(Graph):
         # n-1 edges span exactly when a search from vertex 0 reaches every vertex.
         if self.m != self.n - 1:
             raise ValueError(f"spanning tree needs {self.n - 1} edges, got {self.m}")
-        ptr, _, nbrs = self._csr_lists
-        parent, order = _bfs(ptr, nbrs, 0)
+        parent, order = _bfs(*(a.tolist() for a in self.csr), 0)
         if len(order) != self.n:
             raise ValueError("tree edges do not connect all vertices")
         parent = np.array(parent, dtype=np.int64)
@@ -107,10 +107,7 @@ def _parents_to_tree(g: Graph, parents: list[int]) -> SpanningTree:
     parent = np.array(parents, dtype=np.int64)
     parent.flags.writeable = False
     child = np.flatnonzero(parent >= 0)
-    lo, hi = np.minimum(parent[child], child), np.maximum(parent[child], child)
-    order = np.argsort(lo * g.n + hi, kind="stable")
-    edges = np.column_stack((lo[order], hi[order]))
-    edges.flags.writeable = False
+    edges, _ = _sorted_pairs(g.n, parent[child], child)
     t = SpanningTree(n=g.n, edges=edges, graph=g)
     if parent[0] < 0:
         t.__dict__["parent"] = parent
