@@ -124,6 +124,17 @@ _SAMPLERS = {
 }
 
 
+# The graph fields each family reads. A graph field of another family is
+# rejected, since it would build a graph other than the one the cell names.
+_FAMILY_FIELDS = {
+    "torus": ("side", "dims"),
+    "complete": ("n",),
+    "knn": ("n", "k", "dim", "graph_seed"),
+    "epsilon": ("n", "eps", "dim", "graph_seed"),
+}
+_GRAPH_FIELDS = {f for reads in _FAMILY_FIELDS.values() for f in reads}
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """One experiment cell: a concrete graph plus signal parameters."""
@@ -155,7 +166,7 @@ class CellSpec:
                 raise ValueError(f"cell field {f.name!r} must be a string, got {value!r}")
         mu_grid = _config_list("mu_grid", self.mu_grid)
         object.__setattr__(self, "mu_grid", tuple(_config_number("mu_grid values", v) for v in mu_grid))
-        if self.family not in ("torus", "complete", "knn", "epsilon"):
+        if self.family not in _FAMILY_FIELDS:
             raise ValueError(f"unknown graph family {self.family!r}")
         if self.sampler not in _SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
@@ -179,7 +190,11 @@ class CellSpec:
         if not isinstance(d, dict):
             raise ValueError(f"a cell must be a JSON object, got {d!r}")
         _reject_unknown("cell fields", d, cls.__dataclass_fields__)
-        return cls(**d)
+        cell = cls(**d)
+        other = sorted(set(d) & (_GRAPH_FIELDS - set(_FAMILY_FIELDS[cell.family])))
+        if other:
+            raise ValueError(f"{cell.family} cells do not read {other}")
+        return cell
 
 
 def _reject_unknown(what: str, d: dict, known) -> None:
@@ -233,49 +248,55 @@ def _trial_rng(master_seed: int, cell_index: int, trial: int) -> np.random.Gener
 # =============================================================================
 
 
-def _power_trial(args) -> list[TrialRecord]:
-    """One trial: a tree, its basis, a unit-energy signal shape and one
-    standard normal noise vector z, drawn in that order from the trial's
-    stream, then one row per mu of the cell's grid.
-
-    The statistic at mu is max |mu * coef(shape) + sigma * coef(z)| over the
-    basis. The basis is built before the shape is drawn, so a trial whose
-    shape proves infeasible still costs its build; it contributes no rows.
-    """
-    g, cell, tree_source, sigma, tau, master_seed, cell_index, trial = args
-    rng = _trial_rng(master_seed, cell_index, trial)
+def _draw(g: Graph, cell: CellSpec, tree_source: TreeSource, rho: float, rng):
+    """Draw a tree, build its basis, then draw a unit-energy shape with cut
+    budget rho, in that order from rng: (tree_seed, tree, basis, shape), or
+    None if the sampler cannot meet the budget (the build is spent anyway)."""
     tree, tree_seed = tree_source.realize(g, rng)
     basis = build_basis(tree)
     try:
-        shape = _SAMPLERS[cell.sampler](g, cell.rho, 1.0, rng)
+        shape = _SAMPLERS[cell.sampler](g, rho, 1.0, rng)
     except InfeasibleSignalError:
+        return None
+    return tree_seed, tree, basis, shape
+
+
+def _power_trial(args) -> list[TrialRecord]:
+    """One trial: ``_draw``, a standard normal noise vector z, and one row per
+    mu of the grid (none for an infeasible shape). The statistic at mu,
+    max |mu * coef(shape) + sigma * coef(z)|, is computed for the whole grid
+    as one array, each element by the same operations as for its mu alone."""
+    g, cell, tree_source, sigma, tau, master_seed, cell_index, trial = args
+    rng = _trial_rng(master_seed, cell_index, trial)
+    drawn = _draw(g, cell, tree_source, cell.rho, rng)
+    if drawn is None:
         return []
+    tree_seed, _, basis, shape = drawn
     noise = rng.standard_normal(g.n)
-    coef_shape = apply_basis(basis, shape)
-    coef_noise = apply_basis(basis, noise)
-    rows = []
-    for mu in cell.mu_grid:
-        stat = float(np.max(np.abs(mu * coef_shape + sigma * coef_noise)))
-        rows.append(
-            TrialRecord(
-                family=cell.family,
-                n=g.n,
-                rho=cell.rho,
-                mu=float(mu),
-                trial=trial,
-                seed=master_seed,
-                tree_seed=tree_seed,
-                cut=shape.cut if mu > 0 else 0,
-                statistic=stat,
-                threshold=tau,
-                reject=stat > tau,
-                truth=mu > 0,
-            )
+    stats = np.multiply.outer(cell.mu_grid, apply_basis(basis, shape))
+    stats += sigma * apply_basis(basis, noise)
+    stats = np.abs(stats, out=stats).max(axis=1)
+    return [
+        TrialRecord(
+            family=cell.family,
+            n=g.n,
+            rho=cell.rho,
+            mu=mu,
+            trial=trial,
+            seed=master_seed,
+            tree_seed=tree_seed,
+            cut=shape.cut if mu > 0 else 0,
+            statistic=stat,
+            threshold=tau,
+            reject=stat > tau,
+            truth=mu > 0,
         )
-    return rows
+        for mu, stat in zip(cell.mu_grid, stats.tolist())
+    ]
 
 
 def _map_tasks(fn, tasks: list, workers: int) -> list:
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
     import multiprocessing as mp
@@ -290,6 +311,9 @@ def _require_power_cell(cell_index: int, cell: CellSpec, trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not cell.mu_grid:
         raise ValueError(f"cell {cell_index}: mu_grid must be nonempty")
+    # aggregate_records groups rows by mu, so a repeated one would pool its trials.
+    if len(set(cell.mu_grid)) < len(cell.mu_grid):
+        raise ValueError(f"cell {cell_index}: mu_grid repeats a value: {list(cell.mu_grid)}")
 
 
 def power_curve(
@@ -425,14 +449,11 @@ def _sparsity_point(args) -> SparsityPoint | None:
     g, cell, master_seed, cell_index, i = args
     rng = _trial_rng(master_seed, cell_index, i)
     rho = int(rng.integers(cell.rho_lo, cell.rho_hi + 1))
-    tree, tree_seed = TreeSource.ust().realize(g, rng)
-    basis = build_basis(tree)
-    try:
-        x = _SAMPLERS[cell.sampler](g, rho, 1.0, rng)
-    except InfeasibleSignalError:
+    drawn = _draw(g, cell, TreeSource.ust(), rho, rng)
+    if drawn is None:
         return None
+    tree_seed, tree, basis, x = drawn
     levels = activation_bound(tree)
-    cut = x.cut if x.cut is not None else 0
     return SparsityPoint(
         family=cell.family,
         n=g.n,
@@ -441,10 +462,10 @@ def _sparsity_point(args) -> SparsityPoint | None:
         tree_degree=tree.max_degree,
         levels=levels,
         rho_target=rho,
-        cut=cut,
+        cut=x.cut,
         tree_cut=cut_size(tree, x.values),
         sparsity=basis_sparsity(basis, x.values),
-        bound=cut * levels + 1,
+        bound=x.cut * levels + 1,
     )
 
 
@@ -705,8 +726,17 @@ def _read_config(config) -> tuple[str, int, list[CellSpec], dict]:
             raise ValueError(f"cell {ci}: {kind} cells do not read {other}")
     if kind == "power":
         threshold(values["sigma"], 1, values["delta"])  # the test's own sigma and delta checks
+        # aggregate_records groups rows by (family, n, rho, mu), so two cells
+        # that share a key would pool their trials into one power row.
+        seen = {}
         for ci, cell in enumerate(cells):
             _require_power_cell(ci, cell, values["trials"])
+            n = cell.side**cell.dims if cell.family == "torus" else cell.n
+            key = (cell.family, n, cell.rho)
+            if key in seen:
+                raise ValueError(f"cells {seen[key]} and {ci} share (family, n, rho) = {key}; "
+                                 f"their power rows would be pooled")
+            seen[key] = ci
     elif kind == "sparsity":
         _require_sparsity_cells(cells, values["signals"])
     elif values["samples"] < 1:

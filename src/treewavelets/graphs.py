@@ -134,25 +134,15 @@ class Graph:
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor lists in CSR form ``(indptr, indices)``, each increasing.
 
-        Each vertex lists its lower neighbors, then its upper ones. Canonical
-        edge order already groups the upper neighbors by vertex; a stable sort
-        on the second column groups the lower ones.
+        Each vertex lists its lower neighbors, then its upper ones: one stable
+        sort of both edge orientations by source keeps canonical edge order
+        within each source, and puts the (hi, lo) half ahead of the (lo, hi)
+        half.
         """
         lo, hi = self.edges[:, 0], self.edges[:, 1]
-        n_lower = np.bincount(hi, minlength=self.n)
-        n_upper = np.bincount(lo, minlength=self.n)
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=indptr[1:])
-        # A vertex's run starts after the runs of all smaller vertices. In
-        # by_hi order a lower entry's rank already counts the smaller
-        # vertices' lower entries, so their upper entries are added; in edge
-        # order an upper entry's rank counts their upper entries, so the lower
-        # entries of the vertex and of all smaller ones are added.
-        rank = np.arange(self.m)
-        by_hi = np.argsort(hi, kind="stable")
-        indices = np.empty(2 * self.m, dtype=np.int64)
-        indices[rank + (np.cumsum(n_upper) - n_upper)[hi[by_hi]]] = lo[by_hi]
-        indices[rank + np.cumsum(n_lower)[lo]] = hi
+        indices = np.concatenate((lo, hi))[np.argsort(np.concatenate((hi, lo)), kind="stable")]
         return indptr, indices
 
     @cached_property

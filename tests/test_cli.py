@@ -479,6 +479,33 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
         assert message in capsys.readouterr().err
         assert ran == []
 
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ([{"family": "torus", "side": 4, "rho": 8.0, "mu_grid": [0.0, 25.0]}] * 2,
+             "cells 0 and 1 share (family, n, rho) = ('torus', 16, 8.0)"),
+            ([{"family": "torus", "side": 4, "dims": 2, "rho": 8.0, "mu_grid": [0.0]},
+              {"family": "torus", "side": 5, "rho": 8.0, "mu_grid": [0.0]},
+              {"family": "torus", "side": 16, "dims": 1, "rho": 8.0, "mu_grid": [0.0]}],
+             "cells 0 and 2 share (family, n, rho) = ('torus', 16, 8.0)"),
+            ([{"family": "knn", "n": 30, "k": 4, "graph_seed": 1, "rho": 8.0, "mu_grid": [0.0]},
+              {"family": "knn", "n": 30, "k": 6, "graph_seed": 2, "rho": 8.0, "mu_grid": [0.0]}],
+             "cells 0 and 1 share (family, n, rho) = ('knn', 30, 8.0)"),
+            ([{"family": "torus", "side": 4, "rho": 8.0, "mu_grid": [0.0, 25.0, 0.0]}],
+             "cell 0: mu_grid repeats a value"),
+        ],
+        ids=["same-cell", "same-torus-n", "other-knn-graph", "repeated-mu"],
+    )
+    def test_power_rows_that_would_be_pooled_exit_2(self, tmp_path, capsys, cells, message):
+        # Two torus side 4, rho 8 cells of 3 trials each used to write one
+        # power.csv row per mu with trials=6, trials_requested=3.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"kind": "power", "seed": 7, "trials": 3, "cells": cells}))
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_concentration_samples_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
@@ -554,6 +581,58 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestBenchmarkHooks:
+    """bench/child.py times each layer by replacing these names where the
+    experiment code looks them up. A refactor that stops calling one of them
+    there would move that layer's time out of its span unnoticed."""
+
+    EXPERIMENT_NAMES = ("gen_torus", "gen_complete", "gen_knn", "gen_epsilon",
+                        "all_edge_resistances", "sample_ust", "bfs_spanning_tree",
+                        "build_basis", "apply_basis", "aggregate_records", "mu_at_power",
+                        "write_csv")
+    POWER_CELLS = [
+        {"family": "torus", "side": 4, "dims": 2, "rho": 8.0, "sampler": "two_level",
+         "mu_grid": [0.0, 9.0]},
+        {"family": "complete", "n": 8, "rho": 8.0, "sampler": "prior", "mu_grid": [0.0, 9.0]},
+        {"family": "knn", "n": 20, "k": 4, "dim": 2, "graph_seed": 3, "rho": 12.0,
+         "sampler": "ball", "mu_grid": [0.0, 9.0]},
+        {"family": "epsilon", "n": 20, "eps": 0.6, "dim": 2, "graph_seed": 4, "rho": 12.0,
+         "sampler": "two_level", "mu_grid": [0.0, 9.0]},
+    ]
+
+    def test_every_wrapped_name_is_called(self, tmp_path, monkeypatch):
+        from treewavelets import resistance, trees
+
+        called = set()
+
+        def count(label, fn):
+            def wrapper(*args, **kwargs):
+                called.add(label)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        targets = [(experiments, name, name) for name in self.EXPERIMENT_NAMES]
+        targets += [(trees, "require_connected", "trees.require_connected"),
+                    (resistance, "require_connected", "resistance.require_connected"),
+                    (treewavelets.cli, "run_experiment", "cli.run_experiment")]
+        for module, name, label in targets:
+            monkeypatch.setattr(module, name, count(label, getattr(module, name)))
+        for key, fn in list(experiments._SAMPLERS.items()):
+            monkeypatch.setitem(experiments._SAMPLERS, key, count(f"sampler {key}", fn))
+
+        configs = [{"kind": "power", "seed": 1, "trials": 2, "tree": {"kind": kind},
+                    "cells": self.POWER_CELLS} for kind in ("ust", "bfs")]
+        configs.append({"kind": "concentration", "seed": 1, "samples": 3, "deltas": [0.5],
+                        "cells": [{"family": "torus", "side": 4, "dims": 2}]})
+        for i, config in enumerate(configs):
+            path = tmp_path / f"config{i}.json"
+            path.write_text(json.dumps(config))
+            assert main(["experiment", "--config", str(path), "--out", str(tmp_path / str(i))]) == 0
+        expected = {label for _, _, label in targets}
+        expected |= {f"sampler {key}" for key in experiments._SAMPLERS}
+        assert called == expected
 
 
 class TestValidate:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +84,25 @@ class TestCellSpec:
         assert g.n == 25
         cell = CellSpec.from_dict({"family": "complete", "n": 9})
         assert cell.build_graph().n == 9
+
+    @pytest.mark.parametrize(
+        "cell, other, n",
+        [
+            ({"family": "torus", "side": 4, "dims": 2, "n": 16}, ["n"], 16),
+            ({"family": "complete", "n": 8, "side": 5, "k": 3}, ["k", "side"], 8),
+            ({"family": "knn", "n": 30, "k": 4, "dim": 2, "graph_seed": 1, "eps": 0.3},
+             ["eps"], 30),
+            ({"family": "epsilon", "n": 30, "eps": 0.5, "dim": 2, "graph_seed": 1, "dims": 3},
+             ["dims"], 30),
+        ],
+        ids=["torus", "complete", "knn", "epsilon"],
+    )
+    def test_graph_field_of_another_family_rejected(self, cell, other, n):
+        # {"family": "complete", "n": 8, "side": 5, "k": 3} used to build K8.
+        with pytest.raises(ValueError, match=re.escape(f"{cell['family']} cells do not read {other}")):
+            CellSpec.from_dict(cell)
+        own = {key: value for key, value in cell.items() if key not in other}
+        assert CellSpec.from_dict(own).build_graph().n == n
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -3.0])
     def test_mu_grid_values_validated(self, bad):
@@ -193,6 +214,16 @@ class TestPowerCurve:
                 tree_source=TreeSource.ust(),
                 master_seed=0,
             )
+        # aggregate_records would pool the two mu = 25 rows of every trial.
+        with pytest.raises(ValueError, match="mu_grid repeats a value"):
+            power_curve(
+                self.tiny_cell(mu_grid=(0.0, 25.0, 25.0)),
+                trials=5,
+                sigma=1.0,
+                delta=0.05,
+                tree_source=TreeSource.ust(),
+                master_seed=0,
+            )
 
     @pytest.mark.parametrize(("sigma", "delta", "match"), [
         (0.0, 0.05, "sigma"), (math.nan, 0.05, "sigma"), (1.0, 1.0, "delta"),
@@ -204,6 +235,34 @@ class TestPowerCurve:
             power_curve(self.tiny_cell(), trials=3, sigma=sigma, delta=delta,
                         tree_source=TreeSource.ust(), master_seed=0)
         assert ran == []
+
+
+class TestMapTasks:
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return [fn(t) for t in tasks]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+        assert experiments._map_tasks(abs, [-1, -2, -3], workers=8) == [1, 2, 3]
+        assert experiments._map_tasks(abs, [-1] * 20, workers=8) == [1] * 20
+        assert experiments._map_tasks(abs, [-4], workers=8) == [4]
+        # The single task runs in this process, without a pool.
+        assert sizes == [3, 8]
 
 
 class TestAggregateRecords:
