@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleSignalError
-from .graphs import EPS_CUT, Graph, Signal, _require_positive, as_rng, cut_size
+from .graphs import EPS_CUT, Graph, Signal, _require_positive, as_rng
 from .wavelets import WaveletBasis, _clamped_log2, _spans, apply_basis
 
 __all__ = [
@@ -181,9 +181,13 @@ def gen_prior_signal(
             "no scattered support fits"
         )
     support = as_rng(rng).choice(g.n, size=p, replace=False)
+    level = mu / math.sqrt(p)
     values = np.zeros(g.n)
-    values[support] = mu / math.sqrt(p)
-    return Signal(values=values, cut=cut_size(g, values))
+    values[support] = level
+    # An edge leaving the support has one CSR entry at its support end.
+    indptr, indices = g.csr
+    leaving = values[indices[_spans(indptr[support], indptr[support + 1])[1]]] == 0
+    return Signal(values=values, cut=int(leaving.sum()) if level > EPS_CUT else 0)
 
 
 # =============================================================================

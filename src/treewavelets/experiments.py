@@ -124,8 +124,9 @@ _SAMPLERS = {
 }
 
 
-# The graph fields each family reads. A graph field of another family is
-# rejected, since it would build a graph other than the one the cell names.
+# The graph fields each family reads. A graph field of another family set
+# away from its default is rejected, since the cell would build a graph other
+# than the one it names.
 _FAMILY_FIELDS = {
     "torus": ("side", "dims"),
     "complete": ("n",),
@@ -168,6 +169,10 @@ class CellSpec:
         object.__setattr__(self, "mu_grid", tuple(_config_number("mu_grid values", v) for v in mu_grid))
         if self.family not in _FAMILY_FIELDS:
             raise ValueError(f"unknown graph family {self.family!r}")
+        unread = _GRAPH_FIELDS - set(_FAMILY_FIELDS[self.family])
+        other = sorted(f.name for f in fields(self) if f.name in unread and getattr(self, f.name) != f.default)
+        if other:
+            raise ValueError(f"{self.family} cells do not read {other}")
         if self.sampler not in _SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         # A NaN rho or mu would write rows that read as real trials; rho = +inf
@@ -190,11 +195,7 @@ class CellSpec:
         if not isinstance(d, dict):
             raise ValueError(f"a cell must be a JSON object, got {d!r}")
         _reject_unknown("cell fields", d, cls.__dataclass_fields__)
-        cell = cls(**d)
-        other = sorted(set(d) & (_GRAPH_FIELDS - set(_FAMILY_FIELDS[cell.family])))
-        if other:
-            raise ValueError(f"{cell.family} cells do not read {other}")
-        return cell
+        return cls(**d)
 
 
 def _reject_unknown(what: str, d: dict, known) -> None:

@@ -256,8 +256,8 @@ def _sorted_pairs(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.
     """Pairs as a read-only (m, 2) array, ``min, max`` per row, in canonical order.
 
     Sorts stably by ``min * n + max`` and also returns the sort order. Checks
-    nothing: :func:`_canonical_edges` validates around it, and a tree's
-    parent list needs no check.
+    nothing: :func:`_canonical_edges` validates around it, and a
+    ``SpanningTree`` builds its edges from its parent array with it alone.
     """
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     order = np.argsort(lo * n + hi, kind="stable")

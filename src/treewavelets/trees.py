@@ -41,77 +41,68 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SpanningTree(Graph):
-    """A spanning tree of the host graph ``graph``, edges in canonical order.
+    """A spanning tree of the host graph ``graph``, stored as its parent array.
 
-    The tree is a :class:`Graph` on the host's vertices, so it shares every
-    derived view (degrees, CSR, edge ids). Construct through
-    :func:`build_spanning_tree` (validating) or one of the samplers; the
-    dataclass itself does not re-check the tree property. Two trees are
-    equal when their edges and their host graphs are. ``parent`` holds each
-    vertex's parent in the tree rooted at vertex 0 (read-only int64, -1 at
-    the root). Samplers rooted at 0 store it; other trees derive it on first
-    use, raising ValueError unless the edges form a spanning tree.
+    ``parent`` holds each vertex's parent in the tree rooted at vertex 0
+    (read-only int64, -1 at the root). The tree is a :class:`Graph` on the
+    host's vertices; its canonical ``edges``, and every view derived from
+    them, are built from ``parent`` on first read. Construct through
+    :func:`build_spanning_tree` (validating) or a sampler; a parent array that
+    is no tree rooted at 0 raises ValueError where it is rooted. Trees are
+    equal when their parents and hosts are, and pickle as both.
     """
 
-    graph: Graph
+    n = property(lambda self: self.graph.n)
 
-    def __eq__(self, other):
-        same = Graph.__eq__(self, other)
-        if same is not True or self is other:
-            return same
-        return self.graph == other.graph
-
-    @cached_property
-    def parent(self) -> np.ndarray:
-        # n-1 edges span exactly when a search from vertex 0 reaches every vertex.
-        if self.m != self.n - 1:
-            raise ValueError(f"spanning tree needs {self.n - 1} edges, got {self.m}")
-        parent, order = _bfs(*(a.tolist() for a in self.csr), 0)
-        if len(order) != self.n:
-            raise ValueError("tree edges do not connect all vertices")
+    def __init__(self, graph: Graph, parent):
         parent = np.array(parent, dtype=np.int64)
         parent.flags.writeable = False
-        return parent
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "parent", parent)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        child = np.flatnonzero(self.parent >= 0)
+        return _sorted_pairs(self.n, self.parent[child], child)[0]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.parent, other.parent) and self.graph == other.graph
+
+    def __getstate__(self) -> dict:
+        return {"graph": self.graph, "parent": self.parent}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
+
+
+def _require_host_edges(g: Graph, edges: np.ndarray) -> None:
+    missing = np.flatnonzero(g.edge_ids(edges) < 0)
+    if missing.size:
+        u, v = edges[missing[0]].tolist()
+        raise ValueError(f"tree edge {(u, v)} is not an edge of the host graph")
 
 
 def validate_spanning_tree(t: SpanningTree) -> None:
-    """Raise ValueError unless t is a spanning tree of its host graph.
-
-    Rooting the tree (``t.parent``) checks the edge count and connectivity.
-    """
-    g = t.graph
-    if t.n != g.n:
-        raise ValueError(f"tree has {t.n} vertices, host graph has {g.n}")
-    missing = np.flatnonzero(g.edge_ids(t.edges) < 0)
-    if missing.size:
-        u, v = t.edges[missing[0]].tolist()
-        raise ValueError(f"tree edge {(u, v)} is not an edge of the host graph")
-    t.parent
+    """Raise ValueError unless t is a spanning tree of its host graph, rooted at 0."""
+    _rooted(t.parent.tolist(), t.n)
+    _require_host_edges(t.graph, t.edges)
 
 
 def build_spanning_tree(g: Graph, edges) -> SpanningTree:
-    """Canonicalize an edge list and validate it as a spanning tree of g."""
-    t = SpanningTree(n=g.n, edges=_canonical_edges(g.n, edges), graph=g)
-    validate_spanning_tree(t)
-    return t
-
-
-def _parents_to_tree(g: Graph, parents: list[int]) -> SpanningTree:
-    """The tree of a parent list, kept as ``parent`` when rooted at vertex 0.
-
-    A parent list names each edge once, in range and without self-loops, so
-    one sort puts its edges in canonical order with nothing to check.
-    """
-    parent = np.array(parents, dtype=np.int64)
-    parent.flags.writeable = False
-    child = np.flatnonzero(parent >= 0)
-    edges, _ = _sorted_pairs(g.n, parent[child], child)
-    t = SpanningTree(n=g.n, edges=edges, graph=g)
-    if parent[0] < 0:
-        t.__dict__["parent"] = parent
-    return t
+    """Validate an edge list as a spanning tree of g and root it at vertex 0."""
+    edges = _canonical_edges(g.n, edges)
+    _require_host_edges(g, edges)
+    # n-1 edges span exactly when a search from vertex 0 reaches every vertex.
+    if len(edges) != g.n - 1:
+        raise ValueError(f"spanning tree needs {g.n - 1} edges, got {len(edges)}")
+    parent, order = _bfs(*(a.tolist() for a in Graph(n=g.n, edges=edges).csr), 0)
+    if len(order) != g.n:
+        raise ValueError("tree edges do not connect all vertices")
+    return SpanningTree(g, parent)
 
 
 # Uniforms drawn per numpy call by the walk; one call per step would cost
@@ -174,7 +165,7 @@ def sample_ust(g: Graph, rng: np.random.Generator | int) -> SpanningTree:
     """
     require_connected(g)
     seed = int(as_rng(rng).integers(2**32))
-    return _parents_to_tree(g, _wilson_parents(*g._csr_lists, g.n, seed))
+    return SpanningTree(g, _wilson_parents(*g._csr_lists, g.n, seed))
 
 
 def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
@@ -183,7 +174,11 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
         raise ValueError(f"root {root} out of range for n={g.n}")
     require_connected(g)
     ptr, _, nbrs = g._csr_lists
-    return _parents_to_tree(g, _bfs(ptr, nbrs, root)[0])
+    parent = _bfs(ptr, nbrs, root)[0]
+    below, v = -1, 0  # root the search tree at 0: reverse the path from 0 up to root
+    while v >= 0:
+        parent[v], below, v = below, v, parent[v]
+    return SpanningTree(g, parent)
 
 
 # =============================================================================
@@ -191,19 +186,24 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
 # =============================================================================
 
 
-def _rooted(parent: list[int]) -> tuple[list[list[int]], list[int], list[int]]:
-    """Children lists, size and low of the tree that ``parent`` roots at vertex 0.
+def _rooted(parent: list[int], n: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """Children lists, size and low of ``parent``, a tree on n vertices rooted at 0.
 
-    Each vertex lists its children in increasing order. ``size[v]`` and
-    ``low[v]`` are the vertex count and the smallest vertex of v's subtree.
-    """
-    n = len(parent)
+    Each vertex lists its children in increasing order; ``size[v]`` and ``low[v]``
+    are the vertex count and smallest vertex of v's subtree. Raises ValueError
+    when ``parent`` is no such tree."""
+    if len(parent) != n:
+        raise ValueError(f"tree has {len(parent)} vertices, host graph has {n}")
+    if parent[0] != -1 or min(parent[1:], default=0) < 0 or max(parent) >= n:
+        raise ValueError("parent array is not a tree rooted at vertex 0")
     kids = [[] for _ in range(n)]
     for v in range(1, n):
         kids[parent[v]].append(v)
     order = [0]
     for v in order:
         order.extend(kids[v])
+    if len(order) != n:  # a vertex whose parents run into a cycle is never reached
+        raise ValueError("parent array is not a tree rooted at vertex 0")
     size, low = [1] * n, list(range(n))
     for v in order[:0:-1]:
         p = parent[v]
@@ -243,7 +243,7 @@ def find_balance_walk(t: SpanningTree) -> tuple[int, int]:
     No component of the tree less that vertex has over ceil(n/2) vertices.
     The walk reads ``t.parent`` and starts at its root, vertex 0.
     """
-    kids, size, low = _rooted(t.parent.tolist())
+    kids, size, low = _rooted(t.parent.tolist(), t.n)
     return _balance_walk(kids, size, low, [False] * t.n, 0)
 
 

@@ -151,13 +151,14 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
     rest, then each half the same way. Components of three or more vertices
     are split in turn; a two-vertex component gives one final element.
 
-    The builder reads ``t.parent``, the tree rooted at vertex 0. A part is
-    its top vertex's subtree less the subtrees below cut parent edges, so a
-    split cuts edges and updates subtree sizes on the walk path only. The
-    loop records each split's group bounds, depth and pivot, a two-vertex
-    part as a split of its two vertices with pivot -1; the elements are
-    expanded from one template per group count p, and one stable sort by
-    (part offset, depth) puts them in depth-first order.
+    The builder reads ``t.parent``, the tree rooted at vertex 0, and never
+    the tree's edges; a parent array that is no such tree raises ValueError.
+    A part is its top vertex's subtree less the subtrees below cut parent
+    edges, so a split cuts edges and updates subtree sizes on the walk path
+    only. The loop records each split's group bounds, depth and pivot, a
+    two-vertex part as a split of its two vertices with pivot -1; the
+    elements are expanded from one template per group count p, and one
+    stable sort by (part offset, depth) puts them in depth-first order.
 
     Returns
     -------
@@ -168,7 +169,7 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
     parent = t.parent.tolist()
     # size[v] and low[v] are the vertex count and smallest vertex of v's
     # subtree inside v's part; cut[v] separates v from its parent's part.
-    kids, size, low = _rooted(parent)
+    kids, size, low = _rooted(parent, n)
     cut = [False] * n
     perm = [0] * n
     # Records by group count; two-vertex parts' records (apart while a 2-group

@@ -259,6 +259,28 @@ class TestPriorSignal:
         assert np.count_nonzero(x.values) == 1
         assert x.cut == 15
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen_torus(6, 2),
+            lambda: gen_complete(30),
+            lambda: gen_knn(120, 5, 2, 7)[0],
+            lambda: gen_epsilon(120, 0.2, 2, 8)[0],
+        ],
+        ids=["torus", "complete", "knn", "epsilon"],
+    )
+    def test_recorded_cut_is_the_edge_count(self, make):
+        # The cut is counted from the support's CSR runs, not over all edges;
+        # with mu = 1e-12 no edge changes level by more than EPS_CUT.
+        g = make()
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            rho = float(rng.integers(g.max_degree, 8 * g.max_degree))
+            x = gen_prior_signal(g, rho, 1.0, rng)
+            assert x.cut == cut_size(g, x.values) <= rho
+        tiny = gen_prior_signal(g, 8.0 * g.max_degree, 1e-12, np.random.default_rng(2))
+        assert tiny.cut == cut_size(g, tiny.values) == 0
+
 
 class TestSnrCondition:
     def test_remark1_mode_value(self):

@@ -104,6 +104,17 @@ class TestCellSpec:
         own = {key: value for key, value in cell.items() if key not in other}
         assert CellSpec.from_dict(own).build_graph().n == n
 
+    def test_graph_field_of_another_family_rejected_by_the_constructor(self):
+        # The library path used to run this cell on K8.
+        with pytest.raises(ValueError, match=re.escape("complete cells do not read ['k', 'side']")):
+            CellSpec(family="complete", n=8, side=5, k=3, rho=8.0, mu_grid=(0.0, 5.0))
+        with pytest.raises(ValueError, match=re.escape("torus cells do not read ['graph_seed', 'n']")):
+            CellSpec(family="torus", side=4, n=16, graph_seed=3)
+        with pytest.raises(ValueError, match=re.escape("epsilon cells do not read ['dims']")):
+            CellSpec(family="epsilon", n=30, eps=0.5, dims=3)
+        # A field at its default builds the same graph as one left out.
+        assert CellSpec(family="complete", n=8, dims=2).build_graph().n == 8
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -3.0])
     def test_mu_grid_values_validated(self, bad):
         # [nan, -3, 5] used to write rows that read as null trials.

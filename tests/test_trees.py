@@ -17,9 +17,11 @@ from helpers import (
     random_tree_edges,
 )
 from treewavelets import (
+    CellSpec,
     DisconnectedGraphError,
     Graph,
     SpanningTree,
+    TreeSource,
     bfs_spanning_tree,
     build_basis,
     build_graph,
@@ -34,6 +36,7 @@ from treewavelets import (
     validate_spanning_tree,
     write_tree,
 )
+from treewavelets.experiments import _draw
 from treewavelets.graphs import _bfs
 
 
@@ -76,7 +79,7 @@ class TestValidateSpanningTree:
     def test_vertex_count_must_match_host(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match="vertices"):
-            validate_spanning_tree(SpanningTree(n=2, edges=((0, 1),), graph=g))
+            validate_spanning_tree(SpanningTree(g, [-1, 0]))
 
 
 class TestFindBalance:
@@ -270,7 +273,9 @@ class TestTreeEquality:
     def test_pickle_keeps_edges_read_only(self, protocol):
         t = sample_ust(gen_torus(4, 2), 3)
         back = pickle.loads(pickle.dumps(t, protocol=protocol))
+        assert set(back.__dict__) == {"graph", "parent"}
         assert back == t and back.graph == t.graph
+        assert not back.parent.flags.writeable
         assert not back.edges.flags.writeable
         assert not back.graph.edges.flags.writeable
 
@@ -285,6 +290,18 @@ class TestBfsTree:
         g = gen_complete(5)
         t = bfs_spanning_tree(g, 2)
         assert edge_tuples(t) == tuple(sorted((min(2, v), max(2, v)) for v in [0, 1, 3, 4]))
+
+    @pytest.mark.parametrize("kind", ["torus", "knn"])
+    def test_other_root_gives_its_search_tree_rooted_at_zero(self, kind):
+        g = _host(kind)
+        ptr, nbrs = (a.tolist() for a in g.csr)
+        for root in (1, 7, 55, g.n - 1):
+            parent = _bfs(ptr, nbrs, root)[0]
+            child = [v for v in range(g.n) if v != root]
+            want = {(min(v, parent[v]), max(v, parent[v])) for v in child}
+            t = bfs_spanning_tree(g, root)
+            assert t.parent[0] == -1 and set(edge_tuples(t)) == want
+            validate_spanning_tree(t)
 
     def test_root_out_of_range(self):
         with pytest.raises(ValueError):
@@ -370,18 +387,40 @@ class TestParent:
 
     @pytest.mark.parametrize("kind", ["torus", "knn"])
     def test_builder_never_builds_the_tree_csr(self, kind):
+        # Nor the edges: a trial's draw, its basis and a balance walk read
+        # only the parent array.
         g = _host(kind)
-        for t in [sample_ust(g, seed) for seed in range(3)] + [bfs_spanning_tree(g)]:
+        cell = CellSpec(family="torus", side=4, mu_grid=(1.0,))
+        for seed, source in enumerate([TreeSource.ust()] * 3 + [TreeSource.bfs()]):
+            _, t, _, _ = _draw(g, cell, source, math.inf, np.random.default_rng(seed))
             build_basis(t)
             find_balance_walk(t)
-            assert "csr" not in t.__dict__
+            assert "csr" not in t.__dict__ and "edges" not in t.__dict__
 
     @pytest.mark.parametrize("count", [15, 32], ids=["disconnected", "cyclic"])
     def test_non_tree_fails_loudly(self, count):
         # Fifteen torus edges on sixteen vertices leave a vertex out; all 32
-        # hold cycles. Neither may give a basis.
+        # hold cycles. Neither may become a tree.
         g = gen_torus(4, 2)
-        t = SpanningTree(n=g.n, edges=g.edges[:count], graph=g)
-        for use in (build_basis, find_balance_walk):
-            with pytest.raises(ValueError, match="connect" if count == 15 else "edges"):
+        with pytest.raises(ValueError, match="connect" if count == 15 else "edges"):
+            build_spanning_tree(g, g.edges[:count])
+
+    @pytest.mark.parametrize(
+        "parent, match",
+        [
+            ([-1, 2, 1, 0, 3], "not a tree"),
+            ([-1, -1, 0, 2, 3], "not a tree"),
+            ([-1, 0, 1, 2], "vertices"),
+            ([1, 0, 1, 2, 3], "not a tree"),
+            ([-1, 0, 1, 2, 5], "not a tree"),
+            ([-1, 0, 1, 4, 4], "not a tree"),
+        ],
+        ids=["two-cycle", "second-root", "wrong-length", "rooted-elsewhere", "out-of-range", "self-loop"],
+    )
+    def test_malformed_parent_fails_loudly(self, parent, match):
+        # The parent array is the tree's only stored form; no use may root a
+        # parent array that is not a tree on the host's vertices rooted at 0.
+        t = SpanningTree(gen_complete(5), parent)
+        for use in (build_basis, find_balance_walk, validate_spanning_tree):
+            with pytest.raises(ValueError, match=match):
                 use(t)
