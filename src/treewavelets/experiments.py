@@ -124,9 +124,9 @@ _SAMPLERS = {
 }
 
 
-# The graph fields each family reads. A graph field of another family set
-# away from its default is rejected, since the cell would build a graph other
-# than the one it names.
+# The graph fields each family reads, in its generator's argument order. A
+# graph field of another family set away from its default is rejected, since
+# the cell would build a graph other than the one it names.
 _FAMILY_FIELDS = {
     "torus": ("side", "dims"),
     "complete": ("n",),
@@ -181,14 +181,19 @@ class CellSpec:
         for mu in self.mu_grid:
             _require_positive("mu_grid values", mu, zero_ok=True)
 
-    def build_graph(self) -> Graph:
+    def generate(self) -> tuple[Graph, np.ndarray | None]:
+        """The cell's graph, with its point coordinates for the geometric
+        families (None for torus and complete)."""
         if self.family == "torus":
-            return gen_torus(self.side, self.dims)
+            return gen_torus(self.side, self.dims), None
         if self.family == "complete":
-            return gen_complete(self.n)
+            return gen_complete(self.n), None
         if self.family == "knn":
-            return gen_knn(self.n, self.k, self.dim, self.graph_seed)[0]
-        return gen_epsilon(self.n, self.eps, self.dim, self.graph_seed)[0]
+            return gen_knn(self.n, self.k, self.dim, self.graph_seed)
+        return gen_epsilon(self.n, self.eps, self.dim, self.graph_seed)
+
+    def build_graph(self) -> Graph:
+        return self.generate()[0]
 
     @classmethod
     def from_dict(cls, d: dict) -> CellSpec:
@@ -363,7 +368,7 @@ def aggregate_records(records: list[TrialRecord], trials_requested: int) -> list
         if mu == 0:
             type_i[(family, n, rho)] = sum(r.reject for r in rows) / len(rows)
     out = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2], k[3])):
+    for key in sorted(groups):
         family, n, rho, mu = key
         rows = groups[key]
         done = len(rows)

@@ -85,12 +85,16 @@ class WaveletBasis:
     def __len__(self) -> int:
         return len(self.lo)
 
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(element, vertex, value) of every nonzero entry, by element, then vertex."""
+        row, k = _spans(self.lo, self.hi)
+        k = k[np.lexsort((self.perm[k], row))]  # row is sorted already
+        return row, self.perm[k], np.where(k < self.mid[row], self.pos[row], self.neg[row])
+
     @property
     def vertices(self) -> np.ndarray:
         """Column indices of ``matrix``: the vertices of every support, back to back."""
-        row, k = _spans(self.lo, self.hi)
-        v = self.perm[k]
-        return v[np.lexsort((v, row))]
+        return self._entries()[1]
 
     def _values(self) -> tuple[np.ndarray, np.ndarray]:
         # On a split of n1 positive against n2 negative vertices the element is
@@ -115,13 +119,9 @@ class WaveletBasis:
         """The elements as CSR rows with sorted column indices."""
         import scipy.sparse as sp
 
-        lo, mid, hi = self.lo, self.mid, self.hi
-        row, k = _spans(lo, hi)
-        indptr = np.concatenate(([0], np.cumsum(hi - lo)))
-        values = np.where(k < mid[row], self.pos[row], self.neg[row])
-        matrix = sp.csr_matrix((values, self.perm[k], indptr), shape=(len(self), self.n))
-        matrix.sort_indices()
-        return matrix
+        _, vertex, value = self._entries()
+        indptr = np.concatenate(([0], np.cumsum(self.hi - self.lo)))
+        return sp.csr_matrix((value, vertex, indptr), shape=(len(self), self.n))
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -336,7 +336,6 @@ def edge_activations(basis: WaveletBasis) -> np.ndarray:
 
 def write_basis_csv(basis: WaveletBasis, path: str | Path) -> None:
     """Dump the basis as CSV rows ``element,vertex,value,depth``."""
-    m = basis.matrix
-    row = np.repeat(np.arange(len(basis)), np.diff(m.indptr))
-    columns = (row, m.indices, m.data, basis.depths[row])
+    row, vertex, value = basis._entries()
+    columns = (row, vertex, value, basis.depths[row])
     write_csv(path, ["element", "vertex", "value", "depth"], zip(*(c.tolist() for c in columns)))

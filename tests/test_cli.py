@@ -65,6 +65,41 @@ class TestGen:
         assert "error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    # (flags, comment line, manifest params besides family/out/points, sha256
+    # of the edge list with its comment line).
+    PINNED = {
+        "torus": (["--side", "5", "--dims", "2"], "# torus side=5 dims=2",
+                  {"side": 5, "dims": 2},
+                  "3875d54bad04105d7b74e0ed2d4b25ab1a5fc488bec0160ff22b907a2b20aa8c"),
+        "complete": (["--n", "7"], "# complete n=7", {"n": 7},
+                     "937722fcf2a6be26871700499cf2805d6e94019cd76ef0a2b87855abd3537b44"),
+        "knn": (["--n", "30", "--k", "4", "--seed", "7"], "# knn n=30 k=4 dim=2 seed=7",
+                {"n": 30, "k": 4, "dim": 2, "seed": 7},
+                "400f0a4e22272d7893c8095c5e70dd5023f8f18dcc3536c87b1dbf76053a832f"),
+        "epsilon": (["--n", "30", "--eps", "0.4", "--seed", "2"],
+                    "# epsilon n=30 eps=0.4 dim=2 seed=2",
+                    {"n": 30, "eps": 0.4, "dim": 2, "seed": 2},
+                    "1e5e53b88d8f8838996e4d847e81a6cfa01dcc596c8ba3978eaf9ab1c6167e2b"),
+    }
+
+    @pytest.mark.parametrize("family", sorted(PINNED))
+    def test_pinned_bytes_and_the_config_cell_graph(self, tmp_path, family):
+        flags, comment, values, digest = self.PINNED[family]
+        out = tmp_path / "g.txt"
+        assert main(["gen", family, *flags, "--out", str(out)]) == 0
+        assert sha256(out) == digest
+        assert out.read_text().splitlines()[0] == comment
+        manifest = json.loads((tmp_path / "g.txt.manifest.json").read_text())
+        params = {"family": family, "out": str(out), **values}
+        if family in ("knn", "epsilon"):
+            params["points"] = str(tmp_path / "g.points.csv")
+        assert manifest["params"] == params
+        assert manifest["seed"] == values.get("seed")
+        # A config cell with the same fields builds the same graph; --seed is graph_seed.
+        fields = {"graph_seed" if k == "seed" else k: v for k, v in values.items()}
+        cell = experiments.CellSpec(family=family, **fields).build_graph()
+        assert edge_tuples(read_edge_list(out)) == edge_tuples(cell)
+
 
 class TestBasis:
     @staticmethod
@@ -98,6 +133,39 @@ class TestBasis:
         manifest = json.loads((tmp_path / "basis.csv.manifest.json").read_text())
         assert set(manifest["outputs"]) == {"basis.csv", "tree.txt"}
         assert manifest["inputs"]["torus.txt"] == sha256(graph)
+
+    @pytest.mark.parametrize(
+        "graph, flags, digest",
+        [(lambda: gen_torus(5, 2), ["--tree", "ust", "--seed", "4"],
+          "dd6520473ff6510430197c9c0a31b6c0888b21bd07eb53f2b188e0f61b8e954f"),
+         (lambda: gen_knn(30, 4, 2, 7)[0], ["--tree", "bfs", "--root", "5"],
+          "aab124eb175cbcb7c9f1e61725099ecefaf24949e1c1686da6924c82a882e225")],
+        ids=["ust", "bfs-root-5"],
+    )
+    def test_csv_bytes_pinned(self, tmp_path, capsys, graph, flags, digest):
+        path = tmp_path / "g.txt"
+        write_edge_list(graph(), path)
+        out = tmp_path / "basis.csv"
+        assert main(["basis", "--graph", str(path), *flags, "--out", str(out)]) == 0
+        assert sha256(out) == digest
+
+    # Runs in a fresh interpreter; prints the scipy modules loaded on its last line.
+    CSV_PROBE = """
+import sys
+from treewavelets import build_basis, gen_torus, sample_ust, write_basis_csv
+write_basis_csv(build_basis(sample_ust(gen_torus(4, 2), 1)), sys.argv[1])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+    def test_csv_is_written_without_scipy(self, tmp_path):
+        src = str(Path(treewavelets.__file__).resolve().parents[1])
+        out = tmp_path / "basis.csv"
+        proc = subprocess.run([sys.executable, "-c", self.CSV_PROBE, str(out)],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert out.read_text().startswith("element,vertex,value,depth\n0,")
 
     def test_bfs_tree_needs_no_seed(self, tmp_path, capsys):
         graph = self.torus_file(tmp_path)
@@ -161,6 +229,15 @@ class TestResistance:
         assert main(["resistance", "--graph", str(graph), "--out", str(out),
                      "--validate-mtt", "600", "--seed", "3"]) == 0
         assert "within" in capsys.readouterr().out
+
+    def test_tree_draw_check_passes_on_an_edgeless_graph(self, tmp_path, capsys):
+        graph = tmp_path / "k1.txt"
+        assert main(["gen", "complete", "--n", "1", "--out", str(graph)]) == 0
+        assert main(["resistance", "--graph", str(graph), "--out", str(tmp_path / "r.csv"),
+                     "--validate-foster", "--validate-mtt", "10", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "tree-marginal check: 0/0 edges within 3 SE (1.0000) [ok]" in out
+        assert "FAIL" not in out
 
     def test_mtt_requires_seed(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
