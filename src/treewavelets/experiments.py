@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .graphs import (
     write_csv,
 )
 from .resistance import ResistanceProfile, all_edge_resistances
-from .trees import SpanningTree, bfs_spanning_tree, sample_ust
+from .trees import bfs_spanning_tree, sample_ust
 from .wavelets import activation_bound, apply_basis, basis_sparsity, build_basis
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "ConcentrationRow",
     "FitRow",
     "SparsityPoint",
-    "TreeSource",
     "TrialRecord",
     "aggregate_records",
     "fit_sparsity_points",
@@ -57,39 +57,8 @@ __all__ = [
 
 
 # =============================================================================
-# Tree sources and trial records
+# Trial records
 # =============================================================================
-
-
-@dataclass(frozen=True)
-class TreeSource:
-    """Where each trial's spanning tree comes from.
-
-    kind="ust" draws a fresh uniform spanning tree per trial (seeded from the
-    trial's stream); kind="bfs" reuses the deterministic breadth-first tree
-    from vertex 0 and draws nothing.
-    """
-
-    kind: str = "ust"
-
-    def __post_init__(self):
-        if self.kind not in ("ust", "bfs"):
-            raise ValueError(f"unknown tree source kind {self.kind!r}; expected 'ust' or 'bfs'")
-
-    @classmethod
-    def ust(cls) -> "TreeSource":
-        return cls(kind="ust")
-
-    @classmethod
-    def bfs(cls) -> "TreeSource":
-        return cls(kind="bfs")
-
-    def realize(self, g: Graph, rng: np.random.Generator) -> tuple[SpanningTree, int]:
-        """Produce this trial's tree; returns (tree, seed or -1)."""
-        if self.kind == "ust":
-            seed = int(rng.integers(2**32))
-            return sample_ust(g, seed), seed
-        return bfs_spanning_tree(g), -1
 
 
 @dataclass(frozen=True)
@@ -254,11 +223,19 @@ def _trial_rng(master_seed: int, cell_index: int, trial: int) -> np.random.Gener
 # =============================================================================
 
 
-def _draw(g: Graph, cell: CellSpec, tree_source: TreeSource, rho: float, rng):
+def _draw(g: Graph, cell: CellSpec, kind: str, rho: float, rng):
     """Draw a tree, build its basis, then draw a unit-energy shape with cut
     budget rho, in that order from rng: (tree_seed, tree, basis, shape), or
-    None if the sampler cannot meet the budget (the build is spent anyway)."""
-    tree, tree_seed = tree_source.realize(g, rng)
+    None if the sampler cannot meet the budget (the build is spent anyway).
+
+    A "ust" tree is a uniform spanning tree seeded from rng; a "bfs" tree is
+    the breadth-first tree from vertex 0, which draws nothing (tree_seed -1).
+    """
+    if kind == "ust":
+        tree_seed = int(rng.integers(2**32))
+        tree = sample_ust(g, tree_seed)
+    else:
+        tree_seed, tree = -1, bfs_spanning_tree(g)
     basis = build_basis(tree)
     try:
         shape = _SAMPLERS[cell.sampler](g, rho, 1.0, rng)
@@ -267,14 +244,13 @@ def _draw(g: Graph, cell: CellSpec, tree_source: TreeSource, rho: float, rng):
     return tree_seed, tree, basis, shape
 
 
-def _power_trial(args) -> list[TrialRecord]:
+def _power_trial(g, cell, tree, sigma, tau, master_seed, cell_index, trial) -> list[TrialRecord]:
     """One trial: ``_draw``, a standard normal noise vector z, and one row per
     mu of the grid (none for an infeasible shape). The statistic at mu,
     max |mu * coef(shape) + sigma * coef(z)|, is computed for the whole grid
     as one array, each element by the same operations as for its mu alone."""
-    g, cell, tree_source, sigma, tau, master_seed, cell_index, trial = args
     rng = _trial_rng(master_seed, cell_index, trial)
-    drawn = _draw(g, cell, tree_source, cell.rho, rng)
+    drawn = _draw(g, cell, tree, cell.rho, rng)
     if drawn is None:
         return []
     tree_seed, _, basis, shape = drawn
@@ -301,7 +277,9 @@ def _power_trial(args) -> list[TrialRecord]:
     ]
 
 
-def _map_tasks(fn, tasks: list, workers: int) -> list:
+def _map_tasks(fn, tasks, workers: int) -> list:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
@@ -312,7 +290,9 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
         return pool.map(fn, tasks, chunksize=chunk)
 
 
-def _require_power_cell(cell_index: int, cell: CellSpec, trials: int) -> None:
+def _require_power_cell(cell_index: int, cell: CellSpec, trials: int, tree: str) -> None:
+    if tree not in ("ust", "bfs"):
+        raise ValueError(f"unknown tree kind {tree!r}; expected 'ust' or 'bfs'")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not cell.mu_grid:
@@ -328,30 +308,24 @@ def power_curve(
     trials: int,
     sigma: float,
     delta: float,
-    tree_source: TreeSource,
+    tree: str,
     master_seed: int,
     cell_index: int = 0,
     workers: int = 1,
 ) -> list[TrialRecord]:
     """Empirical power of the test over a mu grid, one cell at a time.
 
-    Each trial draws a tree, a unit-energy signal shape, and one noise
-    vector, then sweeps the mu grid over those shared draws. A mu of zero is
-    a null trial (truth flag off), which is how type-I companions are run.
-    Trials whose signal sampler cannot meet the cut budget contribute no
-    rows; aggregation reports the shortfall.
+    Each trial draws a tree of kind ``tree`` ("ust" or "bfs"), a unit-energy
+    signal shape, and one noise vector, then sweeps the mu grid over those
+    shared draws. A mu of zero is a null trial (truth flag off), which is how
+    type-I companions are run. Trials whose signal sampler cannot meet the
+    cut budget contribute no rows; aggregation reports the shortfall.
     """
-    _require_power_cell(cell_index, cell, trials)
+    _require_power_cell(cell_index, cell, trials, tree)
     g = cell.build_graph()
     tau = threshold(sigma, g.n, delta)
-    tasks = [
-        (g, cell, tree_source, sigma, tau, master_seed, cell_index, t)
-        for t in range(trials)
-    ]
-    rows: list[TrialRecord] = []
-    for chunk in _map_tasks(_power_trial, tasks, workers):
-        rows.extend(chunk)
-    return rows
+    trial = partial(_power_trial, g, cell, tree, sigma, tau, master_seed, cell_index)
+    return [r for rows in _map_tasks(trial, range(trials), workers) for r in rows]
 
 
 def aggregate_records(records: list[TrialRecord], trials_requested: int) -> list[dict]:
@@ -451,11 +425,10 @@ class FitRow:
 FIT_COLUMNS = [f.name for f in fields(FitRow)]
 
 
-def _sparsity_point(args) -> SparsityPoint | None:
-    g, cell, master_seed, cell_index, i = args
+def _sparsity_point(g, cell, master_seed, cell_index, i) -> SparsityPoint | None:
     rng = _trial_rng(master_seed, cell_index, i)
     rho = int(rng.integers(cell.rho_lo, cell.rho_hi + 1))
-    drawn = _draw(g, cell, TreeSource.ust(), rho, rng)
+    drawn = _draw(g, cell, "ust", rho, rng)
     if drawn is None:
         return None
     tree_seed, tree, basis, x = drawn
@@ -526,8 +499,8 @@ def sparsity_experiment(
     fits: list[FitRow] = []
     for ci, cell in enumerate(cells):
         g = cell.build_graph()
-        tasks = [(g, cell, master_seed, ci, i) for i in range(signals)]
-        cell_points = [p for p in _map_tasks(_sparsity_point, tasks, workers) if p is not None]
+        point = partial(_sparsity_point, g, cell, master_seed, ci)
+        cell_points = [p for p in _map_tasks(point, range(signals), workers) if p is not None]
         points.extend(cell_points)
         fits.append(fit_sparsity_points(cell_points))
     return points, fits
@@ -674,11 +647,11 @@ AGGREGATE_COLUMNS = [
 MU50_COLUMNS = ["family", "n", "rho", "mu50"]
 
 
-def _config_tree(name: str, d) -> TreeSource:
+def _config_tree(name: str, d) -> str:
     if not isinstance(d, dict):
         raise ValueError(f"{name} must be a JSON object, got {d!r}")
     _reject_unknown(f"{name} keys", d, ("kind",))
-    return TreeSource(kind=d.get("kind", "ust"))
+    return d.get("kind", "ust")
 
 
 def _config_deltas(name: str, value) -> list[float]:
@@ -736,7 +709,7 @@ def _read_config(config) -> tuple[str, int, list[CellSpec], dict]:
         # that share a key would pool their trials into one power row.
         seen = {}
         for ci, cell in enumerate(cells):
-            _require_power_cell(ci, cell, values["trials"])
+            _require_power_cell(ci, cell, values["trials"], values["tree"])
             n = cell.side**cell.dims if cell.family == "torus" else cell.n
             key = (cell.family, n, cell.rho)
             if key in seen:
@@ -781,7 +754,7 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
                     trials=trials,
                     sigma=values["sigma"],
                     delta=values["delta"],
-                    tree_source=values["tree"],
+                    tree=values["tree"],
                     master_seed=seed,
                     cell_index=ci,
                     workers=workers,

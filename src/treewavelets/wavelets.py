@@ -124,7 +124,10 @@ class WaveletBasis:
         return sp.csr_matrix((value, vertex, indptr), shape=(len(self), self.n))
 
     def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        row, vertex, value = self._entries()
+        d = np.zeros((len(self), self.n))
+        d[row, vertex] = value
+        return d
 
 
 @cache

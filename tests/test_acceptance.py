@@ -14,7 +14,6 @@ import pytest
 
 from treewavelets import (
     CellSpec,
-    TreeSource,
     activation_bound,
     aggregate_records,
     all_edge_resistances,
@@ -345,7 +344,7 @@ def test_c09_power_trends():
                 trials=trials,
                 sigma=config["sigma"],
                 delta=config["delta"],
-                tree_source=TreeSource.ust(),
+                tree="ust",
                 master_seed=config["seed"],
                 cell_index=ci,
             )

@@ -149,11 +149,14 @@ class TestBasis:
         assert main(["basis", "--graph", str(path), *flags, "--out", str(out)]) == 0
         assert sha256(out) == digest
 
-    # Runs in a fresh interpreter; prints the scipy modules loaded on its last line.
+    # Runs in a fresh interpreter: writes the CSV, builds the dense array, and
+    # prints the scipy modules loaded on its last line.
     CSV_PROBE = """
 import sys
 from treewavelets import build_basis, gen_torus, sample_ust, write_basis_csv
-write_basis_csv(build_basis(sample_ust(gen_torus(4, 2), 1)), sys.argv[1])
+basis = build_basis(sample_ust(gen_torus(4, 2), 1))
+write_basis_csv(basis, sys.argv[1])
+assert basis.to_dense().shape == (16, 16)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
@@ -547,7 +550,7 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
         self, tmp_path, capsys, monkeypatch, config, counted, message
     ):
         ran = []
-        monkeypatch.setattr(experiments, counted, ran.append)
+        monkeypatch.setattr(experiments, counted, lambda *args: ran.append(args))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         code = main(["experiment", "--config", str(path), "--out", str(tmp_path / "o"),

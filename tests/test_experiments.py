@@ -13,7 +13,6 @@ from treewavelets import (
     CellSpec,
     FitUndefinedError,
     SparsityPoint,
-    TreeSource,
     activation_bound,
     aggregate_records,
     all_edge_resistances,
@@ -39,32 +38,38 @@ from treewavelets import (
 )
 from helpers import binomial_band, edge_tuples, enumerate_spanning_trees
 from treewavelets import experiments
-from treewavelets.experiments import _named_edge_set
+from treewavelets.experiments import _draw, _named_edge_set
 
 
-class TestTreeSource:
+class TestTreeKind:
+    CELL = CellSpec(family="torus", side=4, mu_grid=(1.0,))
+
     def test_ust_draws_from_stream(self):
         g = gen_torus(4, 2)
-        src = TreeSource.ust()
-        t1, s1 = src.realize(g, np.random.default_rng(0))
-        t2, s2 = src.realize(g, np.random.default_rng(1))
+        s1, t1, _, _ = _draw(g, self.CELL, "ust", math.inf, np.random.default_rng(0))
+        s2, t2, _, _ = _draw(g, self.CELL, "ust", math.inf, np.random.default_rng(1))
         validate_spanning_tree(t1)
         validate_spanning_tree(t2)
         assert s1 >= 0 and s2 >= 0 and s1 != s2
+        # The seed is the stream's first draw, and the tree is sample_ust's.
+        assert s1 == int(np.random.default_rng(0).integers(2**32))
+        assert edge_tuples(t1) == edge_tuples(sample_ust(g, s1))
 
     def test_bfs_is_deterministic_and_unseeded(self):
         g = gen_torus(4, 2)
-        src = TreeSource.bfs()
-        t1, s1 = src.realize(g, np.random.default_rng(0))
-        t2, s2 = src.realize(g, np.random.default_rng(99))
+        s1, t1, _, _ = _draw(g, self.CELL, "bfs", math.inf, np.random.default_rng(0))
+        s2, t2, _, _ = _draw(g, self.CELL, "bfs", math.inf, np.random.default_rng(99))
         assert s1 == s2 == -1
         assert edge_tuples(t1) == edge_tuples(t2) == edge_tuples(bfs_spanning_tree(g))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            TreeSource(kind="dfs")
-        with pytest.raises(ValueError, match="kind"):
-            TreeSource(kind="fixed")
+    def test_unknown_kind_rejected(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(experiments, "_power_trial", lambda *args: ran.append(args))
+        for kind in ("dfs", "fixed", "UST", None):
+            with pytest.raises(ValueError, match=f"unknown tree kind {kind!r}"):
+                power_curve(self.CELL, trials=3, sigma=1.0, delta=0.05, tree=kind,
+                            master_seed=0)
+        assert ran == []
 
 
 class TestCellSpec:
@@ -139,7 +144,7 @@ class TestPowerCurve:
 
     def test_deterministic_and_coupled(self):
         cell = self.tiny_cell()
-        kw = dict(trials=25, sigma=1.0, delta=0.05, tree_source=TreeSource.ust(), master_seed=5)
+        kw = dict(trials=25, sigma=1.0, delta=0.05, tree="ust", master_seed=5)
         a = power_curve(cell, **kw)
         b = power_curve(cell, **kw)
         assert a == b
@@ -156,7 +161,7 @@ class TestPowerCurve:
             trials=60,
             sigma=1.0,
             delta=0.05,
-            tree_source=TreeSource.ust(),
+            tree="ust",
             master_seed=9,
         )
         nulls = [r for r in records if r.mu == 0.0]
@@ -169,12 +174,12 @@ class TestPowerCurve:
     @pytest.mark.parametrize("source", ["ust", "bfs"])
     def test_statistic_matches_direct_detection(self, source):
         # Rebuild every trial from its own stream, in the trial's draw order:
-        # the tree, then the unit-energy shape, then the noise.
+        # the tree (a ust tree from the stream's first integer, the bfs tree
+        # from nothing), then the unit-energy shape, then the noise.
         cell = self.tiny_cell(mu_grid=(0.0, 1.5, 4.0))
-        tree_source = TreeSource(kind=source)
         sigma, delta, master_seed, cell_index = 1.7, 0.05, 4, 2
         records = power_curve(
-            cell, trials=6, sigma=sigma, delta=delta, tree_source=tree_source,
+            cell, trials=6, sigma=sigma, delta=delta, tree=source,
             master_seed=master_seed, cell_index=cell_index,
         )
         assert len(records) == 6 * 3
@@ -184,7 +189,11 @@ class TestPowerCurve:
             rng = np.random.default_rng(
                 np.random.SeedSequence(master_seed, spawn_key=(cell_index, rec.trial))
             )
-            tree, tree_seed = tree_source.realize(g, rng)
+            if source == "ust":
+                tree_seed = int(rng.integers(2**32))
+                tree = sample_ust(g, tree_seed)
+            else:
+                tree_seed, tree = -1, bfs_spanning_tree(g)
             shape = gen_two_level_signal(g, cell.rho, 1.0, rng)
             z = rng.standard_normal(g.n)
             direct = detect(build_basis(tree), rec.mu * shape.values + sigma * z, tau)
@@ -196,12 +205,17 @@ class TestPowerCurve:
 
     def test_worker_pool_gives_the_same_records(self):
         cell = self.tiny_cell()
-        kw = dict(trials=12, sigma=1.0, delta=0.05, tree_source=TreeSource.ust(), master_seed=5)
+        kw = dict(trials=12, sigma=1.0, delta=0.05, tree="ust", master_seed=5)
         assert power_curve(cell, workers=2, **kw) == power_curve(cell, workers=1, **kw)
+
+    def test_workers_below_one_rejected(self):
+        kw = dict(trials=3, sigma=1.0, delta=0.05, tree="ust", master_seed=5)
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            power_curve(self.tiny_cell(), workers=0, **kw)
 
     def test_different_cell_index_changes_stream(self):
         cell = self.tiny_cell()
-        kw = dict(trials=10, sigma=1.0, delta=0.05, tree_source=TreeSource.ust(), master_seed=5)
+        kw = dict(trials=10, sigma=1.0, delta=0.05, tree="ust", master_seed=5)
         a = power_curve(cell, cell_index=0, **kw)
         b = power_curve(cell, cell_index=1, **kw)
         assert [r.tree_seed for r in a] != [r.tree_seed for r in b]
@@ -213,7 +227,7 @@ class TestPowerCurve:
                 trials=0,
                 sigma=1.0,
                 delta=0.05,
-                tree_source=TreeSource.ust(),
+                tree="ust",
                 master_seed=0,
             )
         with pytest.raises(ValueError, match="mu_grid"):
@@ -222,7 +236,7 @@ class TestPowerCurve:
                 trials=5,
                 sigma=1.0,
                 delta=0.05,
-                tree_source=TreeSource.ust(),
+                tree="ust",
                 master_seed=0,
             )
         # aggregate_records would pool the two mu = 25 rows of every trial.
@@ -232,7 +246,7 @@ class TestPowerCurve:
                 trials=5,
                 sigma=1.0,
                 delta=0.05,
-                tree_source=TreeSource.ust(),
+                tree="ust",
                 master_seed=0,
             )
 
@@ -241,10 +255,10 @@ class TestPowerCurve:
     ])
     def test_bad_sigma_or_delta_fails_before_any_trial(self, monkeypatch, sigma, delta, match):
         ran = []
-        monkeypatch.setattr(experiments, "_power_trial", ran.append)
+        monkeypatch.setattr(experiments, "_power_trial", lambda *args: ran.append(args))
         with pytest.raises(ValueError, match=match):
             power_curve(self.tiny_cell(), trials=3, sigma=sigma, delta=delta,
-                        tree_source=TreeSource.ust(), master_seed=0)
+                        tree="ust", master_seed=0)
         assert ran == []
 
 
@@ -280,7 +294,7 @@ class TestAggregateRecords:
     def test_recomputes_rates_and_risk(self):
         cell = TestPowerCurve.tiny_cell(mu_grid=(0.0, 2.0, 30.0))
         records = power_curve(
-            cell, trials=40, sigma=1.0, delta=0.05, tree_source=TreeSource.ust(), master_seed=3
+            cell, trials=40, sigma=1.0, delta=0.05, tree="ust", master_seed=3
         )
         aggs = aggregate_records(records, trials_requested=40)
         assert [a["mu"] for a in aggs] == [0.0, 2.0, 30.0]
@@ -356,6 +370,13 @@ class TestSparsityExperiment:
         )
         a = sparsity_experiment([cell], signals=12, master_seed=2, workers=2)
         assert a == sparsity_experiment([cell], signals=12, master_seed=2, workers=1)
+
+    def test_workers_below_one_rejected(self):
+        cell = CellSpec.from_dict(
+            {"family": "torus", "side": 6, "dims": 2, "rho_lo": 4, "rho_hi": 16}
+        )
+        with pytest.raises(ValueError, match="workers must be >= 1, got -3"):
+            sparsity_experiment([cell], signals=12, master_seed=2, workers=-3)
 
     def test_validates_arguments(self):
         cell = CellSpec.from_dict(

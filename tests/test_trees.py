@@ -21,7 +21,6 @@ from treewavelets import (
     DisconnectedGraphError,
     Graph,
     SpanningTree,
-    TreeSource,
     bfs_spanning_tree,
     build_basis,
     build_graph,
@@ -391,8 +390,8 @@ class TestParent:
         # only the parent array.
         g = _host(kind)
         cell = CellSpec(family="torus", side=4, mu_grid=(1.0,))
-        for seed, source in enumerate([TreeSource.ust()] * 3 + [TreeSource.bfs()]):
-            _, t, _, _ = _draw(g, cell, source, math.inf, np.random.default_rng(seed))
+        for seed, kind in enumerate(["ust"] * 3 + ["bfs"]):
+            _, t, _, _ = _draw(g, cell, kind, math.inf, np.random.default_rng(seed))
             build_basis(t)
             find_balance_walk(t)
             assert "csr" not in t.__dict__ and "edges" not in t.__dict__

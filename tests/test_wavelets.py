@@ -342,6 +342,7 @@ class TestBuildBasis:
             b = build_basis(random_tree(n, rng))
             d = b.to_dense()
             assert np.abs(d @ d.T - np.eye(n)).max() < 1e-10
+            np.testing.assert_array_equal(d, b.matrix.toarray())
 
     def test_energy_preserved_and_invertible(self):
         rng = np.random.default_rng(3)
@@ -417,7 +418,9 @@ class TestMatrixFreeTransform:
             y = rng.standard_normal(b.n) + offset
             atol = 1e-12 * max(1.0, np.abs(y).max())
             np.testing.assert_allclose(apply_basis(b, y), b.matrix @ y, rtol=0, atol=atol)
-        np.testing.assert_array_equal(b.vertices, b.matrix.indices)
+        # Each support is a run of perm, listed by ascending vertex.
+        runs = [np.sort(b.perm[lo:hi]) for lo, hi in zip(b.lo, b.hi)]
+        np.testing.assert_array_equal(b.vertices, np.concatenate(runs))
 
     @pytest.mark.parametrize("tree", ["ust", "bfs"])
     @pytest.mark.parametrize("graph", sorted(TRANSFORM_GRAPHS))
