@@ -25,7 +25,11 @@ from .errors import FitUndefinedError, InfeasibleSignalError
 from .graphs import (
     Graph,
     _pair_array,
+    _require_epsilon_args,
+    _require_knn_args,
     _require_positive,
+    _require_torus_args,
+    _require_vertex_count,
     as_rng,
     cut_size,
     gen_complete,
@@ -103,6 +107,13 @@ _FAMILY_FIELDS = {
     "epsilon": ("n", "eps", "dim", "graph_seed"),
 }
 _GRAPH_FIELDS = {f for reads in _FAMILY_FIELDS.values() for f in reads}
+# Each family's generator range checks, made when a cell is read.
+_FAMILY_CHECKS = {
+    "torus": lambda c: _require_torus_args(c.side, c.dims),
+    "complete": lambda c: _require_vertex_count(c.n),
+    "knn": lambda c: _require_knn_args(c.n, c.k, c.dim),
+    "epsilon": lambda c: _require_epsilon_args(c.n, c.eps, c.dim),
+}
 
 
 @dataclass(frozen=True)
@@ -142,6 +153,7 @@ class CellSpec:
         other = sorted(f.name for f in fields(self) if f.name in unread and getattr(self, f.name) != f.default)
         if other:
             raise ValueError(f"{self.family} cells do not read {other}")
+        _FAMILY_CHECKS[self.family](self)
         if self.sampler not in _SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         # A NaN rho or mu would write rows that read as real trials; rho = +inf
@@ -277,9 +289,13 @@ def _power_trial(g, cell, tree, sigma, tau, master_seed, cell_index, trial) -> l
     ]
 
 
-def _map_tasks(fn, tasks, workers: int) -> list:
+def _require_workers(workers: int) -> None:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def _map_tasks(fn, tasks, workers: int) -> list:
+    _require_workers(workers)
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
@@ -731,8 +747,8 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
     "sparsity" scatters coefficient counts against cut budgets, and
     "concentration" checks uniform-tree overlap tails. Files land in out_dir
     with fixed names and column orders; rerunning the same config and seed
-    rewrites identical bytes. A config that ``_read_config`` rejects raises
-    ValueError before out_dir is created.
+    rewrites identical bytes. A config that ``_read_config`` rejects, or a
+    worker count below one, raises ValueError before out_dir is created.
 
     Returns
     -------
@@ -740,6 +756,7 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
         A short summary of the run for printing, such as row counts.
     """
     kind, seed, cells, values = _read_config(config)
+    _require_workers(workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     schema: list[str] = []

@@ -156,6 +156,14 @@ class Graph:
         return indptr.tolist(), self.degrees.tolist(), nbrs
 
     @cached_property
+    def _bfs_trees(self) -> dict:
+        """Breadth-first spanning trees by root, filled by ``trees.bfs_spanning_tree``.
+
+        A kept tree refers back to the graph: one cycle per graph and root,
+        never one per draw."""
+        return {}
+
+    @cached_property
     def _edge_keys(self) -> np.ndarray:
         """``u*n + v`` per edge: increasing, because ``edges`` is canonical."""
         return self.edges[:, 0] * self.n + self.edges[:, 1]
@@ -281,8 +289,7 @@ def build_graph(n: int, edges) -> Graph:
     -------
     Graph
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
+    _require_vertex_count(n)
     return Graph(n=n, edges=_canonical_edges(n, edges))
 
 
@@ -367,6 +374,38 @@ def require_connected(g: Graph) -> None:
 # Generators
 # =============================================================================
 
+# Each generator's range checks, which an experiment cell also makes when it
+# is read, before any graph of the run is built.
+
+
+def _require_vertex_count(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
+
+
+def _require_torus_args(side: int, dims: int) -> None:
+    if side < 3:
+        raise ValueError(f"torus side must be >= 3, got {side}")
+    if dims < 1:
+        raise ValueError(f"torus dims must be >= 1, got {dims}")
+
+
+def _require_point_args(n: int, dim: int) -> None:
+    _require_vertex_count(n)
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+
+
+def _require_knn_args(n: int, k: int, dim: int) -> None:
+    if not 1 <= k < n:
+        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    _require_point_args(n, dim)
+
+
+def _require_epsilon_args(n: int, eps: float, dim: int) -> None:
+    _require_positive("eps", eps)
+    _require_point_args(n, dim)
+
 
 def gen_torus(side: int, dims: int = 2) -> Graph:
     """Torus grid: ``side**dims`` vertices, wrap-around in every dimension.
@@ -374,10 +413,7 @@ def gen_torus(side: int, dims: int = 2) -> Graph:
     Each vertex has degree ``2*dims``; ``side >= 3`` keeps the +1 and -1
     neighbors distinct so the graph stays simple.
     """
-    if side < 3:
-        raise ValueError(f"torus side must be >= 3, got {side}")
-    if dims < 1:
-        raise ValueError(f"torus dims must be >= 1, got {dims}")
+    _require_torus_args(side, dims)
     n = side**dims
     v, up = np.arange(n), []
     for stride in (side**d for d in range(dims)):
@@ -388,16 +424,12 @@ def gen_torus(side: int, dims: int = 2) -> Graph:
 
 def gen_complete(n: int) -> Graph:
     """Complete graph on n vertices."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
+    _require_vertex_count(n)
     return build_graph(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
 def _uniform_points(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+    """n uniform points in the unit cube of dimension dim, as checked by the caller."""
     return rng.random((n, dim))
 
 
@@ -444,8 +476,7 @@ def gen_knn(
     (Graph, ndarray)
         The graph and the (n, dim) point coordinates that produced it.
     """
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    _require_knn_args(n, k, dim)
     points = _uniform_points(n, dim, as_rng(rng))
     keys = []
     for start in range(0, n, _BLOCK):
@@ -484,7 +515,7 @@ def gen_epsilon(
     (Graph, ndarray)
         The graph and the (n, dim) point coordinates that produced it.
     """
-    _require_positive("eps", eps)
+    _require_epsilon_args(n, eps, dim)
     points = _uniform_points(n, dim, as_rng(rng))
     pairs = []
     for start in range(0, n, _BLOCK):

@@ -67,6 +67,16 @@ class SpanningTree(Graph):
         child = np.flatnonzero(self.parent >= 0)
         return _sorted_pairs(self.n, self.parent[child], child)[0]
 
+    @cached_property
+    def _basis_layout(self) -> tuple[np.ndarray, ...]:
+        """The read-only arrays ``wavelets._split_layout(self)`` that every basis
+        of this tree shares. The tree keeps arrays, never a basis: a basis
+        holds its tree, so a tree holding its basis would make a cycle that
+        only the garbage collector frees."""
+        from .wavelets import _split_layout  # wavelets imports this module
+
+        return _split_layout(self)
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -169,16 +179,23 @@ def sample_ust(g: Graph, rng: np.random.Generator | int) -> SpanningTree:
 
 
 def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
-    """Deterministic breadth-first spanning tree, neighbors in index order."""
+    """Deterministic breadth-first spanning tree, neighbors in index order.
+
+    The tree is kept on g per root: a second call returns the same object,
+    with whatever it has cached, and searches nothing.
+    """
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
-    require_connected(g)
-    ptr, _, nbrs = g._csr_lists
-    parent = _bfs(ptr, nbrs, root)[0]
-    below, v = -1, 0  # root the search tree at 0: reverse the path from 0 up to root
-    while v >= 0:
-        parent[v], below, v = below, v, parent[v]
-    return SpanningTree(g, parent)
+    tree = g._bfs_trees.get(root)
+    if tree is None:
+        require_connected(g)
+        ptr, _, nbrs = g._csr_lists
+        parent = _bfs(ptr, nbrs, root)[0]
+        below, v = -1, 0  # root the search tree at 0: reverse the path from 0 up to root
+        while v >= 0:
+            parent[v], below, v = below, v, parent[v]
+        tree = g._bfs_trees[root] = SpanningTree(g, parent)
+    return tree
 
 
 # =============================================================================

@@ -57,7 +57,8 @@ class WaveletBasis:
     element and ``pivots`` the balance vertex of its split (-1 for the constant
     and for two-vertex subtrees). Every split groups whole components, so every
     support is a contiguous run of ``perm`` and the ranges nest or are
-    disjoint. ``matrix`` holds the same elements as sparse rows; it is built,
+    disjoint. The arrays are read-only and shared by every basis of the
+    tree. ``matrix`` holds the same elements as sparse rows; it is built,
     and scipy imported, on first access only, since :func:`apply_basis` needs
     no matrix.
     """
@@ -71,6 +72,8 @@ class WaveletBasis:
         hi: np.ndarray,
         depths: np.ndarray,
         pivots: np.ndarray,
+        pos: np.ndarray,
+        neg: np.ndarray,
     ):
         self.tree = tree
         self.n = tree.n
@@ -80,7 +83,8 @@ class WaveletBasis:
         self.hi = hi
         self.depths = depths
         self.pivots = pivots
-        self.pos, self.neg = self._values()
+        self.pos = pos
+        self.neg = neg
 
     def __len__(self) -> int:
         return len(self.lo)
@@ -96,24 +100,6 @@ class WaveletBasis:
         """Column indices of ``matrix``: the vertices of every support, back to back."""
         return self._entries()[1]
 
-    def _values(self) -> tuple[np.ndarray, np.ndarray]:
-        # On a split of n1 positive against n2 negative vertices the element is
-        # sqrt(n1 n2 / (n1 + n2)) times (1/n1 on the first group, -1/n2 on the
-        # second). A two-vertex subtree (pivot -1) keeps 1/sqrt(2), which
-        # np.sqrt(0.5) misses by one ulp.
-        lo, mid, hi = self.lo, self.mid, self.hi
-        n1, n2 = (mid - lo)[1:], (hi - mid)[1:]
-        pos = np.empty(len(self))
-        neg = np.empty(len(self))
-        pos[0], neg[0] = 1.0 / np.sqrt(self.n), 0.0
-        pos[1:] = np.sqrt(n2 / (n1 * (n1 + n2)))
-        neg[1:] = -np.sqrt(n1 / (n2 * (n1 + n2)))
-        pair = self.pivots < 0
-        pair[0] = False
-        pos[pair] = 1.0 / np.sqrt(2.0)
-        neg[pair] = -1.0 / np.sqrt(2.0)
-        return pos, neg
-
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         """The elements as CSR rows with sorted column indices."""
@@ -128,6 +114,25 @@ class WaveletBasis:
         d = np.zeros((len(self), self.n))
         d[row, vertex] = value
         return d
+
+
+def _haar_values(n: int, lo, mid, hi, pivots) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(pos, neg)`` values of the elements with these ranges and pivots."""
+    # On a split of n1 positive against n2 negative vertices the element is
+    # sqrt(n1 n2 / (n1 + n2)) times (1/n1 on the first group, -1/n2 on the
+    # second). A two-vertex subtree (pivot -1) keeps 1/sqrt(2), which
+    # np.sqrt(0.5) misses by one ulp.
+    n1, n2 = (mid - lo)[1:], (hi - mid)[1:]
+    pos = np.empty(len(lo))
+    neg = np.empty(len(lo))
+    pos[0], neg[0] = 1.0 / np.sqrt(n), 0.0
+    pos[1:] = np.sqrt(n2 / (n1 * (n1 + n2)))
+    neg[1:] = -np.sqrt(n1 / (n2 * (n1 + n2)))
+    pair = pivots < 0
+    pair[0] = False
+    pos[pair] = 1.0 / np.sqrt(2.0)
+    neg[pair] = -1.0 / np.sqrt(2.0)
+    return pos, neg
 
 
 @cache
@@ -147,6 +152,21 @@ def _haar_template(p: int) -> np.ndarray:
 def build_basis(t: SpanningTree) -> WaveletBasis:
     """Construct the full wavelet basis of a spanning tree.
 
+    Every call returns a new basis over the same arrays: the tree computes
+    its split layout (:func:`_split_layout`) on the first call and keeps it,
+    read-only, for the next.
+
+    Returns
+    -------
+    WaveletBasis
+        Exactly n elements: the constant, then depth-first split elements.
+    """
+    return WaveletBasis(t, *t._basis_layout)
+
+
+def _split_layout(t: SpanningTree) -> tuple[np.ndarray, ...]:
+    """Read-only ``(perm, lo, mid, hi, depths, pivots, pos, neg)`` of the basis of t.
+
     Each subtree is split at a balance vertex; the vertex joins its smallest
     component, the components are ordered by smallest vertex and laid out
     side by side in ``perm``, and Haar differences over that group list give
@@ -162,11 +182,6 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
     two-vertex part as a split of its two vertices with pivot -1; the
     elements are expanded from one template per group count p, and one
     stable sort by (part offset, depth) puts them in depth-first order.
-
-    Returns
-    -------
-    WaveletBasis
-        Exactly n elements: the constant, then depth-first split elements.
     """
     n = t.n
     parent = t.parent.tolist()
@@ -247,8 +262,12 @@ def build_basis(t: SpanningTree) -> WaveletBasis:
     elements = np.concatenate(blocks)
     # Stable, so a split's elements keep their template order.
     order = np.lexsort((elements[:, 3], elements[:, 5]))
-    lo, mid, hi, depths, pivots, _ = elements.T[:, order]
-    return WaveletBasis(t, np.array(perm, dtype=np.int64), lo, mid, hi, depths, pivots)
+    lo, mid, hi, depths, pivots = elements.T[:5, order]
+    layout = (np.array(perm, dtype=np.int64), lo, mid, hi, depths, pivots,
+              *_haar_values(n, lo, mid, hi, pivots))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def apply_basis(basis: WaveletBasis, y: Signal | np.ndarray) -> np.ndarray:

@@ -543,8 +543,25 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
               "cells": [{"family": "torus", "side": 4, "rho_lo": 2, "rho_hi": 4},
                         {"family": "torus", "side": 5, "rho_lo": 9, "rho_hi": 3}]},
              "_sparsity_point", "cell 1: need 0 <= rho_lo <= rho_hi"),
+            ({"kind": "power", "seed": 7, "trials": 2,
+              "cells": [{"family": "torus", "side": 4, "rho": 8.0, "mu_grid": [0.0, 25.0]},
+                        {"family": "knn", "n": 10, "k": 12, "rho": 8.0, "mu_grid": [0.0]}]},
+             "_power_trial", "k must satisfy 1 <= k < n, got k=12, n=10"),
+            ({"kind": "power", "seed": 7, "trials": 2,
+              "cells": [{"family": "torus", "side": 4, "rho": 8.0, "mu_grid": [0.0, 25.0]},
+                        {"family": "torus", "side": 2, "rho": 8.0, "mu_grid": [0.0]}]},
+             "_power_trial", "torus side must be >= 3, got 2"),
+            ({"kind": "sparsity", "seed": 7, "signals": 4,
+              "cells": [{"family": "torus", "side": 4, "rho_lo": 2, "rho_hi": 4},
+                        {"family": "epsilon", "n": 30, "eps": 0.0, "rho_lo": 2, "rho_hi": 4}]},
+             "_sparsity_point", "eps must be positive and finite, got 0.0"),
+            ({"kind": "sparsity", "seed": 7, "signals": 4,
+              "cells": [{"family": "torus", "side": 4, "rho_lo": 2, "rho_hi": 4},
+                        {"family": "complete", "n": 0, "rho_lo": 2, "rho_hi": 4}]},
+             "_sparsity_point", "vertex count must be >= 1, got 0"),
         ],
-        ids=["power-empty-mu-grid", "sparsity-rho-range"],
+        ids=["power-empty-mu-grid", "sparsity-rho-range", "power-knn-k", "power-torus-side",
+             "sparsity-epsilon-eps", "sparsity-complete-n"],
     )
     def test_bad_second_cell_exits_2_before_any_trial(
         self, tmp_path, capsys, monkeypatch, config, counted, message
@@ -553,11 +570,12 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
         monkeypatch.setattr(experiments, counted, lambda *args: ran.append(args))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        code = main(["experiment", "--config", str(path), "--out", str(tmp_path / "o"),
-                     "--threads", "1"])
+        out = tmp_path / "o"
+        code = main(["experiment", "--config", str(path), "--out", str(out), "--threads", "1"])
         assert code == 2
         assert message in capsys.readouterr().err
         assert ran == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "cells, message",

@@ -1,5 +1,6 @@
 """Experiment harness: trials, power curves, sparsity scatter, concentration."""
 
+import collections
 import hashlib
 import json
 import math
@@ -22,6 +23,8 @@ from treewavelets import (
     build_graph,
     detect,
     fit_sparsity_points,
+    gen_complete,
+    gen_epsilon,
     gen_knn,
     gen_torus,
     gen_two_level_signal,
@@ -37,7 +40,7 @@ from treewavelets import (
     validate_spanning_tree,
 )
 from helpers import binomial_band, edge_tuples, enumerate_spanning_trees
-from treewavelets import experiments
+from treewavelets import experiments, wavelets
 from treewavelets.experiments import _draw, _named_edge_set
 
 
@@ -119,6 +122,25 @@ class TestCellSpec:
             CellSpec(family="epsilon", n=30, eps=0.5, dims=3)
         # A field at its default builds the same graph as one left out.
         assert CellSpec(family="complete", n=8, dims=2).build_graph().n == 8
+
+    @pytest.mark.parametrize(
+        "fields, generate",
+        [
+            ({"family": "torus", "side": 2}, lambda: gen_torus(2)),
+            ({"family": "torus", "side": 4, "dims": 0}, lambda: gen_torus(4, 0)),
+            ({"family": "complete", "n": 0}, lambda: gen_complete(0)),
+            ({"family": "knn", "n": 10, "k": 12}, lambda: gen_knn(10, 12, 2, 0)),
+            ({"family": "knn", "n": 10, "k": 3, "dim": 0}, lambda: gen_knn(10, 3, 0, 0)),
+            ({"family": "epsilon", "n": 10, "eps": 0.0}, lambda: gen_epsilon(10, 0.0, 2, 0)),
+        ],
+        ids=["torus-side", "torus-dims", "complete-n", "knn-k", "knn-dim", "epsilon-eps"],
+    )
+    def test_generator_ranges_checked_when_the_cell_is_made(self, fields, generate):
+        with pytest.raises(ValueError) as made:
+            CellSpec.from_dict(fields)
+        with pytest.raises(ValueError) as generated:
+            generate()
+        assert str(made.value) == str(generated.value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -3.0])
     def test_mu_grid_values_validated(self, bad):
@@ -204,9 +226,33 @@ class TestPowerCurve:
             assert rec.cut == (shape.cut if rec.mu > 0 else 0)
 
     def test_worker_pool_gives_the_same_records(self):
+        # For bfs each worker builds its own tree and layout: a pickled graph
+        # keeps no cached view.
         cell = self.tiny_cell()
-        kw = dict(trials=12, sigma=1.0, delta=0.05, tree="ust", master_seed=5)
-        assert power_curve(cell, workers=2, **kw) == power_curve(cell, workers=1, **kw)
+        for tree in ("ust", "bfs"):
+            kw = dict(trials=12, sigma=1.0, delta=0.05, tree=tree, master_seed=5)
+            assert power_curve(cell, workers=2, **kw) == power_curve(cell, workers=1, **kw)
+
+    def test_bfs_trials_call_each_layer_once_and_split_once(self, monkeypatch):
+        # The traced benchmark counts one BFS tree and one build per trial,
+        # while the tree's split layout is computed once per graph.
+        calls = collections.Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(experiments, "bfs_spanning_tree")
+        count(experiments, "build_basis")
+        count(wavelets, "_split_layout")
+        power_curve(self.tiny_cell(), trials=5, sigma=1.0, delta=0.05, tree="bfs",
+                    master_seed=5)
+        assert calls == {"bfs_spanning_tree": 5, "build_basis": 5, "_split_layout": 1}
 
     def test_workers_below_one_rejected(self):
         kw = dict(trials=3, sigma=1.0, delta=0.05, tree="ust", master_seed=5)
@@ -628,6 +674,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=message):
             run_experiment(config, tmp_path)
         assert ran == []
+
+    def test_workers_below_one_rejected_before_out_exists(self, tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            run_experiment(self.power_config(), out, workers=0)
+        assert not out.exists()
 
     def test_bad_configs_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="seed"):

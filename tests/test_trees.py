@@ -35,6 +35,7 @@ from treewavelets import (
     validate_spanning_tree,
     write_tree,
 )
+from treewavelets import trees
 from treewavelets.experiments import _draw
 from treewavelets.graphs import _bfs
 
@@ -305,6 +306,33 @@ class TestBfsTree:
     def test_root_out_of_range(self):
         with pytest.raises(ValueError):
             bfs_spanning_tree(gen_complete(3), 3)
+
+    def test_second_call_returns_the_kept_tree_without_a_search(self, monkeypatch):
+        g = gen_torus(5, 2)
+        t = bfs_spanning_tree(g)
+
+        def must_not_run(*args):
+            raise AssertionError("the kept tree was searched again")
+
+        monkeypatch.setattr(trees, "require_connected", must_not_run)
+        monkeypatch.setattr(trees, "_bfs", must_not_run)
+        assert bfs_spanning_tree(g) is t
+
+    def test_each_root_keeps_its_own_tree(self):
+        g = gen_complete(5)
+        t0, t2 = bfs_spanning_tree(g, 0), bfs_spanning_tree(g, 2)
+        assert t0 != t2
+        assert bfs_spanning_tree(g, 0) is t0 and bfs_spanning_tree(g, 2) is t2
+        assert edge_tuples(t0) == ((0, 1), (0, 2), (0, 3), (0, 4))
+        assert edge_tuples(t2) == ((0, 2), (1, 2), (2, 3), (2, 4))
+
+    def test_pickled_graph_keeps_no_tree(self):
+        g = gen_torus(5, 2)
+        t = bfs_spanning_tree(g)
+        back = pickle.loads(pickle.dumps(g))
+        assert "_bfs_trees" not in back.__dict__
+        again = bfs_spanning_tree(back)
+        assert again == t and again is not t
 
 
 class TestTreeCut:

@@ -3,6 +3,8 @@
 import gc
 import hashlib
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -394,6 +396,31 @@ class TestBuildBasis:
         finally:
             gc.enable()
         assert len(basis) == t.n
+
+    def test_bases_of_one_tree_share_its_read_only_layout(self):
+        t = bfs_spanning_tree(gen_torus(6, 2))
+        a, b = build_basis(t), build_basis(t)
+        fresh = build_basis(pickle.loads(pickle.dumps(t)))
+        assert a is not b and a.tree is b.tree is t
+        for name in ("perm", "lo", "mid", "hi", "depths", "pivots", "pos", "neg"):
+            assert getattr(a, name) is getattr(b, name)
+            np.testing.assert_array_equal(getattr(fresh, name), getattr(a, name))
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(a, name)[0] = 1
+
+    def test_drawn_tree_is_freed_without_the_collector(self):
+        # The tree keeps its layout arrays, not its basis: a basis holds its
+        # tree, so a tree holding its basis would be a cycle on every draw.
+        tree = sample_ust(gen_torus(6, 2), 1)
+        gc.collect()
+        gc.disable()
+        try:
+            basis = build_basis(tree)
+            ref = weakref.ref(tree)
+            del basis, tree
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_deterministic_for_fixed_tree(self):
         t = tree_on(7, [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (5, 6)])
