@@ -154,6 +154,8 @@ class CellSpec:
         if other:
             raise ValueError(f"{self.family} cells do not read {other}")
         _FAMILY_CHECKS[self.family](self)
+        if self.graph_seed < 0:  # numpy would reject it unnamed, once the graph is built
+            raise ValueError(f"cell field 'graph_seed' must be >= 0, got {self.graph_seed}")
         if self.sampler not in _SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         # A NaN rho or mu would write rows that read as real trials; rho = +inf
@@ -181,6 +183,8 @@ class CellSpec:
         if not isinstance(d, dict):
             raise ValueError(f"a cell must be a JSON object, got {d!r}")
         _reject_unknown("cell fields", d, cls.__dataclass_fields__)
+        if "family" not in d:
+            raise ValueError(f"a cell needs key 'family', got {d!r}")
         return cls(**d)
 
 
@@ -674,6 +678,21 @@ def _config_deltas(name: str, value) -> list[float]:
     return _delta_values(_config_number(name, d) for d in _config_items(name, value))
 
 
+_EDGE_SETS = ("edge", "star", "ball")
+
+
+def _config_sets(name: str, value) -> list[str]:
+    """Edge-set labels, each known and none repeated: a repeat would write
+    its concentration rows twice."""
+    labels = _config_items(name, value)
+    for label in labels:
+        if label not in _EDGE_SETS:
+            raise ValueError(f"unknown edge-set label {label!r}; expected one of {list(_EDGE_SETS)}")
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"{name} repeats a label: {labels}")
+    return labels
+
+
 # What each experiment kind reads besides kind, seed and cells: its config
 # keys, each with a reader and a default (None marks a required key), and the
 # signal fields its cells read. A signal field of another kind is rejected.
@@ -683,7 +702,7 @@ _KINDS = {
               ("rho", "sampler", "mu_grid")),
     "sparsity": ({"signals": (_config_int, None)}, ("rho_lo", "rho_hi", "sampler")),
     "concentration": ({"samples": (_config_int, None), "deltas": (_config_deltas, None),
-                       "sets": (_config_items, ("edge", "star", "ball"))},
+                       "sets": (_config_sets, _EDGE_SETS)},
                       ()),
 }
 _SIGNAL_FIELDS = {f for _, reads in _KINDS.values() for f in reads}
@@ -700,7 +719,7 @@ def _read_config(config) -> tuple[str, int, list[CellSpec], dict]:
         raise ValueError(f"config needs a non-negative integer master seed under 'seed', "
                          f"got {seed!r}")
     kind = config.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     keys, reads = _KINDS[kind]
     known = ("kind", "seed", "cells", *keys)
@@ -816,8 +835,8 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
     else:
         samples, deltas, set_labels = values["samples"], values["deltas"], values["sets"]
         graphs = [cell.build_graph() for cell in cells]
-        # The sets draw no random numbers, so a bad one fails here, before any
-        # solve or tree draw, and the tree stream stays as it is.
+        # The sets draw no random numbers, so an empty one fails here, before
+        # any solve or tree draw, and the tree stream stays as it is.
         edge_sets = []
         for cell, g in zip(cells, graphs):
             try:
@@ -861,12 +880,10 @@ def _named_edge_set(g: Graph, label: str) -> np.ndarray:
         edge_set = ea[:1]
     elif label == "star":
         edge_set = ea[(ea == 0).any(axis=1)]
-    elif label == "ball":
+    else:  # "ball": the config reader admits no other label
         indptr, indices = g.csr
         inside = np.isin(np.arange(g.n), [0, *indices[: indptr[1]]])
         edge_set = ea[inside[ea[:, 0]] != inside[ea[:, 1]]]
-    else:
-        raise ValueError(f"unknown edge-set label {label!r}")
     if not len(edge_set):
         raise ValueError(f"edge set {label!r} is empty")
     return edge_set

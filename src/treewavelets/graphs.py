@@ -134,15 +134,16 @@ class Graph:
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor lists in CSR form ``(indptr, indices)``, each increasing.
 
-        Each vertex lists its lower neighbors, then its upper ones: one stable
-        sort of both edge orientations by source keeps canonical edge order
-        within each source, and puts the (hi, lo) half ahead of the (lo, hi)
-        half.
+        Vertex u's run is the sorted keys ``u*n + w`` of its neighbors w, taken
+        ``% n``: one sort of the keys of both edge orientations. The keys are
+        distinct, because the graph is simple, so any sort gives this order.
         """
         lo, hi = self.edges[:, 0], self.edges[:, 1]
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=indptr[1:])
-        indices = np.concatenate((lo, hi))[np.argsort(np.concatenate((hi, lo)), kind="stable")]
+        indices = np.concatenate((hi * self.n + lo, self._edge_keys))
+        indices.sort()
+        np.remainder(indices, self.n, out=indices)
         return indptr, indices
 
     @cached_property
@@ -185,7 +186,8 @@ class Graph:
     @cached_property
     def component_sizes(self) -> tuple[int, ...]:
         """Sizes of the connected components, ordered by smallest vertex."""
-        return tuple(len(c) for c in connected_components(self))
+        root = _component_roots(self)
+        return tuple(np.bincount(root, minlength=self.n)[root == np.arange(self.n)].tolist())
 
 
 @dataclass(frozen=True)
@@ -312,31 +314,46 @@ def connected_components(g: Graph) -> list[list[int]]:
     """Vertex sets of the connected components.
 
     Components are ordered by their smallest vertex, vertices increasing
-    within each. The search reads one vertex's CSR run at a time as a numpy
-    array and labels its new neighbors in one step, which on dense graphs
-    beats :func:`_bfs`'s one Python step per entry. It needs no
-    ``Graph._csr_lists`` either, so checking a graph builds no list view:
-    only a tree draw or a breadth-first tree does.
+    within each: a stable sort of the vertices by :func:`_component_roots`.
+    Only ``Graph.csr`` is read, so checking a graph builds no
+    ``Graph._csr_lists``: only a tree draw or a breadth-first tree does.
+    """
+    root = _component_roots(g)
+    order = np.argsort(root, kind="stable")
+    cuts = np.flatnonzero(np.diff(root[order])) + 1
+    return [c.tolist() for c in np.split(order, cuts)]
+
+
+def _component_roots(g: Graph) -> np.ndarray:
+    """Per vertex, the smallest vertex of its component, by hook-and-compress.
+
+    ``root`` is a forest in which every pointer goes to a smaller vertex, so
+    it has no cycles; it starts as one tree per vertex. Each round hooks every
+    tree root under the smallest root next to its tree, when that is smaller,
+    then compresses every path to its root. A tree that does not hook has only
+    larger roots next to it, and those trees all hook; if none lands in it, it
+    hooks in the next round. So the number of trees that still have a
+    neighbor at least halves every two rounds. The rounds stop when no tree
+    hooks; then every edge joins two vertices of one root, which is the
+    smallest vertex of their component. Each round is a few numpy passes over the CSR, as in Shiloach and Vishkin's
+    O(log n)-round connectivity (J. Algorithms 3, 1982).
     """
     indptr, indices = g.csr
-    ptr = indptr.tolist()
-    label = np.full(g.n, -1, dtype=np.int64)
-    count = 0
-    for start in range(g.n):
-        if label[start] >= 0:
-            continue
-        label[start] = count
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            nbrs = indices[ptr[v] : ptr[v + 1]]
-            new = nbrs[label[nbrs] < 0]
-            label[new] = count
-            stack.extend(new.tolist())
-        count += 1
-    order = np.argsort(label, kind="stable")
-    bounds = np.cumsum(np.bincount(label, minlength=count))[:-1]
-    return [c.tolist() for c in np.split(order, bounds)]
+    root = np.arange(g.n)
+    has = np.flatnonzero(g.degrees)
+    starts = indptr[has]
+    while True:
+        least = np.minimum.reduceat(root[indices], starts)
+        r = root[has]
+        hook = least < r
+        if not hook.any():
+            return root
+        np.minimum.at(root, r[hook], least[hook])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
 
 
 def _bfs(ptr: list[int], nbrs, root: int) -> tuple[list[int], list[int]]:

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, manifests, determinism."""
 
+import copy
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -679,6 +681,152 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+# A valid value for every config key, graph field and signal field. The
+# battery below reads the keys and fields from ``_KINDS``, ``_FAMILY_FIELDS``
+# and the ``CellSpec`` fields, so one added there without a value here fails
+# with a KeyError. Each graph field's value differs from its CellSpec default,
+# so that setting it on a cell of another family is an error.
+_GOOD = {
+    "seed": 7, "sigma": 1.0, "delta": 0.05, "trials": 2, "tree": {"kind": "ust"},
+    "signals": 4, "samples": 4, "deltas": [0.5], "sets": ["edge", "star"],
+    "side": 5, "dims": 3, "n": 30, "k": 4, "eps": 0.5, "dim": 3, "graph_seed": 3,
+    "rho": 8.0, "rho_lo": 2, "rho_hi": 4, "sampler": "two_level", "mu_grid": [0.0, 25.0],
+}
+# The generic bad values, tried on every key, field and list element.
+_BAD = {
+    "string": "8", "list": [8], "object": {"a": 8}, "bool": True, "nan": math.nan,
+    "inf": math.inf, "-inf": -math.inf, "negative": -1, "zero": 0,
+}
+# The (key, generic value) pairs that are valid after all; "[]" marks a list
+# element, and "missing" a key left out, which leaves its default.
+_VALID = {
+    ("seed", "zero"), ("graph_seed", "zero"), ("rho", "zero"), ("rho", "inf"),
+    ("rho_lo", "zero"), ("mu_grid", "list"), ("mu_grid[]", "zero"), ("deltas", "list"),
+    *((key, "missing") for key in ("sigma", "delta", "tree", "tree.kind", "sets", "dims",
+                                   "dim", "graph_seed", "rho", "rho_lo", "sampler")),
+}
+# Bad values particular to one key or field, against the values in _GOOD.
+_OUT_OF_RANGE = {
+    "kind": ["powr"], "cells": [[]], "tree": [{"kind": "dfs"}, {"kind": "bfs", "root": 0}],
+    "delta": [1.0], "signals": [1], "deltas": [[]], "sets": [[], ["edg"], ["edge", "edge"]],
+    "family": ["tours"], "side": [2], "k": [30], "rho_lo": [5], "rho_hi": [1],
+    "sampler": ["bal"], "mu_grid": [[], [0.0, 0.0]],
+}
+
+
+_DROP = object()
+
+
+def _with(obj, path, value):
+    """A deep copy of obj with the item at path (keys and indices) set to
+    value, or deleted if value is ``_DROP``."""
+    obj = copy.deepcopy(obj)
+    inner = obj
+    for step in path[:-1]:
+        inner = inner[step]
+    if value is _DROP:
+        del inner[path[-1]]
+    else:
+        inner[path[-1]] = value
+    return obj
+
+
+def _repeat_key_text(config, path):
+    """JSON text of config whose object at ``path[:-1]`` gives key ``path[-1]`` twice."""
+    *outer, key = path
+    inner = config
+    for step in outer:
+        inner = inner[step]
+    text = "{" + f"{json.dumps(key)}: {json.dumps(inner[key])}, " + json.dumps(inner)[1:]
+    if not outer:
+        return text
+    return json.dumps(_with(config, outer, "@inner@")).replace('"@inner@"', text)
+
+
+def _value_cases(config, path, key):
+    """(label, config text) for each bad value of the item at path, named key."""
+    for label, bad in _BAD.items():
+        if (key, label) not in _VALID:
+            yield label, json.dumps(_with(config, path, bad))
+    for i, bad in enumerate(_OUT_OF_RANGE.get(key, ())):
+        yield f"range{i}", json.dumps(_with(config, path, bad))
+    good = _GOOD.get(key)
+    if isinstance(good, dict):
+        for sub in good:
+            for label, text in _value_cases(config, (*path, sub), f"{key}.{sub}"):
+                yield f"{sub}-{label}", text
+    if key == "cells" or isinstance(good, list):
+        # One bad element: the second of two cells, or a list's only element.
+        if key == "cells":
+            base, element = config, (*path, 1)
+        else:
+            base, element = _with(config, path, [None]), (*path, 0)
+        for label, bad in _BAD.items():
+            if (f"{key}[]", label) not in _VALID:
+                yield f"item-{label}", json.dumps(_with(base, element, bad))
+    yield "repeated", _repeat_key_text(config, path)
+    if (key, "missing") not in _VALID:
+        yield "missing", json.dumps(_with(config, path, _DROP))
+
+
+def _battery_cases(kind):
+    """(case id, base config, config text) for every bad value tried on a
+    config of this kind: each top-level key, then each field of a second cell
+    of every family. The first cell is valid, so a check made late would run
+    its trials."""
+    keys, reads = experiments._KINDS[kind]
+    signal = {f: _GOOD[f] for f in reads}
+    for family, graph_fields in experiments._FAMILY_FIELDS.items():
+        cell = {"family": family, **{f: _GOOD[f] for f in graph_fields}, **signal}
+        config = {"kind": kind, "seed": _GOOD["seed"], **{k: _GOOD[k] for k in keys},
+                  "cells": [{"family": "torus", "side": 4, **signal}, cell]}
+        if family == "torus":  # the top-level keys, once per kind
+            for key in config:
+                for label, text in _value_cases(config, (key,), key):
+                    yield f"{key}-{label}", config, text
+        for field in cell:
+            for label, text in _value_cases(config, ("cells", 1, field), field):
+                yield f"{family}-{field}-{label}", config, text
+        other_family = experiments._GRAPH_FIELDS - set(graph_fields)
+        for field in sorted(other_family | (experiments._SIGNAL_FIELDS - set(reads))):
+            text = json.dumps(_with(config, ("cells", 1, field), _GOOD[field]))
+            yield f"{family}-other-{field}", config, text
+
+
+@pytest.mark.parametrize("kind", sorted(experiments._KINDS))
+def test_boundary_battery_exits_2_before_out_or_any_trial(tmp_path, capsys, monkeypatch, kind):
+    """Every bad value of every config key and cell field that needs no graph
+    exits 2 through the CLI with an ``error:`` line, before ``--out`` exists
+    and before any graph is built or trial run."""
+    covered = {"family"} | experiments._GRAPH_FIELDS | experiments._SIGNAL_FIELDS
+    assert {f.name for f in fields(experiments.CellSpec)} == covered
+    for field in experiments._GRAPH_FIELDS:
+        assert _GOOD[field] != experiments.CellSpec.__dataclass_fields__[field].default
+    ran = []
+    for name in ("_power_trial", "_sparsity_point", "ust_edge_ids"):
+        monkeypatch.setattr(experiments, name, lambda *args: ran.append(args))
+    monkeypatch.setattr(experiments.CellSpec, "generate", lambda cell: ran.append(cell))
+    failures, bases = [], []
+    for i, (case, base, text) in enumerate(_battery_cases(kind)):
+        if base not in bases:
+            experiments._read_config(base)  # the unbroken config is valid
+            bases.append(base)
+        path = tmp_path / f"{i}.json"
+        path.write_text(text)
+        out = tmp_path / f"out{i}"
+        try:
+            code = main(["experiment", "--config", str(path), "--out", str(out), "--threads", "1"])
+        except Exception as exc:  # noqa: BLE001 - a raise is one more hole to report
+            code = repr(exc)
+        err = capsys.readouterr().err
+        if code != 2 or out.exists() or ran or not err.startswith("error: "):
+            failures.append(f"{case}: exit {code}, --out {'made' if out.exists() else 'absent'}, "
+                            f"{len(ran)} graphs or trials started, {err.strip()!r}")
+        ran.clear()
+    assert len(bases) == len(experiments._FAMILY_FIELDS)
+    assert not failures, f"{len(failures)} holes:\n" + "\n".join(failures)
 
 
 class TestBenchmarkHooks:

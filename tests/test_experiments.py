@@ -659,7 +659,8 @@ class TestRunExperiment:
             ([{"family": "torus", "side": 4, "dims": 2}, {"family": "complete", "n": 6}],
              None, "complete n=6: edge set 'ball' is empty"),
             ([{"family": "torus", "side": 4, "dims": 2}],
-             ["edge", "bal"], "torus n=16: unknown edge-set label 'bal'"),
+             ["edge", "bal"],
+             re.escape("unknown edge-set label 'bal'; expected one of ['edge', 'star', 'ball']")),
         ],
         ids=["empty-ball", "unknown-label"],
     )

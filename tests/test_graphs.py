@@ -273,19 +273,61 @@ class TestDerivedViews:
     @pytest.mark.parametrize("name", sorted(DERIVED_VIEW_GRAPHS))
     def test_components_match_union_find(self, name):
         g = DERIVED_VIEW_GRAPHS[name]()
-        root = list(range(g.n))
+        assert connected_components(g) == _union_find_components(g)
 
-        def find(a):
-            while root[a] != a:
-                a = root[a]
-            return a
 
-        for u, v in g.edges:
-            root[find(u)] = find(v)
-        groups = {}
-        for v in range(g.n):
-            groups.setdefault(find(v), []).append(v)
-        assert connected_components(g) == sorted(groups.values())
+def _union_find_components(g):
+    """Components of g by plain union-find, ordered as connected_components orders them."""
+    root = list(range(g.n))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for u, v in g.edges.tolist():
+        root[find(u)] = find(v)
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
+
+
+def _random_graph(n, m, seed):
+    """A simple graph on n vertices with up to m edges, on the first 3n/4
+    vertices only, so it has isolated vertices and usually several components."""
+    rng = np.random.default_rng(seed)
+    span = max(1, 3 * n // 4)
+    pairs = rng.integers(0, span, size=(m, 2))
+    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    keys = keys[keys // n != keys % n]
+    return build_graph(n, np.column_stack((keys // n, keys % n)))
+
+
+def _csr_indices_by_stable_argsort(g):
+    """Graph.csr's indices as they were built before: both orientations,
+    stably sorted by source."""
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    return np.concatenate((lo, hi))[np.argsort(np.concatenate((hi, lo)), kind="stable")]
+
+
+CSR_GRAPHS = {
+    **DERIVED_VIEW_GRAPHS,
+    "complete1024": lambda: gen_complete(1024),
+    "edgeless50": lambda: build_graph(50, []),
+    "random": lambda: _random_graph(400, 900, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSR_GRAPHS))
+def test_csr_matches_stable_argsort_of_both_orientations(name):
+    g = CSR_GRAPHS[name]()
+    want = _csr_indices_by_stable_argsort(g)
+    indptr, indices = g.csr
+    assert indices.dtype == want.dtype == np.int64
+    assert np.array_equal(indices, want)
+    assert indptr.tolist() == np.concatenate(([0], np.cumsum(g.degrees))).tolist()
 
 
 # graph_digest of each generator's output, recorded before the generators
@@ -438,6 +480,58 @@ class TestComponents:
             with pytest.raises(DisconnectedGraphError) as exc:
                 require_connected(g)
             assert exc.value.component_sizes == [4, 2]
+
+    @pytest.mark.parametrize(
+        "n, m, seed",
+        [(1, 0, 0), (17, 0, 0), (4, 3, 1), (30, 12, 2), (200, 90, 3), (200, 260, 4), (1000, 700, 5)],
+    )
+    def test_random_graphs_match_union_find(self, n, m, seed):
+        # m = 0 gives an edgeless graph.
+        g = _random_graph(n, m, seed)
+        want = _union_find_components(g)
+        assert connected_components(g) == want
+        assert g.component_sizes == tuple(len(c) for c in want)
+
+    def test_long_path_with_shuffled_labels(self):
+        # A path is the graph of largest diameter; shuffled labels make the
+        # smallest vertex of each stretch sit anywhere along it.
+        n = 2**17
+        order = np.random.default_rng(6).permutation(n)
+        g = build_graph(n, np.column_stack((order[:-1], order[1:])))
+        assert connected_components(g) == [list(range(n))]
+        assert g.component_sizes == (n,)
+        cut = build_graph(n, np.column_stack((order[:-1], order[1:]))[np.arange(n - 1) != n // 2])
+        want = _union_find_components(cut)
+        assert connected_components(cut) == want and len(want) == 2
+        assert cut.component_sizes == tuple(len(c) for c in want)
+
+    def test_star_centred_at_last_vertex(self):
+        # Every leaf is smaller than the centre, so no leaf hooks in the first round.
+        n = 500
+        g = build_graph(n, [(v, n - 1) for v in range(n - 1)])
+        assert connected_components(g) == [list(range(n))]
+        assert g.component_sizes == (n,)
+        g = build_graph(n, [(v, n - 1) for v in range(1, n - 1)])
+        assert connected_components(g) == [[0], list(range(1, n))]
+        assert g.component_sizes == (1, n - 1)
+
+    def test_require_connected_builds_no_list_view(self):
+        for g in (gen_torus(8, 2), gen_knn(60, 4, 2, 3)[0], gen_complete(40)):
+            require_connected(g)
+            assert "_csr_lists" not in g.__dict__
+
+    def test_error_message_shows_ten_largest_sizes(self):
+        # A 20000-vertex graph with few edges used to put every size in the message.
+        g = build_graph(20000, [(0, 1), (2, 3), (3, 4)])
+        with pytest.raises(DisconnectedGraphError) as exc:
+            require_connected(g)
+        assert exc.value.component_sizes == [3, 2] + [1] * 19995
+        assert str(exc.value) == (
+            "graph is disconnected: 19997 components with sizes [3, 2, 1, 1, 1, 1, 1, 1, 1, 1, …]"
+        )
+        few = DisconnectedGraphError([1, 4, 2])
+        assert str(few) == "graph is disconnected: 3 components with sizes [4, 2, 1]"
+        assert few.component_sizes == [4, 2, 1]
 
 
 class TestTorus:
