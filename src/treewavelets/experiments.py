@@ -46,8 +46,8 @@ __all__ = [
     "CellSpec",
     "ConcentrationRow",
     "FitRow",
+    "PowerCell",
     "SparsityPoint",
-    "TrialRecord",
     "aggregate_records",
     "fit_sparsity_points",
     "mu_at_power",
@@ -58,32 +58,6 @@ __all__ = [
     "ust_concentration_check",
     "ust_edge_ids",
 ]
-
-
-# =============================================================================
-# Trial records
-# =============================================================================
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One row of an experiment's raw output."""
-
-    family: str
-    n: int
-    rho: float
-    mu: float
-    trial: int
-    seed: int
-    tree_seed: int
-    cut: int
-    statistic: float
-    threshold: float
-    reject: bool
-    truth: bool
-
-
-TRIAL_COLUMNS = [f.name for f in fields(TrialRecord)]
 
 
 # =============================================================================
@@ -98,8 +72,8 @@ _SAMPLERS = {
 
 
 # The graph fields each family reads, in its generator's argument order. A
-# graph field of another family set away from its default is rejected, since
-# the cell would build a graph other than the one it names.
+# graph field of another family is rejected (by key in a config, off its
+# default otherwise): the cell would not build the graph it names.
 _FAMILY_FIELDS = {
     "torus": ("side", "dims"),
     "complete": ("n",),
@@ -149,10 +123,8 @@ class CellSpec:
         object.__setattr__(self, "mu_grid", tuple(_config_number("mu_grid values", v) for v in mu_grid))
         if self.family not in _FAMILY_FIELDS:
             raise ValueError(f"unknown graph family {self.family!r}")
-        unread = _GRAPH_FIELDS - set(_FAMILY_FIELDS[self.family])
-        other = sorted(f.name for f in fields(self) if f.name in unread and getattr(self, f.name) != f.default)
-        if other:
-            raise ValueError(f"{self.family} cells do not read {other}")
+        set_fields = [f.name for f in fields(self) if getattr(self, f.name) != f.default]
+        _reject_other_family(self.family, set_fields)
         _FAMILY_CHECKS[self.family](self)
         if self.graph_seed < 0:  # numpy would reject it unnamed, once the graph is built
             raise ValueError(f"cell field 'graph_seed' must be >= 0, got {self.graph_seed}")
@@ -185,7 +157,16 @@ class CellSpec:
         _reject_unknown("cell fields", d, cls.__dataclass_fields__)
         if "family" not in d:
             raise ValueError(f"a cell needs key 'family', got {d!r}")
+        if isinstance(d["family"], str) and d["family"] in _FAMILY_FIELDS:  # else cls rejects it
+            _reject_other_family(d["family"], d)
         return cls(**d)
+
+
+def _reject_other_family(family: str, named) -> None:
+    """Raise ValueError naming every graph field in named that family does not read."""
+    other = sorted(set(named) & (_GRAPH_FIELDS - set(_FAMILY_FIELDS[family])))
+    if other:
+        raise ValueError(f"{family} cells do not read {other}")
 
 
 def _reject_unknown(what: str, d: dict, known) -> None:
@@ -260,37 +241,21 @@ def _draw(g: Graph, cell: CellSpec, kind: str, rho: float, rng):
     return tree_seed, tree, basis, shape
 
 
-def _power_trial(g, cell, tree, sigma, tau, master_seed, cell_index, trial) -> list[TrialRecord]:
-    """One trial: ``_draw``, a standard normal noise vector z, and one row per
-    mu of the grid (none for an infeasible shape). The statistic at mu,
-    max |mu * coef(shape) + sigma * coef(z)|, is computed for the whole grid
-    as one array, each element by the same operations as for its mu alone."""
+def _power_trial(g, cell, tree, sigma, tau, master_seed, cell_index, trial):
+    """One trial: ``_draw``, a standard normal noise vector z, and
+    (tree_seed, cut, stats), or None for an infeasible shape. The statistic
+    at mu, max |mu * coef(shape) + sigma * coef(z)|, is computed for the
+    whole grid as one array, each element by the same operations as for its
+    mu alone."""
     rng = _trial_rng(master_seed, cell_index, trial)
     drawn = _draw(g, cell, tree, cell.rho, rng)
     if drawn is None:
-        return []
+        return None
     tree_seed, _, basis, shape = drawn
     noise = rng.standard_normal(g.n)
     stats = np.multiply.outer(cell.mu_grid, apply_basis(basis, shape))
     stats += sigma * apply_basis(basis, noise)
-    stats = np.abs(stats, out=stats).max(axis=1)
-    return [
-        TrialRecord(
-            family=cell.family,
-            n=g.n,
-            rho=cell.rho,
-            mu=mu,
-            trial=trial,
-            seed=master_seed,
-            tree_seed=tree_seed,
-            cut=shape.cut if mu > 0 else 0,
-            statistic=stat,
-            threshold=tau,
-            reject=stat > tau,
-            truth=mu > 0,
-        )
-        for mu, stat in zip(cell.mu_grid, stats.tolist())
-    ]
+    return tree_seed, shape.cut, np.abs(stats, out=stats).max(axis=1)
 
 
 def _require_workers(workers: int) -> None:
@@ -317,9 +282,26 @@ def _require_power_cell(cell_index: int, cell: CellSpec, trials: int, tree: str)
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not cell.mu_grid:
         raise ValueError(f"cell {cell_index}: mu_grid must be nonempty")
-    # aggregate_records groups rows by mu, so a repeated one would pool its trials.
+    # power.csv keys its rows by (family, n, rho, mu), so a repeated mu would
+    # write two rows with one key.
     if len(set(cell.mu_grid)) < len(cell.mu_grid):
         raise ValueError(f"cell {cell_index}: mu_grid repeats a value: {list(cell.mu_grid)}")
+
+
+@dataclass(frozen=True, eq=False)
+class PowerCell:
+    """One cell's feasible trials, in trial order: ``stats[i, j]`` is the
+    statistic of trial ``trial[i]`` at ``cell.mu_grid[j]``, and ``cut[i]``
+    the cut of its signal shape. ``trial``, ``tree_seed`` and ``cut`` are
+    int64; ``stats`` has shape (feasible trials, len(cell.mu_grid))."""
+
+    cell: CellSpec
+    n: int
+    threshold: float
+    trial: np.ndarray
+    tree_seed: np.ndarray
+    cut: np.ndarray
+    stats: np.ndarray
 
 
 def power_curve(
@@ -332,58 +314,53 @@ def power_curve(
     master_seed: int,
     cell_index: int = 0,
     workers: int = 1,
-) -> list[TrialRecord]:
+) -> PowerCell:
     """Empirical power of the test over a mu grid, one cell at a time.
 
     Each trial draws a tree of kind ``tree`` ("ust" or "bfs"), a unit-energy
     signal shape, and one noise vector, then sweeps the mu grid over those
-    shared draws. A mu of zero is a null trial (truth flag off), which is how
-    type-I companions are run. Trials whose signal sampler cannot meet the
-    cut budget contribute no rows; aggregation reports the shortfall.
+    shared draws. A mu of zero is a null trial, which is how type-I
+    companions are run. Trials whose signal sampler cannot meet the cut
+    budget are left out of the cell; aggregation reports the shortfall.
     """
     _require_power_cell(cell_index, cell, trials, tree)
     g = cell.build_graph()
     tau = threshold(sigma, g.n, delta)
     trial = partial(_power_trial, g, cell, tree, sigma, tau, master_seed, cell_index)
-    return [r for rows in _map_tasks(trial, range(trials), workers) for r in rows]
+    results = _map_tasks(trial, range(trials), workers)
+    kept = [(i, *r) for i, r in enumerate(results) if r is not None]
+    ids, tree_seed, cut, stats = zip(*kept) if kept else ((),) * 4
+    return PowerCell(
+        cell=cell,
+        n=g.n,
+        threshold=tau,
+        trial=np.array(ids, dtype=np.int64),
+        tree_seed=np.array(tree_seed, dtype=np.int64),
+        cut=np.array(cut, dtype=np.int64),
+        stats=np.array(stats, dtype=np.float64).reshape(len(kept), len(cell.mu_grid)),
+    )
 
 
-def aggregate_records(records: list[TrialRecord], trials_requested: int) -> list[dict]:
-    """Collapse raw rows into per-(family, n, rho, mu) power aggregates.
+def aggregate_records(cells: list[PowerCell], trials_requested: int) -> list[dict]:
+    """Per-(family, n, rho, mu) power aggregates, sorted by that key.
 
-    The risk column adds the cell's type-I rate (its mu=0 companion rows) to
-    the miss rate at each mu.
+    The risk column adds the cell's type-I rate (its mu=0 companion) to the
+    miss rate at each mu. A cell with no feasible trial has no rows.
     """
-    groups: dict[tuple, list[TrialRecord]] = {}
-    for r in records:
-        groups.setdefault((r.family, r.n, r.rho, r.mu), []).append(r)
-    type_i: dict[tuple, float] = {}
-    for (family, n, rho, mu), rows in groups.items():
-        if mu == 0:
-            type_i[(family, n, rho)] = sum(r.reject for r in rows) / len(rows)
     out = []
-    for key in sorted(groups):
-        family, n, rho, mu = key
-        rows = groups[key]
-        done = len(rows)
-        rej = sum(r.reject for r in rows)
-        power = rej / done
-        t1 = type_i.get((family, n, rho))
-        risk = (t1 + 1.0 - power) if (t1 is not None and mu > 0) else None
-        out.append(
-            {
-                "family": family,
-                "n": n,
-                "rho": rho,
-                "mu": mu,
-                "trials": done,
-                "trials_requested": trials_requested,
-                "rejections": rej,
-                "power": power,
-                "type_i": t1 if t1 is not None else float("nan"),
-                "risk": risk if risk is not None else float("nan"),
-            }
-        )
+    for pc in sorted(cells, key=lambda pc: (pc.cell.family, pc.n, pc.cell.rho)):
+        done = len(pc.trial)
+        if not done:
+            continue
+        grid = pc.cell.mu_grid
+        rej = np.count_nonzero(pc.stats > pc.threshold, axis=0).tolist()
+        type_i = rej[grid.index(0.0)] / done if 0.0 in grid else math.nan
+        for mu, r in sorted(zip(grid, rej)):
+            power = r / done
+            risk = type_i + 1.0 - power if mu > 0 else math.nan
+            row = [pc.cell.family, pc.n, pc.cell.rho, mu, done, trials_requested, r, power, type_i,
+                   risk]
+            out.append(dict(zip(AGGREGATE_COLUMNS, row)))
     return out
 
 
@@ -666,6 +643,20 @@ AGGREGATE_COLUMNS = [
 
 MU50_COLUMNS = ["family", "n", "rho", "mu50"]
 
+TRIAL_COLUMNS = ["family", "n", "rho", "mu", "trial", "seed", "tree_seed", "cut",
+                 "statistic", "threshold", "reject", "truth"]
+
+
+def _trial_rows(pc: PowerCell, master_seed: int):
+    """trials.csv rows of one cell: one per (trial, mu), in trial then grid
+    order. A null row (mu = 0) has cut 0."""
+    family, rho, tau = pc.cell.family, pc.cell.rho, pc.threshold
+    columns = (pc.trial.tolist(), pc.tree_seed.tolist(), pc.cut.tolist(), pc.stats.tolist())
+    for trial, tree_seed, cut, stats in zip(*columns):
+        for mu, stat in zip(pc.cell.mu_grid, stats):
+            yield [family, pc.n, rho, mu, trial, master_seed, tree_seed, cut if mu > 0 else 0,
+                   stat, tau, stat > tau, mu > 0]
+
 
 def _config_tree(name: str, d) -> str:
     if not isinstance(d, dict):
@@ -740,8 +731,8 @@ def _read_config(config) -> tuple[str, int, list[CellSpec], dict]:
             raise ValueError(f"cell {ci}: {kind} cells do not read {other}")
     if kind == "power":
         threshold(values["sigma"], 1, values["delta"])  # the test's own sigma and delta checks
-        # aggregate_records groups rows by (family, n, rho, mu), so two cells
-        # that share a key would pool their trials into one power row.
+        # power.csv and mu50.csv key their rows by (family, n, rho[, mu]), so
+        # two cells that share (family, n, rho) would write two rows with one key.
         seen = {}
         for ci, cell in enumerate(cells):
             _require_power_cell(ci, cell, values["trials"], values["tree"])
@@ -749,7 +740,7 @@ def _read_config(config) -> tuple[str, int, list[CellSpec], dict]:
             key = (cell.family, n, cell.rho)
             if key in seen:
                 raise ValueError(f"cells {seen[key]} and {ci} share (family, n, rho) = {key}; "
-                                 f"their power rows would be pooled")
+                                 f"their power rows would share one key")
             seen[key] = ci
     elif kind == "sparsity":
         _require_sparsity_cells(cells, values["signals"])
@@ -782,23 +773,23 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
 
     if kind == "power":
         trials = values["trials"]
-        records: list[TrialRecord] = []
-        for ci, cell in enumerate(cells):
-            records.extend(
-                power_curve(
-                    cell,
-                    trials=trials,
-                    sigma=values["sigma"],
-                    delta=values["delta"],
-                    tree=values["tree"],
-                    master_seed=seed,
-                    cell_index=ci,
-                    workers=workers,
-                )
+        blocks = [
+            power_curve(
+                cell,
+                trials=trials,
+                sigma=values["sigma"],
+                delta=values["delta"],
+                tree=values["tree"],
+                master_seed=seed,
+                cell_index=ci,
+                workers=workers,
             )
-        aggregates = aggregate_records(records, trials)
+            for ci, cell in enumerate(cells)
+        ]
+        aggregates = aggregate_records(blocks, trials)
         mu50 = mu_at_power(aggregates)
-        write_csv(out / "trials.csv", TRIAL_COLUMNS, _attr_rows(records, TRIAL_COLUMNS))
+        trial_rows = (row for pc in blocks for row in _trial_rows(pc, seed))
+        write_csv(out / "trials.csv", TRIAL_COLUMNS, trial_rows)
         write_csv(out / "power.csv", AGGREGATE_COLUMNS, _dict_rows(aggregates, AGGREGATE_COLUMNS))
         write_csv(out / "mu50.csv", MU50_COLUMNS, _dict_rows(mu50, MU50_COLUMNS))
         schema += [
@@ -814,7 +805,7 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
         ]
         summary = {
             "cells": len(cells),
-            "rows": len(records),
+            "rows": sum(pc.stats.size for pc in blocks),
             "mu50": {f"{m['family']}/n={m['n']}": m["mu50"] for m in mu50},
         }
     elif kind == "sparsity":

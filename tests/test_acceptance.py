@@ -336,9 +336,9 @@ def test_c09_power_trends():
     config = preset_config("paper-fig2", MASTER_SEED)
     cells = [CellSpec.from_dict(c) for c in config["cells"]]
     trials = config["trials"]
-    records = []
+    blocks = []
     for ci, cell in enumerate(cells):
-        records.extend(
+        blocks.append(
             power_curve(
                 cell,
                 trials=trials,
@@ -349,7 +349,7 @@ def test_c09_power_trends():
                 cell_index=ci,
             )
         )
-    aggs = aggregate_records(records, trials)
+    aggs = aggregate_records(blocks, trials)
 
     curves: dict[tuple, list[tuple[float, float]]] = {}
     for a in aggs:

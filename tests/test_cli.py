@@ -793,6 +793,10 @@ def _battery_cases(kind):
         for field in sorted(other_family | (experiments._SIGNAL_FIELDS - set(reads))):
             text = json.dumps(_with(config, ("cells", 1, field), _GOOD[field]))
             yield f"{family}-other-{field}", config, text
+            # Rejected by key: at its default the field would build the same graph.
+            default = experiments.CellSpec.__dataclass_fields__[field].default
+            text = json.dumps(_with(config, ("cells", 1, field), default))
+            yield f"{family}-other-{field}-default", config, text
 
 
 @pytest.mark.parametrize("kind", sorted(experiments._KINDS))

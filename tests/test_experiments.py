@@ -44,6 +44,13 @@ from treewavelets import experiments, wavelets
 from treewavelets.experiments import _draw, _named_edge_set
 
 
+def assert_same_cell(a, b):
+    """PowerCell has no ==: compare its fields, the arrays by value."""
+    assert (a.cell, a.n, a.threshold) == (b.cell, b.n, b.threshold)
+    for name in ("trial", "tree_seed", "cut", "stats"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 class TestTreeKind:
     CELL = CellSpec(family="torus", side=4, mu_grid=(1.0,))
 
@@ -168,17 +175,14 @@ class TestPowerCurve:
         cell = self.tiny_cell()
         kw = dict(trials=25, sigma=1.0, delta=0.05, tree="ust", master_seed=5)
         a = power_curve(cell, **kw)
-        b = power_curve(cell, **kw)
-        assert a == b
-        # Each trial shares one tree draw across its whole mu grid.
-        by_trial = {}
-        for r in a:
-            by_trial.setdefault(r.trial, set()).add(r.tree_seed)
-        assert all(len(seeds) == 1 for seeds in by_trial.values())
-        assert len(by_trial) == 25
+        assert_same_cell(a, power_curve(cell, **kw))
+        # Each trial has one tree draw and one row of stats for its whole mu grid.
+        assert a.trial.tolist() == list(range(25))
+        assert a.tree_seed.shape == (25,) and a.stats.shape == (25, 2)
+        assert a.tree_seed.dtype == a.trial.dtype == a.cut.dtype == np.int64
 
     def test_null_and_strong_signal_rates(self):
-        records = power_curve(
+        pc = power_curve(
             self.tiny_cell(),
             trials=60,
             sigma=1.0,
@@ -186,12 +190,10 @@ class TestPowerCurve:
             tree="ust",
             master_seed=9,
         )
-        nulls = [r for r in records if r.mu == 0.0]
-        alts = [r for r in records if r.mu > 0.0]
-        assert len(nulls) == len(alts) == 60
-        null_rate = sum(r.reject for r in nulls) / 60
+        assert pc.stats.shape == (60, 2)  # mu_grid (0, 30)
+        null_rate, alt_rate = np.mean(pc.stats > pc.threshold, axis=0).tolist()
         assert null_rate <= 0.05 + binomial_band(0.05, 60)
-        assert sum(r.reject for r in alts) / 60 == 1.0  # mu = 30 on n = 16
+        assert alt_rate == 1.0  # mu = 30 on n = 16
 
     @pytest.mark.parametrize("source", ["ust", "bfs"])
     def test_statistic_matches_direct_detection(self, source):
@@ -200,16 +202,18 @@ class TestPowerCurve:
         # from nothing), then the unit-energy shape, then the noise.
         cell = self.tiny_cell(mu_grid=(0.0, 1.5, 4.0))
         sigma, delta, master_seed, cell_index = 1.7, 0.05, 4, 2
-        records = power_curve(
+        pc = power_curve(
             cell, trials=6, sigma=sigma, delta=delta, tree=source,
             master_seed=master_seed, cell_index=cell_index,
         )
-        assert len(records) == 6 * 3
+        assert pc.trial.tolist() == list(range(6)) and pc.stats.shape == (6, 3)
         g = gen_torus(4, 2)
         tau = threshold(sigma, g.n, delta)
-        for rec in records:
+        assert pc.cell is cell and pc.n == g.n and pc.threshold == tau
+        for trial, tree_seed_got, cut, stats in zip(pc.trial.tolist(), pc.tree_seed.tolist(),
+                                                    pc.cut.tolist(), pc.stats):
             rng = np.random.default_rng(
-                np.random.SeedSequence(master_seed, spawn_key=(cell_index, rec.trial))
+                np.random.SeedSequence(master_seed, spawn_key=(cell_index, trial))
             )
             if source == "ust":
                 tree_seed = int(rng.integers(2**32))
@@ -218,12 +222,10 @@ class TestPowerCurve:
                 tree_seed, tree = -1, bfs_spanning_tree(g)
             shape = gen_two_level_signal(g, cell.rho, 1.0, rng)
             z = rng.standard_normal(g.n)
-            direct = detect(build_basis(tree), rec.mu * shape.values + sigma * z, tau)
-            assert rec.tree_seed == tree_seed and rec.threshold == tau
-            assert abs(rec.statistic - direct.statistic) <= 1e-12
-            assert rec.reject == (rec.statistic > rec.threshold)
-            assert rec.truth == (rec.mu > 0)
-            assert rec.cut == (shape.cut if rec.mu > 0 else 0)
+            assert tree_seed_got == tree_seed and cut == shape.cut
+            for mu, stat in zip(cell.mu_grid, stats.tolist()):
+                direct = detect(build_basis(tree), mu * shape.values + sigma * z, tau)
+                assert abs(stat - direct.statistic) <= 1e-12
 
     def test_worker_pool_gives_the_same_records(self):
         # For bfs each worker builds its own tree and layout: a pickled graph
@@ -231,7 +233,7 @@ class TestPowerCurve:
         cell = self.tiny_cell()
         for tree in ("ust", "bfs"):
             kw = dict(trials=12, sigma=1.0, delta=0.05, tree=tree, master_seed=5)
-            assert power_curve(cell, workers=2, **kw) == power_curve(cell, workers=1, **kw)
+            assert_same_cell(power_curve(cell, workers=2, **kw), power_curve(cell, workers=1, **kw))
 
     def test_bfs_trials_call_each_layer_once_and_split_once(self, monkeypatch):
         # The traced benchmark counts one BFS tree and one build per trial,
@@ -264,7 +266,7 @@ class TestPowerCurve:
         kw = dict(trials=10, sigma=1.0, delta=0.05, tree="ust", master_seed=5)
         a = power_curve(cell, cell_index=0, **kw)
         b = power_curve(cell, cell_index=1, **kw)
-        assert [r.tree_seed for r in a] != [r.tree_seed for r in b]
+        assert a.tree_seed.tolist() != b.tree_seed.tolist()
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError, match="trials"):
@@ -285,7 +287,7 @@ class TestPowerCurve:
                 tree="ust",
                 master_seed=0,
             )
-        # aggregate_records would pool the two mu = 25 rows of every trial.
+        # power.csv would write two rows keyed (torus, 16, 8.0, 25.0).
         with pytest.raises(ValueError, match="mu_grid repeats a value"):
             power_curve(
                 self.tiny_cell(mu_grid=(0.0, 25.0, 25.0)),
@@ -339,16 +341,17 @@ class TestMapTasks:
 class TestAggregateRecords:
     def test_recomputes_rates_and_risk(self):
         cell = TestPowerCurve.tiny_cell(mu_grid=(0.0, 2.0, 30.0))
-        records = power_curve(
+        pc = power_curve(
             cell, trials=40, sigma=1.0, delta=0.05, tree="ust", master_seed=3
         )
-        aggs = aggregate_records(records, trials_requested=40)
+        aggs = aggregate_records([pc], trials_requested=40)
         assert [a["mu"] for a in aggs] == [0.0, 2.0, 30.0]
         by_mu = {a["mu"]: a for a in aggs}
-        manual_null = sum(r.reject for r in records if r.mu == 0.0) / 40
+        reject = pc.stats > pc.threshold
+        manual_null = sum(reject[:, 0].tolist()) / 40
         assert by_mu[0.0]["power"] == manual_null
-        for mu in (2.0, 30.0):
-            manual = sum(r.reject for r in records if r.mu == mu) / 40
+        for j, mu in ((1, 2.0), (2, 30.0)):
+            manual = sum(reject[:, j].tolist()) / 40
             a = by_mu[mu]
             assert a["power"] == manual
             assert a["type_i"] == manual_null
@@ -768,6 +771,45 @@ class TestPinnedOutputs:
         # view, the memoryview of K40 included.
         got = self.digests(self.CONFIGS["power-ust"], tmp_path, workers=2)
         assert got == self.PINNED["power-ust"]
+
+
+class TestPowerEdgePins:
+    """sha256 of a power run's files where cells are odd: an unsorted mu
+    grid, a grid without mu = 0 (NaN type_i and risk), a cell with 21 of 30
+    trials feasible, and a cell with none (no power.csv rows)."""
+
+    CONFIG = {"kind": "power", "seed": 7, "trials": 30, "tree": {"kind": "ust"}, "cells": [
+        {"family": "torus", "side": 5, "rho": 4, "sampler": "ball", "mu_grid": [9, 0, 3, 1.5]},
+        {"family": "complete", "n": 30, "rho": 29, "sampler": "prior", "mu_grid": [2, 5, 1]},
+        {"family": "knn", "n": 40, "k": 4, "graph_seed": 3, "rho": 5, "sampler": "ball",
+         "mu_grid": [6, 0, 2.5]},
+        {"family": "epsilon", "n": 40, "eps": 0.35, "graph_seed": 4, "rho": 2,
+         "sampler": "ball", "mu_grid": [0, 4]},
+    ]}
+    PINNED = {
+        "mu50.csv": "35e0d35ba36365e6576ad97ef21a84ac918419bb73f375d418bf79b14b12bbf1",
+        "power.csv": "f87f977ae182f3423b248fb6331e2792ef4834c5da3ee185abfff27d9cc947d6",
+        "schema.txt": TestPinnedOutputs.POWER_SCHEMA,
+        "trials.csv": "21348be76fdf486441a1c0a3baafb5ea57ae87153232586dbc0d1189f90692e1",
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_outputs_pinned(self, tmp_path, workers):
+        summary = run_experiment(self.CONFIG, tmp_path, workers=workers)
+        assert summary["rows"] == 273
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == self.PINNED
+
+    def test_cells_keep_only_feasible_trials(self):
+        kw = dict(trials=30, sigma=1.0, delta=0.05, tree="ust", master_seed=7)
+        cells = [CellSpec.from_dict(c) for c in self.CONFIG["cells"]]
+        knn = power_curve(cells[2], cell_index=2, **kw)
+        assert len(knn.trial) == 21 and knn.stats.shape == (21, 3)
+        empty = power_curve(cells[3], cell_index=3, **kw)
+        assert empty.stats.shape == (0, 2)
+        for a in (empty.trial, empty.tree_seed, empty.cut):
+            assert a.shape == (0,) and a.dtype == np.int64
+        assert aggregate_records([empty], 30) == []
 
 
 class TestPresets:
