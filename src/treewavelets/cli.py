@@ -13,7 +13,8 @@ Commands that write files also write a ``*.manifest.json`` (or
 ``manifest.json`` inside an experiment directory) recording the resolved
 parameters, the seed, and sha256 digests of inputs and outputs; the manifest
 is written before the outputs are and rewritten with their digests once they
-are all written. A command that fails after writing its manifest removes it.
+are all written. A command that fails after writing its manifest removes it
+and the outputs it had written.
 """
 
 from __future__ import annotations
@@ -98,14 +99,17 @@ def _write_manifest(
 @contextmanager
 def _manifest(path: Path, command: str, params: dict, seed: int | None, inputs: dict[str, str]):
     """Write the pending manifest and yield a list for the paths the block
-    writes; then rewrite the manifest with their digests, or remove it if the
-    block raises, so a failed command leaves no manifest behind."""
+    writes; then rewrite the manifest with their digests. If the block raises,
+    remove the paths it had listed and then the manifest, so a failed command
+    leaves neither its first outputs nor a manifest behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     _write_manifest(path, command, params, seed, inputs, None)
     written: list[Path] = []
     try:
         yield written
     except BaseException:
+        for p in written:
+            p.unlink(missing_ok=True)
         path.unlink()
         raise
     outputs = {p.name: _sha256_file(p) for p in sorted(written)}
@@ -320,8 +324,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     out = Path(args.out)
     params = {"config": config, "out": str(out), "workers": workers}
     with _manifest(out / "manifest.json", "experiment", params, seed, inputs) as written:
-        summary = run_experiment(config, out, workers=workers)
-        written.extend(p for p in out.iterdir() if p.is_file() and p.name != "manifest.json")
+        summary, names = run_experiment(config, out, workers=workers)
+        written.extend(out / name for name in names)
     print(f"experiment kind: {kind}")
     for key, val in summary.items():
         print(f"  {key}: {val}")

@@ -750,7 +750,7 @@ def _read_config(config) -> tuple[str, int, list[CellSpec], dict]:
     return kind, seed, cells, values
 
 
-def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
+def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> tuple[dict, list[str]]:
     """Run one experiment config and write its CSV outputs plus a schema note.
 
     The config's kind selects the harness: "power" sweeps mu grids per cell,
@@ -762,14 +762,15 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
 
     Returns
     -------
-    dict
-        A short summary of the run for printing, such as row counts.
+    (dict, list of str)
+        A short summary of the run for printing, such as row counts, and the
+        names of the files the run wrote in out_dir, in the order written,
+        ``schema.txt`` last. Other files in out_dir are left alone.
     """
     kind, seed, cells, values = _read_config(config)
     _require_workers(workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    schema: list[str] = []
 
     if kind == "power":
         trials = values["trials"]
@@ -788,11 +789,12 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
         ]
         aggregates = aggregate_records(blocks, trials)
         mu50 = mu_at_power(aggregates)
-        trial_rows = (row for pc in blocks for row in _trial_rows(pc, seed))
-        write_csv(out / "trials.csv", TRIAL_COLUMNS, trial_rows)
-        write_csv(out / "power.csv", AGGREGATE_COLUMNS, _dict_rows(aggregates, AGGREGATE_COLUMNS))
-        write_csv(out / "mu50.csv", MU50_COLUMNS, _dict_rows(mu50, MU50_COLUMNS))
-        schema += [
+        tables = [
+            ("trials.csv", TRIAL_COLUMNS, (row for pc in blocks for row in _trial_rows(pc, seed))),
+            ("power.csv", AGGREGATE_COLUMNS, _dict_rows(aggregates, AGGREGATE_COLUMNS)),
+            ("mu50.csv", MU50_COLUMNS, _dict_rows(mu50, MU50_COLUMNS)),
+        ]
+        schema = [
             "trials.csv: one row per (trial, mu); columns " + ", ".join(TRIAL_COLUMNS),
             "  reject/truth are 0/1; statistic is the max coefficient magnitude;",
             "  cut is the realized boundary size of the trial's signal shape.",
@@ -812,9 +814,11 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
         points, fits = sparsity_experiment(
             cells, signals=values["signals"], master_seed=seed, workers=workers
         )
-        write_csv(out / "points.csv", SPARSITY_COLUMNS, _attr_rows(points, SPARSITY_COLUMNS))
-        write_csv(out / "fits.csv", FIT_COLUMNS, _attr_rows(fits, FIT_COLUMNS))
-        schema += [
+        tables = [
+            ("points.csv", SPARSITY_COLUMNS, _attr_rows(points, SPARSITY_COLUMNS)),
+            ("fits.csv", FIT_COLUMNS, _attr_rows(fits, FIT_COLUMNS)),
+        ]
+        schema = [
             "points.csv: one row per sampled (tree, signal) pair; columns "
             + ", ".join(SPARSITY_COLUMNS),
             "  levels = per-edge activation budget of the drawn tree;",
@@ -847,12 +851,8 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
                     rows_out.append(
                         [cell.family, g.n, label, *(getattr(r, c) for c in CONCENTRATION_COLUMNS)]
                     )
-        write_csv(
-            out / "concentration.csv",
-            ["family", "n", "set"] + CONCENTRATION_COLUMNS,
-            rows_out,
-        )
-        schema += [
+        tables = [("concentration.csv", ["family", "n", "set"] + CONCENTRATION_COLUMNS, rows_out)]
+        schema = [
             "concentration.csv: empirical tail of tree-overlap counts vs the",
             "  multiplicative bound; columns family, n, set, "
             + ", ".join(CONCENTRATION_COLUMNS),
@@ -860,8 +860,11 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
         ]
         summary = {"rows": len(rows_out), "failed": failed}
 
+    # Each kind names its CSVs as (file name, columns, rows), in write order.
+    for name, columns, rows in tables:
+        write_csv(out / name, columns, rows)
     (out / "schema.txt").write_text("\n".join(schema) + "\n")
-    return summary
+    return summary, [name for name, _, _ in tables] + ["schema.txt"]
 
 
 def _named_edge_set(g: Graph, label: str) -> np.ndarray:

@@ -23,14 +23,12 @@ __all__ = [
     "Graph",
     "Signal",
     "build_graph",
-    "connected_components",
     "cut_size",
     "gen_complete",
     "gen_epsilon",
     "gen_knn",
     "gen_torus",
     "graph_digest",
-    "incidence_apply",
     "read_edge_list",
     "read_points",
     "require_connected",
@@ -295,33 +293,13 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n=n, edges=_canonical_edges(n, edges))
 
 
-def incidence_apply(g: Graph, x: Signal | np.ndarray) -> np.ndarray:
-    """Apply the edge-incidence operator: one difference per canonical edge.
+def cut_size(g: Graph, x: Signal | np.ndarray) -> int:
+    """Number of edges across which the signal changes level by more than ``EPS_CUT``.
 
-    The entry for edge ``(u, v)`` with ``u < v`` is ``x[u] - x[v]``. Raises
-    ValueError when x holds a NaN or an infinity.
+    Raises ValueError when x holds a NaN or an infinity.
     """
     vals = _finite_values(x, g.n)
-    return vals[g.edges[:, 0]] - vals[g.edges[:, 1]]
-
-
-def cut_size(g: Graph, x: Signal | np.ndarray) -> int:
-    """Number of edges across which the signal changes level by more than ``EPS_CUT``."""
-    return int(np.count_nonzero(np.abs(incidence_apply(g, x)) > EPS_CUT))
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex sets of the connected components.
-
-    Components are ordered by their smallest vertex, vertices increasing
-    within each: a stable sort of the vertices by :func:`_component_roots`.
-    Only ``Graph.csr`` is read, so checking a graph builds no
-    ``Graph._csr_lists``: only a tree draw or a breadth-first tree does.
-    """
-    root = _component_roots(g)
-    order = np.argsort(root, kind="stable")
-    cuts = np.flatnonzero(np.diff(root[order])) + 1
-    return [c.tolist() for c in np.split(order, cuts)]
+    return int(np.count_nonzero(np.abs(vals[g.edges[:, 0]] - vals[g.edges[:, 1]]) > EPS_CUT))
 
 
 def _component_roots(g: Graph) -> np.ndarray:
@@ -335,8 +313,10 @@ def _component_roots(g: Graph) -> np.ndarray:
     hooks in the next round. So the number of trees that still have a
     neighbor at least halves every two rounds. The rounds stop when no tree
     hooks; then every edge joins two vertices of one root, which is the
-    smallest vertex of their component. Each round is a few numpy passes over the CSR, as in Shiloach and Vishkin's
-    O(log n)-round connectivity (J. Algorithms 3, 1982).
+    smallest vertex of their component. Each round is a few numpy passes over
+    the CSR, as in Shiloach and Vishkin's O(log n)-round connectivity
+    (J. Algorithms 3, 1982). Only ``Graph.csr`` is read, so checking a graph
+    builds no ``Graph._csr_lists``: only a tree draw or a breadth-first tree does.
     """
     indptr, indices = g.csr
     root = np.arange(g.n)
@@ -571,10 +551,19 @@ def read_edge_list(path: str | Path) -> Graph:
     Blank lines and ``#`` comments are ignored; the first data line must be
     ``n m`` and exactly m edge lines must follow.
     """
+    return _parse_edge_list(path)[0]
+
+
+def _parse_edge_list(path: str | Path) -> tuple[Graph, list[str]]:
+    """The graph of an edge-list file and the stripped text of its ``#`` comments."""
     data: list[tuple[int, ...]] = []
+    comments: list[str] = []
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if stripped.startswith("#"):
+            comments.append(stripped[1:].strip())
+            continue
+        if not stripped:
             continue
         parts = stripped.split()
         if len(parts) != 2:
@@ -588,17 +577,7 @@ def read_edge_list(path: str | Path) -> Graph:
     n, m = data[0]
     if m != len(data) - 1:
         raise ValueError(f"{path}: header claims {m} edges, found {len(data) - 1}")
-    return build_graph(n, data[1:])
-
-
-def read_edge_list_comments(path: str | Path) -> list[str]:
-    """Return the stripped text of every ``#`` comment line in the file."""
-    out = []
-    for line in Path(path).read_text().splitlines():
-        s = line.strip()
-        if s.startswith("#"):
-            out.append(s[1:].strip())
-    return out
+    return build_graph(n, data[1:]), comments
 
 
 def _fmt(v) -> str:

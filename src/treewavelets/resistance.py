@@ -15,12 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import EPS_CUT, Graph, Signal, incidence_apply, require_connected, write_csv
+from .graphs import Graph, require_connected, write_csv
 
 __all__ = [
     "ResistanceProfile",
     "all_edge_resistances",
-    "cut_resistance",
     "laplacian",
     "write_resistance_csv",
 ]
@@ -67,12 +66,6 @@ def all_edge_resistances(g: Graph) -> ResistanceProfile:
     diag = np.diag(grounded)
     u, v = g.edges.T
     return ResistanceProfile(graph=g, edge_resistances=diag[u] + diag[v] - 2.0 * grounded[u, v])
-
-
-def cut_resistance(profile: ResistanceProfile, x: Signal | np.ndarray) -> float:
-    """Total edge resistance across the signal's boundary edges."""
-    mask = np.abs(incidence_apply(profile.graph, x)) > EPS_CUT
-    return float(profile.edge_resistances[mask].sum())
 
 
 def write_resistance_csv(profile: ResistanceProfile, path: str | Path) -> None:

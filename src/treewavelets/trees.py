@@ -20,11 +20,10 @@ from .graphs import (
     Graph,
     _bfs,
     _canonical_edges,
+    _parse_edge_list,
     _sorted_pairs,
     as_rng,
     graph_digest,
-    read_edge_list,
-    read_edge_list_comments,
     require_connected,
     write_edge_list,
 )
@@ -279,9 +278,12 @@ def write_tree(t: SpanningTree, path: str | Path) -> None:
 def read_tree(path: str | Path, g: Graph) -> SpanningTree:
     """Read a tree file and validate it against its host graph.
 
-    The file's ``tree-of:`` tag, when present, must match the digest of g.
+    The file is parsed once. A malformed file raises first; then the file's
+    ``tree-of:`` tag, when present, must match the digest of g, and only then
+    are the vertex count and the tree checked against g.
     """
-    for comment in read_edge_list_comments(path):
+    parsed, comments = _parse_edge_list(path)
+    for comment in comments:
         if comment.startswith(_TREE_TAG):
             recorded = comment[len(_TREE_TAG) :].strip()
             actual = graph_digest(g)
@@ -290,7 +292,6 @@ def read_tree(path: str | Path, g: Graph) -> SpanningTree:
                     f"{path}: tree was saved for graph {recorded[:12]}..., "
                     f"but the supplied graph has digest {actual[:12]}..."
                 )
-    parsed = read_edge_list(path)
     if parsed.n != g.n:
         raise ValueError(f"{path}: tree has {parsed.n} vertices, graph has {g.n}")
     return build_spanning_tree(g, parsed.edges)

@@ -20,9 +20,11 @@ from treewavelets import (
     build_basis,
     build_graph,
     build_spanning_tree,
+    gen_epsilon,
     gen_knn,
     gen_torus,
     read_edge_list,
+    read_points,
     read_tree,
     write_edge_list,
 )
@@ -60,6 +62,17 @@ class TestGen:
         manifest = json.loads((tmp_path / "knn.txt.manifest.json").read_text())
         assert manifest["seed"] == 7
         assert set(manifest["outputs"]) == {"knn.txt", "knn.points.csv"}
+
+    def test_dim_and_explicit_points_path(self, tmp_path, capsys):
+        out, points = tmp_path / "g.txt", tmp_path / "p.csv"
+        assert main(["gen", "epsilon", "--n", "40", "--eps", "0.3", "--dim", "3", "--seed", "2",
+                     "--out", str(out), "--points", str(points)]) == 0
+        manifest = json.loads((tmp_path / "g.txt.manifest.json").read_text())
+        assert manifest["params"]["points"] == str(points)
+        assert manifest["params"]["dim"] == 3
+        assert set(manifest["outputs"]) == {"g.txt", "p.csv"}
+        want = gen_epsilon(40, 0.3, 3, 2)[1]
+        assert read_points(points).tobytes() == want.tobytes()
 
     def test_bad_parameters_exit_2(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
@@ -289,6 +302,23 @@ def test_failed_write_leaves_no_manifest(tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "torus.txt"]
 
 
+@pytest.mark.parametrize("command", ["gen", "basis"])
+def test_failed_second_write_removes_the_first(tmp_path, capsys, command):
+    # The second output's directory is missing, so its write fails after the
+    # first output and the manifest exist; the command leaves neither.
+    graph = tmp_path / "torus.txt"
+    write_edge_list(gen_torus(4, 2), graph)
+    argv = {
+        "gen": ["gen", "epsilon", "--n", "40", "--eps", "0.3", "--dim", "3", "--seed", "2",
+                "--out", str(tmp_path / "g.txt"), "--points", str(tmp_path / "missing" / "p.csv")],
+        "basis": ["basis", "--graph", str(graph), "--seed", "1", "--out", str(tmp_path / "b.csv"),
+                  "--tree-out", str(tmp_path / "missing" / "t.txt")],
+    }[command]
+    assert main(argv) == 2
+    assert "error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["torus.txt"]
+
+
 class TestExperiment:
     @staticmethod
     def config(tmp_path):
@@ -322,6 +352,27 @@ class TestExperiment:
         assert manifest["inputs"]["config.json"] == sha256(config)
         for name, digest in manifest["outputs"].items():
             assert digest == sha256(out_a / name)
+
+    def test_manifest_lists_only_what_the_run_wrote(self, tmp_path, capsys):
+        # --out already holds a sparsity run's points.csv; a power run neither
+        # lists it nor touches it.
+        out = tmp_path / "o"
+        out.mkdir()
+        stale = out / "points.csv"
+        stale.write_text("stale\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "power", "seed": 1, "trials": 3, "tree": {"kind": "ust"},
+            "cells": [{"family": "torus", "side": 4, "rho": 8, "sampler": "two_level",
+                       "mu_grid": [0, 5]}],
+        }))
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("wrote 4 files to " + str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["outputs"]) == {"trials.csv", "power.csv", "mu50.csv", "schema.txt"}
+        for name, digest in manifest["outputs"].items():
+            assert digest == sha256(out / name)
+        assert stale.read_text() == "stale\n"
 
     # Runs in a fresh interpreter; prints which modules were loaded on its last line.
     IMPORT_PROBE = """

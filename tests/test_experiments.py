@@ -610,8 +610,8 @@ class TestRunExperiment:
         }
 
     def test_power_outputs_and_determinism(self, tmp_path):
-        r1 = run_experiment(self.power_config(), tmp_path / "a")
-        r2 = run_experiment(self.power_config(), tmp_path / "b")
+        r1, _ = run_experiment(self.power_config(), tmp_path / "a")
+        r2, _ = run_experiment(self.power_config(), tmp_path / "b")
         for name in ("trials.csv", "power.csv", "mu50.csv", "schema.txt"):
             assert (tmp_path / "a" / name).exists()
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -630,7 +630,7 @@ class TestRunExperiment:
                  "sampler": "two_level"}
             ],
         }
-        result = run_experiment(config, tmp_path)
+        result, _ = run_experiment(config, tmp_path)
         lines = (tmp_path / "points.csv").read_text().splitlines()
         header = lines[0].split(",")
         rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
@@ -649,11 +649,35 @@ class TestRunExperiment:
             "sets": ["edge", "star"],
             "cells": [{"family": "torus", "side": 4, "dims": 2}],
         }
-        result = run_experiment(config, tmp_path)
+        result, _ = run_experiment(config, tmp_path)
         lines = (tmp_path / "concentration.csv").read_text().splitlines()
         assert lines[0].startswith("family,n,set,delta,")
         assert len(lines) == 1 + 2 * 2  # two sets x two deltas
         assert result == {"rows": 4, "failed": 0}
+
+    @pytest.mark.parametrize(
+        "config, names",
+        [
+            ({"kind": "power", "seed": 1, "trials": 2, "cells": [
+                {"family": "torus", "side": 3, "rho": 4, "sampler": "two_level",
+                 "mu_grid": [0, 5]}]},
+             ["trials.csv", "power.csv", "mu50.csv", "schema.txt"]),
+            ({"kind": "sparsity", "seed": 1, "signals": 6, "cells": [
+                {"family": "torus", "side": 6, "rho_lo": 4, "rho_hi": 16}]},
+             ["points.csv", "fits.csv", "schema.txt"]),
+            ({"kind": "concentration", "seed": 1, "samples": 5, "deltas": [0.5],
+              "sets": ["edge"], "cells": [{"family": "torus", "side": 3}]},
+             ["concentration.csv", "schema.txt"]),
+        ],
+        ids=["power", "sparsity", "concentration"],
+    )
+    def test_returns_the_names_it_wrote(self, tmp_path, config, names):
+        # A file of another kind's run stays as it was and is not named.
+        (tmp_path / "stale.csv").write_text("old\n")
+        _, got = run_experiment(config, tmp_path)
+        assert got == names
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["stale.csv"])
+        assert (tmp_path / "stale.csv").read_text() == "old\n"
 
     @pytest.mark.parametrize(
         "cells, sets, message",
@@ -795,7 +819,7 @@ class TestPowerEdgePins:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_outputs_pinned(self, tmp_path, workers):
-        summary = run_experiment(self.CONFIG, tmp_path, workers=workers)
+        summary, _ = run_experiment(self.CONFIG, tmp_path, workers=workers)
         assert summary["rows"] == 273
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert got == self.PINNED

@@ -11,20 +11,16 @@ from helpers import edge_tuples
 from treewavelets import (
     DisconnectedGraphError,
     Signal,
-    all_edge_resistances,
     apply_basis,
     bfs_spanning_tree,
     build_basis,
     build_graph,
-    connected_components,
-    cut_resistance,
     cut_size,
     gen_complete,
     gen_epsilon,
     gen_knn,
     gen_torus,
     graph_digest,
-    incidence_apply,
     read_edge_list,
     read_points,
     require_connected,
@@ -32,7 +28,7 @@ from treewavelets import (
     write_edge_list,
     write_points,
 )
-from treewavelets.graphs import read_edge_list_comments, signal_values
+from treewavelets.graphs import _component_roots, _parse_edge_list, signal_values
 
 
 class TestBuildGraph:
@@ -131,12 +127,6 @@ def test_build_graph_matches_loop_reference():
 
 
 class TestIncidenceAndCut:
-    def test_incidence_orientation(self):
-        # Rows follow canonical edge order; each is x[small] - x[large].
-        g = build_graph(3, [(0, 1), (1, 2)])
-        x = np.array([5.0, 2.0, 2.0])
-        np.testing.assert_allclose(incidence_apply(g, x), [3.0, 0.0])
-
     def test_cut_counts_disagreeing_edges(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         x = np.array([1.0, 1.0, 0.0, 0.0])
@@ -168,12 +158,10 @@ class TestIncidenceAndCut:
         g = gen_torus(3, 2)
         x = np.zeros(g.n)
         x[0] = bad
-        prof = all_edge_resistances(g)
         for count in (
-            lambda: incidence_apply(g, x),
+            lambda: cut_size(g, x),
             lambda: cut_size(g, Signal(values=x)),
             lambda: cut_size(bfs_spanning_tree(g), x),
-            lambda: cut_resistance(prof, x),
         ):
             with pytest.raises(ValueError, match="non-finite"):
                 count()
@@ -273,11 +261,11 @@ class TestDerivedViews:
     @pytest.mark.parametrize("name", sorted(DERIVED_VIEW_GRAPHS))
     def test_components_match_union_find(self, name):
         g = DERIVED_VIEW_GRAPHS[name]()
-        assert connected_components(g) == _union_find_components(g)
+        assert _component_roots(g).tolist() == _union_find_roots(g)
 
 
-def _union_find_components(g):
-    """Components of g by plain union-find, ordered as connected_components orders them."""
+def _union_find_roots(g):
+    """Per vertex, the smallest vertex of its component, by plain union-find."""
     root = list(range(g.n))
 
     def find(a):
@@ -288,10 +276,15 @@ def _union_find_components(g):
 
     for u, v in g.edges.tolist():
         root[find(u)] = find(v)
-    groups = {}
+    least = {}
     for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values())
+        least.setdefault(find(v), v)
+    return [least[find(v)] for v in range(g.n)]
+
+
+def _root_sizes(roots):
+    """Component sizes from per-vertex roots, ordered by smallest vertex."""
+    return tuple(np.bincount(roots)[sorted(set(roots))].tolist())
 
 
 def _random_graph(n, m, seed):
@@ -461,7 +454,7 @@ class TestEdgeIds:
 class TestComponents:
     def test_components_ordered_by_smallest_vertex(self):
         g = build_graph(6, [(3, 4), (0, 5), (1, 2)])
-        assert connected_components(g) == [[0, 5], [1, 2], [3, 4]]
+        assert _component_roots(g).tolist() == [0, 1, 1, 3, 3, 0]
 
     def test_require_connected_raises_with_sizes(self):
         g = build_graph(5, [(0, 1), (2, 3), (3, 4)])
@@ -488,9 +481,9 @@ class TestComponents:
     def test_random_graphs_match_union_find(self, n, m, seed):
         # m = 0 gives an edgeless graph.
         g = _random_graph(n, m, seed)
-        want = _union_find_components(g)
-        assert connected_components(g) == want
-        assert g.component_sizes == tuple(len(c) for c in want)
+        want = _union_find_roots(g)
+        assert _component_roots(g).tolist() == want
+        assert g.component_sizes == _root_sizes(want)
 
     def test_long_path_with_shuffled_labels(self):
         # A path is the graph of largest diameter; shuffled labels make the
@@ -498,21 +491,21 @@ class TestComponents:
         n = 2**17
         order = np.random.default_rng(6).permutation(n)
         g = build_graph(n, np.column_stack((order[:-1], order[1:])))
-        assert connected_components(g) == [list(range(n))]
+        assert _component_roots(g).tolist() == _union_find_roots(g) == [0] * n
         assert g.component_sizes == (n,)
         cut = build_graph(n, np.column_stack((order[:-1], order[1:]))[np.arange(n - 1) != n // 2])
-        want = _union_find_components(cut)
-        assert connected_components(cut) == want and len(want) == 2
-        assert cut.component_sizes == tuple(len(c) for c in want)
+        want = _union_find_roots(cut)
+        assert _component_roots(cut).tolist() == want and len(set(want)) == 2
+        assert cut.component_sizes == _root_sizes(want)
 
     def test_star_centred_at_last_vertex(self):
         # Every leaf is smaller than the centre, so no leaf hooks in the first round.
         n = 500
         g = build_graph(n, [(v, n - 1) for v in range(n - 1)])
-        assert connected_components(g) == [list(range(n))]
+        assert _component_roots(g).tolist() == _union_find_roots(g) == [0] * n
         assert g.component_sizes == (n,)
         g = build_graph(n, [(v, n - 1) for v in range(1, n - 1)])
-        assert connected_components(g) == [[0], list(range(1, n))]
+        assert _component_roots(g).tolist() == _union_find_roots(g) == [0] + [1] * (n - 1)
         assert g.component_sizes == (1, n - 1)
 
     def test_require_connected_builds_no_list_view(self):
@@ -685,7 +678,8 @@ class TestEdgeListIO:
         write_edge_list(g, path, comments=["made by a test"])
         back = read_edge_list(path)
         assert edge_tuples(back) == edge_tuples(g) and back.n == g.n
-        assert read_edge_list_comments(path) == ["made by a test"]
+        parsed, comments = _parse_edge_list(path)
+        assert parsed == g and comments == ["made by a test"]
 
     def test_digest_stable_and_sensitive(self):
         a = gen_torus(4, 2)

@@ -7,7 +7,6 @@ from treewavelets import (
     DisconnectedGraphError,
     all_edge_resistances,
     build_graph,
-    cut_resistance,
     gen_complete,
     gen_knn,
     gen_torus,
@@ -75,25 +74,7 @@ class TestEdgeResistances:
         with pytest.raises(DisconnectedGraphError):
             all_edge_resistances(g)
 
-
-class TestCutResistance:
-    def test_complete_graph_indicator(self):
-        # k(n-k) cut edges, each of resistance 2/n.
-        n, k = 8, 3
-        prof = all_edge_resistances(gen_complete(n))
-        x = np.zeros(n)
-        x[:k] = 1.0
-        want = k * (n - k) * 2.0 / n
-        assert cut_resistance(prof, x) == pytest.approx(want, abs=1e-10)
-
-    def test_constant_signal_zero(self):
-        prof = all_edge_resistances(gen_torus(3, 2))
-        assert cut_resistance(prof, np.ones(9)) == 0.0
-
     def test_single_vertex_has_no_edges(self):
         prof = all_edge_resistances(build_graph(1, []))
         assert prof.edge_resistances.dtype == np.float64 and prof.edge_resistances.shape == (0,)
         assert prof.total == 0.0 and prof.max_edge_resistance == 0.0
-        assert cut_resistance(prof, np.zeros(1)) == 0.0
-        with pytest.raises(ValueError, match="shape"):
-            cut_resistance(prof, np.zeros(2))
