@@ -765,7 +765,9 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> tuple
     (dict, list of str)
         A short summary of the run for printing, such as row counts, and the
         names of the files the run wrote in out_dir, in the order written,
-        ``schema.txt`` last. Other files in out_dir are left alone.
+        ``schema.txt`` last. Other files in out_dir are left alone. If a
+        write fails, the files this call wrote are removed before the error
+        propagates.
     """
     kind, seed, cells, values = _read_config(config)
     _require_workers(workers)
@@ -861,10 +863,19 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> tuple
         summary = {"rows": len(rows_out), "failed": failed}
 
     # Each kind names its CSVs as (file name, columns, rows), in write order.
-    for name, columns, rows in tables:
-        write_csv(out / name, columns, rows)
-    (out / "schema.txt").write_text("\n".join(schema) + "\n")
-    return summary, [name for name, _, _ in tables] + ["schema.txt"]
+    # A failed write removes the files this call wrote before it, so the
+    # caller has no names to clean up and out_dir keeps no partial run.
+    written: list[str] = []
+    try:
+        for name, columns, rows in tables:
+            write_csv(out / name, columns, rows)
+            written.append(name)
+        (out / "schema.txt").write_text("\n".join(schema) + "\n")
+    except BaseException:
+        for name in written:
+            (out / name).unlink(missing_ok=True)
+        raise
+    return summary, written + ["schema.txt"]
 
 
 def _named_edge_set(g: Graph, label: str) -> np.ndarray:

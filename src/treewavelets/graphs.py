@@ -430,28 +430,50 @@ def _uniform_points(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     return rng.random((n, dim))
 
 
-# Rows of distances computed at once: a (_BLOCK, n) float64 block and its few
-# same-sized temporaries take about 2 MB each at n = 2000; larger blocks were
-# no faster there.
+# Rows of squared distances computed at once: each (_BLOCK, n) float64
+# buffer takes 2 MB at n = 2000; larger blocks were no faster there.
 _BLOCK = 128
 
+# A square at most this far above a cut-off's square, relatively, may still
+# have a root at or below the cut-off: two normal squares with one root differ
+# by a few ulps (about 1e-16), far below this margin.
+_ROOT_MARGIN = 1e-12
 
-def _block_distances(points: np.ndarray, start: int) -> np.ndarray:
-    """Euclidean distances from ``points[start:start + _BLOCK]`` to every point.
 
-    The squares are summed one coordinate at a time, which for dim <= 7 adds
-    in the same order as ``(diff**2).sum(axis=2)`` and so gives the same bits;
-    from dim 8 on, numpy's pairwise reduction adds in another order and may
-    differ in the last place. The roots are taken because the generators
-    compare distances, and two different squared sums can round to one root.
+def _square_blocks(points: np.ndarray):
+    """Yield ``(start, sq)``: squared distances from ``points[start:start + _BLOCK]``
+    to every point, as a (rows, n) array.
+
+    The squares are added one coordinate at a time, from coordinate 0, into
+    two buffers made once per call: each block is valid only until the next
+    one is drawn, and the caller may write into it. The generators compare
+    roots, because two different squares can round to one root, but take
+    them only near their cut-off (:func:`_candidate_bound`).
     """
-    rows = points[start : start + _BLOCK]
-    dist = np.zeros((len(rows), len(points)))
-    for coord in range(points.shape[1]):
-        diff = np.subtract.outer(rows[:, coord], points[:, coord])
-        diff *= diff
-        dist += diff
-    return np.sqrt(dist, out=dist)
+    n, dim = points.shape
+    coords = np.ascontiguousarray(points.T)
+    buf = np.empty((min(_BLOCK, n), n))
+    diff = np.empty_like(buf)
+    for start in range(0, n, _BLOCK):
+        rows = coords[:, start : start + _BLOCK]
+        sq, d = buf[: rows.shape[1]], diff[: rows.shape[1]]
+        np.subtract.outer(rows[0], coords[0], out=sq)
+        sq *= sq
+        for coord in range(1, dim):
+            np.subtract.outer(rows[coord], coords[coord], out=d)
+            d *= d
+            sq += d
+        yield start, sq
+
+
+def _candidate_bound(sq_cut):
+    """A bound at or above every square whose root may be at or below ``sqrt(sq_cut)``.
+
+    ``sq_cut`` grows by ``_ROOT_MARGIN``, and is at least the smallest normal
+    double: a cut-off's square that underflowed has lost the precision the
+    margin relies on.
+    """
+    return np.maximum(sq_cut * (1 + _ROOT_MARGIN), np.finfo(np.float64).tiny)
 
 
 def gen_knn(
@@ -465,8 +487,13 @@ def gen_knn(
     Each vertex is joined to its k nearest others by Euclidean distance: every
     vertex closer than its k-th nearest distance ``d_k``, then the vertices at
     exactly ``d_k`` in increasing index order until there are k. The union over
-    directions is kept, so every degree is at least k. Distances are computed
-    for a block of 128 rows at a time, so memory is O(block * n), not O(n**2).
+    directions is kept, so every degree is at least k.
+
+    Squared distances go, 128 rows at a time, into buffers made once per
+    call, so memory is O(128 * n), not O(n**2). A partition of each row's
+    squares finds its k-th smallest square, whose root is ``d_k``; roots are
+    then taken only for the candidates, the squares at most a relative 1e-12
+    above it.
 
     Returns
     -------
@@ -475,24 +502,32 @@ def gen_knn(
     """
     _require_knn_args(n, k, dim)
     points = _uniform_points(n, dim, as_rng(rng))
+    part = np.empty((min(_BLOCK, n), n))
     keys = []
-    for start in range(0, n, _BLOCK):
-        dist = _block_distances(points, start)
-        np.fill_diagonal(dist[:, start:], np.inf)
-        # A copied column, so the partitioned block is freed at once.
-        d_k = np.take(np.partition(dist, k - 1, axis=1), [k - 1], axis=1)
-        chosen = dist < d_k
-        tied = dist == d_k
-        free = k - np.count_nonzero(chosen, axis=1)
-        # Rows with more ties at d_k than free places keep the first ones.
-        over = np.flatnonzero(np.count_nonzero(tied, axis=1) > free)
-        if len(over):
-            tied[over] &= np.cumsum(tied[over], axis=1) <= free[over, None]
-        chosen |= tied
-        row, col = np.nonzero(chosen)
-        row += start
+    for start, sq in _square_blocks(points):
+        np.fill_diagonal(sq[:, start:], np.inf)
+        kth = part[: len(sq)]
+        np.copyto(kth, sq)
+        kth.partition(k - 1, axis=1)
+        sq_k = kth[:, k - 1]
+        # Candidates in row-major order: by row, then by column.
+        flat = np.flatnonzero(sq <= _candidate_bound(sq_k)[:, None])
+        row, col = np.divmod(flat, n)
+        root, d_k = np.sqrt(sq.ravel()[flat]), np.sqrt(sq_k)[row]
+        chosen = root < d_k
+        free = k - np.bincount(row[chosen], minlength=len(sq))
+        # Each row keeps its first ``free`` ties at d_k, in column order.
+        tie = np.flatnonzero(root == d_k)
+        tie_row = row[tie]
+        rank = np.arange(len(tie)) - np.searchsorted(tie_row, tie_row)
+        chosen[tie[rank < free[tie_row]]] = True
+        row, col = row[chosen] + start, col[chosen]
         keys.append(np.minimum(row, col) * n + np.maximum(row, col))
-    keys = np.unique(np.concatenate(keys))
+    # A pair chosen from both ends has one key; keep it once. np.unique would
+    # too, but its first call imports numpy.ma, which costs about 20 ms.
+    keys = np.concatenate(keys)
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     return build_graph(n, np.column_stack((keys // n, keys % n))), points
 
 
@@ -504,8 +539,12 @@ def gen_epsilon(
 ) -> tuple[Graph, np.ndarray]:
     """Geometric graph on uniform points: join pairs at distance <= eps.
 
-    Distances are computed for a block of 128 rows at a time, so memory is
-    O(block * n), not O(n**2).
+    Squared distances go, 128 rows at a time, into buffers made once per
+    call, so memory is O(128 * n), not O(n**2). Roots are taken only for the
+    candidates, the squares at most a relative 1e-12 above ``eps**2`` or at
+    most the smallest normal double, and a pair joins when its root is
+    <= eps. An ``eps**2`` that overflows makes every pair a candidate, and
+    one that underflows still leaves every pair at distance <= eps one.
 
     Returns
     -------
@@ -514,12 +553,16 @@ def gen_epsilon(
     """
     _require_epsilon_args(n, eps, dim)
     points = _uniform_points(n, dim, as_rng(rng))
+    # Python floats: their product overflows to inf and underflows to 0 silently.
+    bound = _candidate_bound(float(eps) * float(eps))
     pairs = []
-    for start in range(0, n, _BLOCK):
-        row, col = np.nonzero(_block_distances(points, start) <= eps)
+    for start, sq in _square_blocks(points):
+        flat = np.flatnonzero(sq <= bound)
+        keep = np.sqrt(sq.ravel()[flat]) <= eps
+        row, col = np.divmod(flat, n)
         row += start
-        upper = col > row
-        pairs.append(np.column_stack((row[upper], col[upper])))
+        keep &= col > row
+        pairs.append(np.column_stack((row[keep], col[keep])))
     return build_graph(n, np.concatenate(pairs)), points
 
 

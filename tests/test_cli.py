@@ -353,6 +353,20 @@ class TestExperiment:
         for name, digest in manifest["outputs"].items():
             assert digest == sha256(out_a / name)
 
+    def test_failed_second_csv_removes_the_first(self, tmp_path, capsys):
+        # A directory named fits.csv makes the second CSV's write fail after
+        # points.csv is written; the run leaves neither it nor a manifest.
+        out = tmp_path / "o"
+        (out / "fits.csv").mkdir(parents=True)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "sparsity", "seed": 7, "signals": 6,
+            "cells": [{"family": "torus", "side": 8, "rho_lo": 2, "rho_hi": 12}],
+        }))
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["fits.csv"]
+
     def test_manifest_lists_only_what_the_run_wrote(self, tmp_path, capsys):
         # --out already holds a sparsity run's points.csv; a power run neither
         # lists it nor touches it.

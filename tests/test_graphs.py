@@ -28,7 +28,12 @@ from treewavelets import (
     write_edge_list,
     write_points,
 )
-from treewavelets.graphs import _component_roots, _parse_edge_list, signal_values
+from treewavelets.graphs import (
+    _candidate_bound,
+    _component_roots,
+    _parse_edge_list,
+    signal_values,
+)
 
 
 class TestBuildGraph:
@@ -653,6 +658,116 @@ class TestEpsilon:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             gen_epsilon(5, 0.0, 2, 0)
+
+    @pytest.mark.parametrize("eps", [0.25, 0.5, np.sqrt(0.125)])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_grid_pairs_at_exactly_eps_join(self, monkeypatch, dim, eps):
+        # 300 points on the grid {0, 1/4, 1/2, 3/4}^dim: every square is
+        # exact, so many pairs sit at exactly eps (bar sqrt(1/8) on a line),
+        # and repeated points too.
+        n = 300
+        pts = np.random.default_rng(dim).integers(0, 4, (n, dim)) / 4
+        monkeypatch.setattr("treewavelets.graphs._uniform_points", lambda *args: pts)
+        g, got_pts = gen_epsilon(n, eps, dim, 0)
+        assert got_pts is pts
+        dist = _brute_distances(pts)
+        assert (dist == eps).any() == (dim > 1 or eps != np.sqrt(0.125))
+        want = {(u, v) for u, v in zip(*np.nonzero(dist <= eps)) if u < v}
+        assert set(edge_tuples(g)) == want
+
+    @pytest.mark.parametrize("as_float", [float, np.float64], ids=["float", "float64"])
+    def test_squared_radius_overflow_gives_complete_graph(self, as_float):
+        # eps**2 overflows to inf; no RuntimeWarning, which the suite raises.
+        g, _ = gen_epsilon(40, as_float(1e300), 3, 2)
+        assert g.m == 40 * 39 // 2
+
+    @pytest.mark.parametrize("as_float", [float, np.float64], ids=["float", "float64"])
+    def test_squared_radius_underflow_joins_only_repeated_points(self, monkeypatch, as_float):
+        # eps**2 underflows to 0; a pair joins only at distance 0.
+        pts = np.random.default_rng(4).random((30, 2))[np.arange(60) % 30]
+        monkeypatch.setattr("treewavelets.graphs._uniform_points", lambda *args: pts)
+        g, _ = gen_epsilon(60, as_float(1e-170), 2, 0)
+        assert edge_tuples(g) == tuple((v, v + 30) for v in range(30))
+
+
+def _brute_distances(pts):
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt((diff**2).sum(axis=2))
+
+
+def _old_block_distances(points, start):
+    """The generators' former distance block: roots of squares summed from 0."""
+    rows = points[start : start + 128]
+    dist = np.zeros((len(rows), len(points)))
+    for coord in range(points.shape[1]):
+        diff = np.subtract.outer(rows[:, coord], points[:, coord])
+        diff *= diff
+        dist += diff
+    return np.sqrt(dist, out=dist)
+
+
+def _old_knn_edges(points, k):
+    """The former ``gen_knn`` on given points, rooting every distance."""
+    n = len(points)
+    keys = []
+    for start in range(0, n, 128):
+        dist = _old_block_distances(points, start)
+        np.fill_diagonal(dist[:, start:], np.inf)
+        d_k = np.take(np.partition(dist, k - 1, axis=1), [k - 1], axis=1)
+        chosen = dist < d_k
+        tied = dist == d_k
+        free = k - np.count_nonzero(chosen, axis=1)
+        over = np.flatnonzero(np.count_nonzero(tied, axis=1) > free)
+        if len(over):
+            tied[over] &= np.cumsum(tied[over], axis=1) <= free[over, None]
+        chosen |= tied
+        row, col = np.nonzero(chosen)
+        row += start
+        keys.append(np.minimum(row, col) * n + np.maximum(row, col))
+    keys = np.unique(np.concatenate(keys))
+    return build_graph(n, np.column_stack((keys // n, keys % n)))
+
+
+def _old_epsilon_edges(points, eps):
+    """The former ``gen_epsilon`` on given points, rooting every distance."""
+    pairs = []
+    for start in range(0, len(points), 128):
+        row, col = np.nonzero(_old_block_distances(points, start) <= eps)
+        row += start
+        upper = col > row
+        pairs.append(np.column_stack((row[upper], col[upper])))
+    return build_graph(len(points), np.concatenate(pairs))
+
+
+# Block edges at 128 rows, and dims on both sides of 8, where numpy's own
+# sum over an axis would add in another order than coordinate by coordinate.
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("n", [2, 127, 128, 129, 257])
+def test_generators_match_rooting_every_distance(n, dim):
+    for seed, k in enumerate(sorted({1, min(7, n - 1), n - 1})):
+        g, pts = gen_knn(n, k, dim, seed)
+        assert g == _old_knn_edges(pts, k), (n, k, dim)
+    for seed, scale in enumerate((0.05, 0.3, 1.0)):
+        eps = scale * np.sqrt(dim)
+        g, pts = gen_epsilon(n, eps, dim, seed)
+        assert g == _old_epsilon_edges(pts, eps), (n, eps, dim)
+
+
+def test_candidates_keep_squares_that_share_the_cutoffs_root():
+    # Squares one ulp above a k-th square whose root is the same.
+    sq = np.random.default_rng(8).random(20000)
+    up = np.nextafter(sq, np.inf)
+    shared = np.sqrt(up) == np.sqrt(sq)
+    assert shared.sum() > 1000
+    assert (up[shared] <= _candidate_bound(sq[shared])).all()
+    # Squares one ulp above fl(eps**2) whose root is eps.
+    eps = np.sqrt(sq)
+    up = np.nextafter(eps * eps, np.inf)
+    at_eps = np.sqrt(up) == eps
+    assert at_eps.sum() > 1000
+    assert (up[at_eps] <= _candidate_bound((eps * eps)[at_eps])).all()
+    # A square that underflowed keeps every square below the smallest normal.
+    assert _candidate_bound(1e-170 * 1e-170) == np.finfo(np.float64).tiny
 
 
 @pytest.mark.parametrize(
