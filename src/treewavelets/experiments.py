@@ -13,6 +13,7 @@ and keeps empirical power curves tight.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -44,11 +45,9 @@ from .wavelets import activation_bound, apply_basis, basis_sparsity, build_basis
 
 __all__ = [
     "CellSpec",
-    "ConcentrationRow",
-    "FitRow",
     "PowerCell",
-    "SparsityPoint",
     "aggregate_records",
+    "concentration_experiment",
     "fit_sparsity_points",
     "mu_at_power",
     "power_curve",
@@ -215,6 +214,12 @@ def _trial_rng(master_seed: int, cell_index: int, trial: int) -> np.random.Gener
     )
 
 
+def _columns(names: list[str], rows: list[tuple]) -> dict[str, np.ndarray]:
+    """The column dict of rows: each name, in order, maps to the array of the
+    rows' values in its position."""
+    return {name: np.array([row[i] for row in rows]) for i, name in enumerate(names)}
+
+
 # =============================================================================
 # Power curves
 # =============================================================================
@@ -241,7 +246,7 @@ def _draw(g: Graph, cell: CellSpec, kind: str, rho: float, rng):
     return tree_seed, tree, basis, shape
 
 
-def _power_trial(g, cell, tree, sigma, tau, master_seed, cell_index, trial):
+def _power_trial(g, cell, tree, sigma, master_seed, cell_index, trial):
     """One trial: ``_draw``, a standard normal noise vector z, and
     (tree_seed, cut, stats), or None for an infeasible shape. The statistic
     at mu, max |mu * coef(shape) + sigma * coef(z)|, is computed for the
@@ -326,7 +331,7 @@ def power_curve(
     _require_power_cell(cell_index, cell, trials, tree)
     g = cell.build_graph()
     tau = threshold(sigma, g.n, delta)
-    trial = partial(_power_trial, g, cell, tree, sigma, tau, master_seed, cell_index)
+    trial = partial(_power_trial, g, cell, tree, sigma, master_seed, cell_index)
     results = _map_tasks(trial, range(trials), workers)
     kept = [(i, *r) for i, r in enumerate(results) if r is not None]
     ids, tree_seed, cut, stats = zip(*kept) if kept else ((),) * 4
@@ -389,40 +394,15 @@ def mu_at_power(aggregates: list[dict]) -> list[dict]:
 # =============================================================================
 
 
-@dataclass(frozen=True)
-class SparsityPoint:
-    """One sampled (tree, signal) pair of the sparsity experiment."""
+SPARSITY_COLUMNS = ["family", "n", "signal", "tree_seed", "tree_degree", "levels", "rho_target",
+                    "cut", "tree_cut", "sparsity", "bound"]
 
-    family: str
-    n: int
-    signal: int
-    tree_seed: int
-    tree_degree: int
-    levels: int
-    rho_target: int
-    cut: int
-    tree_cut: int
-    sparsity: int
-    bound: int
+FIT_COLUMNS = ["family", "n", "points", "slope", "intercept", "r2"]
 
 
-SPARSITY_COLUMNS = [f.name for f in fields(SparsityPoint)]
-
-
-@dataclass(frozen=True)
-class FitRow:
-    family: str
-    n: int
-    points: int
-    slope: float
-    intercept: float
-    r2: float
-
-
-FIT_COLUMNS = [f.name for f in fields(FitRow)]
-
-
-def _sparsity_point(g, cell, master_seed, cell_index, i) -> SparsityPoint | None:
+def _sparsity_point(g, cell, master_seed, cell_index, i) -> tuple | None:
+    """One sampled (tree, signal) pair: its points.csv values after family and
+    n, or None if the sampler cannot meet the drawn budget."""
     rng = _trial_rng(master_seed, cell_index, i)
     rho = int(rng.integers(cell.rho_lo, cell.rho_hi + 1))
     drawn = _draw(g, cell, "ust", rho, rng)
@@ -430,41 +410,24 @@ def _sparsity_point(g, cell, master_seed, cell_index, i) -> SparsityPoint | None
         return None
     tree_seed, tree, basis, x = drawn
     levels = activation_bound(tree)
-    return SparsityPoint(
-        family=cell.family,
-        n=g.n,
-        signal=i,
-        tree_seed=tree_seed,
-        tree_degree=tree.max_degree,
-        levels=levels,
-        rho_target=rho,
-        cut=x.cut,
-        tree_cut=cut_size(tree, x.values),
-        sparsity=basis_sparsity(basis, x.values),
-        bound=x.cut * levels + 1,
-    )
+    return (i, tree_seed, tree.max_degree, levels, rho, x.cut, cut_size(tree, x.values),
+            basis_sparsity(basis, x.values), x.cut * levels + 1)
 
 
-def fit_sparsity_points(points: list[SparsityPoint]) -> FitRow:
-    """Least-squares line of coefficient count against cut * levels."""
-    if not points:
+def fit_sparsity_points(x, y) -> tuple[float, float, float]:
+    """Least-squares line of coefficient counts y against x = cut * levels:
+    (slope, intercept, r2)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if not len(x):
         raise FitUndefinedError("no points to fit")
-    x = np.array([p.cut * p.levels for p in points], dtype=np.float64)
-    y = np.array([p.sparsity for p in points], dtype=np.float64)
     if np.ptp(x) == 0:
         raise FitUndefinedError("all points share one abscissa; slope is undefined")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - float((resid**2).sum()) / ss_tot if ss_tot > 0 else float("nan")
-    return FitRow(
-        family=points[0].family,
-        n=points[0].n,
-        points=len(points),
-        slope=float(slope),
-        intercept=float(intercept),
-        r2=r2,
-    )
+    return float(slope), float(intercept), r2
 
 
 def _require_sparsity_cells(cells: list[CellSpec], signals: int) -> None:
@@ -484,23 +447,31 @@ def sparsity_experiment(
     signals: int,
     master_seed: int,
     workers: int = 1,
-) -> tuple[list[SparsityPoint], list[FitRow]]:
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Sample (tree, signal) pairs per cell and fit sparsity against the budget.
 
     Every cell needs 0 <= rho_lo <= rho_hi and there must be at least two
     signals so the fit is defined; both are checked before any cell runs.
-    Returns the raw scatter and one fit row per cell.
+    Returns the raw scatter and one fit row per cell, as column dicts keyed
+    by SPARSITY_COLUMNS and FIT_COLUMNS. A cell whose fit is undefined
+    raises FitUndefinedError naming the cell.
     """
     _require_sparsity_cells(cells, signals)
-    points: list[SparsityPoint] = []
-    fits: list[FitRow] = []
+    points: list[tuple] = []
+    fits: list[tuple] = []
     for ci, cell in enumerate(cells):
         g = cell.build_graph()
         point = partial(_sparsity_point, g, cell, master_seed, ci)
-        cell_points = [p for p in _map_tasks(point, range(signals), workers) if p is not None]
-        points.extend(cell_points)
-        fits.append(fit_sparsity_points(cell_points))
-    return points, fits
+        rows = [(cell.family, g.n, *p) for p in _map_tasks(point, range(signals), workers)
+                if p is not None]
+        cols = _columns(SPARSITY_COLUMNS, rows)
+        try:
+            fit = fit_sparsity_points(cols["cut"] * cols["levels"], cols["sparsity"])
+        except FitUndefinedError as exc:
+            raise FitUndefinedError(f"cell {ci} ({cell.family} n={g.n}): {exc}") from None
+        points.extend(rows)
+        fits.append((cell.family, g.n, len(rows), *fit))
+    return _columns(SPARSITY_COLUMNS, points), _columns(FIT_COLUMNS, fits)
 
 
 # =============================================================================
@@ -508,21 +479,8 @@ def sparsity_experiment(
 # =============================================================================
 
 
-@dataclass(frozen=True)
-class ConcentrationRow:
-    """Empirical tail of |T intersect B| against its analytic bound."""
-
-    delta: float
-    set_size: int
-    r_set: float
-    tail_at: float
-    empirical: float
-    bound: float
-    band: float
-    passed: bool
-
-
-CONCENTRATION_COLUMNS = [f.name for f in fields(ConcentrationRow)]
+CONCENTRATION_COLUMNS = ["delta", "set_size", "r_set", "tail_at", "empirical", "bound", "band",
+                         "passed"]
 
 
 def _delta_values(deltas) -> list[float]:
@@ -557,13 +515,14 @@ def ust_concentration_check(
     tree_ids,
     *,
     profile: ResistanceProfile | None = None,
-) -> list[ConcentrationRow]:
+) -> dict[str, np.ndarray]:
     """Compare tail probabilities of a uniform tree's overlap with an edge set.
 
     For each relative overshoot delta, measures how often the number of
     sampled-tree edges inside the set reaches (1 + delta) times the set's
     exact resistance mass, and compares against the multiplicative Chernoff
     bound with a 3-standard-error allowance (binomial, evaluated at the bound).
+    Returns a column dict keyed by CONCENTRATION_COLUMNS, one entry per delta.
 
     ``tree_ids`` holds one row of host edge ids per sampled tree, as
     :func:`ust_edge_ids` returns them; one array serves every edge set of a
@@ -600,32 +559,76 @@ def ust_concentration_check(
         bound = math.exp(r_set * (d - (1.0 + d) * math.log1p(d)))
         b = min(bound, 1.0)
         band = 3.0 * math.sqrt(b * (1.0 - b) / n_draws)
-        rows.append(
-            ConcentrationRow(
-                delta=d,
-                set_size=len(idx),
-                r_set=r_set,
-                tail_at=at,
-                empirical=empirical,
-                bound=bound,
-                band=band,
-                passed=empirical <= bound + band,
-            )
-        )
-    return rows
+        rows.append((d, len(idx), r_set, at, empirical, bound, band, empirical <= bound + band))
+    return _columns(CONCENTRATION_COLUMNS, rows)
+
+
+_EDGE_SETS = ("edge", "star", "ball")
+
+
+def _named_edge_set(g: Graph, label: str) -> np.ndarray:
+    """Deterministic edge sets used by the concentration experiment; never empty."""
+    ea = g.edges
+    if label == "edge":
+        edge_set = ea[:1]
+    elif label == "star":
+        edge_set = ea[(ea == 0).any(axis=1)]
+    else:  # "ball": the label checks admit no other label
+        indptr, indices = g.csr
+        inside = np.isin(np.arange(g.n), [0, *indices[: indptr[1]]])
+        edge_set = ea[inside[ea[:, 0]] != inside[ea[:, 1]]]
+    if not len(edge_set):
+        raise ValueError(f"edge set {label!r} is empty")
+    return edge_set
+
+
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1 for at least one tree draw, got {samples}")
+
+
+def concentration_experiment(
+    cells: list[CellSpec],
+    *,
+    samples: int,
+    deltas,
+    sets,
+    master_seed: int,
+) -> dict[str, np.ndarray]:
+    """Check uniform-tree overlap tails on named edge sets, cell by cell.
+
+    Each cell's graph gets ``samples`` tree draws, taken in cell order from
+    one stream seeded by ``master_seed``, and one exact resistance solve;
+    every edge set labelled in ``sets`` ("edge", "star", "ball") is checked
+    at every delta against those draws. The arguments, then every graph and
+    edge set, are checked before any solve or draw, so an empty edge set
+    costs no work and the tree stream stays as it is. Returns one column
+    dict: family, n and set, then CONCENTRATION_COLUMNS, one entry per
+    (cell, set, delta).
+    """
+    _require_samples(samples)
+    deltas, sets = _delta_values(deltas), _config_sets("sets", sets)
+    graphs = [cell.build_graph() for cell in cells]
+    edge_sets = []
+    for cell, g in zip(cells, graphs):
+        try:
+            edge_sets.append([_named_edge_set(g, label) for label in sets])
+        except ValueError as exc:
+            raise ValueError(f"{cell.family} n={g.n}: {exc}") from None
+    rows: list[tuple] = []
+    gen = as_rng(master_seed)
+    for cell, g, cell_sets in zip(cells, graphs, edge_sets):
+        profile = all_edge_resistances(g)
+        tree_ids = ust_edge_ids(g, samples, gen)
+        for label, edge_set in zip(sets, cell_sets):
+            checked = ust_concentration_check(g, edge_set, deltas, tree_ids, profile=profile)
+            rows.extend((cell.family, g.n, label, *r) for r in zip(*checked.values()))
+    return _columns(["family", "n", "set", *CONCENTRATION_COLUMNS], rows)
 
 
 # =============================================================================
 # Experiment runner (configs, presets, CSV emission)
 # =============================================================================
-
-
-def _dict_rows(dicts: list[dict], columns: list[str]) -> list[list]:
-    return [[d[c] for c in columns] for d in dicts]
-
-
-def _attr_rows(records: list, columns: list[str]) -> list[list]:
-    return [[getattr(r, c) for c in columns] for r in records]
 
 
 AGGREGATE_COLUMNS = [
@@ -658,6 +661,11 @@ def _trial_rows(pc: PowerCell, master_seed: int):
                    stat, tau, stat > tau, mu > 0]
 
 
+def _table(name: str, columns: dict[str, np.ndarray]) -> tuple:
+    """A column dict as a (file name, columns, rows) table."""
+    return name, list(columns), zip(*(values.tolist() for values in columns.values()))
+
+
 def _config_tree(name: str, d) -> str:
     if not isinstance(d, dict):
         raise ValueError(f"{name} must be a JSON object, got {d!r}")
@@ -667,9 +675,6 @@ def _config_tree(name: str, d) -> str:
 
 def _config_deltas(name: str, value) -> list[float]:
     return _delta_values(_config_number(name, d) for d in _config_items(name, value))
-
-
-_EDGE_SETS = ("edge", "star", "ball")
 
 
 def _config_sets(name: str, value) -> list[str]:
@@ -684,19 +689,115 @@ def _config_sets(name: str, value) -> list[str]:
     return labels
 
 
-# What each experiment kind reads besides kind, seed and cells: its config
-# keys, each with a reader and a default (None marks a required key), and the
-# signal fields its cells read. A signal field of another kind is rejected.
+def _check_power(cells: list[CellSpec], values: dict) -> None:
+    threshold(values["sigma"], 1, values["delta"])  # the test's own sigma and delta checks
+    # power.csv and mu50.csv key their rows by (family, n, rho[, mu]), so
+    # two cells that share (family, n, rho) would write two rows with one key.
+    seen = {}
+    for ci, cell in enumerate(cells):
+        _require_power_cell(ci, cell, values["trials"], values["tree"])
+        n = cell.side**cell.dims if cell.family == "torus" else cell.n
+        key = (cell.family, n, cell.rho)
+        if key in seen:
+            raise ValueError(f"cells {seen[key]} and {ci} share (family, n, rho) = {key}; "
+                             f"their power rows would share one key")
+        seen[key] = ci
+
+
+def _run_power(cells, values, seed, workers):
+    blocks = [power_curve(cell, **values, master_seed=seed, cell_index=ci, workers=workers)
+              for ci, cell in enumerate(cells)]
+    aggregates = aggregate_records(blocks, values["trials"])
+    mu50 = mu_at_power(aggregates)
+    # The aggregate and mu50 rows are dicts in column order.
+    tables = [
+        ("trials.csv", TRIAL_COLUMNS, (row for pc in blocks for row in _trial_rows(pc, seed))),
+        ("power.csv", AGGREGATE_COLUMNS, (a.values() for a in aggregates)),
+        ("mu50.csv", MU50_COLUMNS, (m.values() for m in mu50)),
+    ]
+    schema = [
+        "trials.csv: one row per (trial, mu); columns " + ", ".join(TRIAL_COLUMNS),
+        "  reject/truth are 0/1; statistic is the max coefficient magnitude;",
+        "  cut is the realized boundary size of the trial's signal shape.",
+        "power.csv: per (family, n, rho, mu) aggregates; columns "
+        + ", ".join(AGGREGATE_COLUMNS),
+        "  power = rejections/trials; type_i repeats the cell's mu=0 rate;",
+        "  risk = type_i + 1 - power (alternative rows only).",
+        "mu50.csv: linear interpolation of the mu where power crosses 0.5;"
+        " columns " + ", ".join(MU50_COLUMNS),
+    ]
+    summary = {
+        "cells": len(cells),
+        "rows": sum(pc.stats.size for pc in blocks),
+        "mu50": {f"{m['family']}/n={m['n']}/rho={m['rho']}": m["mu50"] for m in mu50},
+    }
+    return tables, schema, summary
+
+
+def _run_sparsity(cells, values, seed, workers):
+    points, fits = sparsity_experiment(cells, **values, master_seed=seed, workers=workers)
+    schema = [
+        "points.csv: one row per sampled (tree, signal) pair; columns "
+        + ", ".join(SPARSITY_COLUMNS),
+        "  levels = per-edge activation budget of the drawn tree;",
+        "  bound = cut * levels + 1 dominates sparsity for every row.",
+        "fits.csv: least squares of sparsity on cut*levels per cell; columns "
+        + ", ".join(FIT_COLUMNS),
+    ]
+    # Two cells may share (family, n), so the cell index keys the summary.
+    fit_rows = zip(*(fits[c].tolist() for c in ("family", "n", "slope", "r2", "points")))
+    summary = {f"cell {ci} {family}/n={n}": {"slope": slope, "r2": r2, "points": count}
+               for ci, (family, n, slope, r2, count) in enumerate(fit_rows)}
+    return [_table("points.csv", points), _table("fits.csv", fits)], schema, summary
+
+
+def _run_concentration(cells, values, seed, _workers):
+    rows = concentration_experiment(cells, **values, master_seed=seed)
+    schema = [
+        "concentration.csv: empirical tail of tree-overlap counts vs the",
+        "  multiplicative bound; columns family, n, set, "
+        + ", ".join(CONCENTRATION_COLUMNS),
+        "  passed means empirical <= bound + band (3 binomial SE at the bound).",
+    ]
+    summary = {"rows": len(rows["passed"]), "failed": int(np.count_nonzero(~rows["passed"]))}
+    return [_table("concentration.csv", rows)], schema, summary
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What one experiment kind reads, checks and runs.
+
+    ``keys`` maps each config key besides kind, seed and cells to a reader
+    and a default (None marks a required key); ``reads`` names the signal
+    fields its cells read, and a signal field of another kind is rejected.
+    ``check(cells, values)`` makes the kind's checks that need no graph;
+    ``run(cells, values, seed, workers)`` returns the kind's CSVs as
+    (file name, columns, rows) in write order, its schema lines and its
+    summary. A kind unpacks as (keys, reads), the shape of its configs.
+    """
+
+    keys: dict
+    reads: tuple
+    check: Callable
+    run: Callable
+
+    def __iter__(self):
+        return iter((self.keys, self.reads))
+
+
 _KINDS = {
-    "power": ({"sigma": (_config_number, 1.0), "delta": (_config_number, 0.05),
-               "trials": (_config_int, None), "tree": (_config_tree, {})},
-              ("rho", "sampler", "mu_grid")),
-    "sparsity": ({"signals": (_config_int, None)}, ("rho_lo", "rho_hi", "sampler")),
-    "concentration": ({"samples": (_config_int, None), "deltas": (_config_deltas, None),
-                       "sets": (_config_sets, _EDGE_SETS)},
-                      ()),
+    "power": _Kind({"sigma": (_config_number, 1.0), "delta": (_config_number, 0.05),
+                    "trials": (_config_int, None), "tree": (_config_tree, {})},
+                   ("rho", "sampler", "mu_grid"), _check_power, _run_power),
+    "sparsity": _Kind({"signals": (_config_int, None)}, ("rho_lo", "rho_hi", "sampler"),
+                      lambda cells, values: _require_sparsity_cells(cells, values["signals"]),
+                      _run_sparsity),
+    "concentration": _Kind({"samples": (_config_int, None), "deltas": (_config_deltas, None),
+                            "sets": (_config_sets, _EDGE_SETS)},
+                           (), lambda _cells, values: _require_samples(values["samples"]),
+                           _run_concentration),
 }
-_SIGNAL_FIELDS = {f for _, reads in _KINDS.values() for f in reads}
+_SIGNAL_FIELDS = {f for kind in _KINDS.values() for f in kind.reads}
 
 
 def _read_config(config) -> tuple[str, int, list[CellSpec], dict]:
@@ -712,8 +813,8 @@ def _read_config(config) -> tuple[str, int, list[CellSpec], dict]:
     kind = config.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    keys, reads = _KINDS[kind]
-    known = ("kind", "seed", "cells", *keys)
+    spec = _KINDS[kind]
+    known = ("kind", "seed", "cells", *spec.keys)
 
     def value(key, default=None):
         if key not in config and default is None:
@@ -723,30 +824,13 @@ def _read_config(config) -> tuple[str, int, list[CellSpec], dict]:
 
     cell_dicts = _config_items("cells", value("cells"))
     cells = [CellSpec.from_dict(d) for d in cell_dicts]
-    values = {key: read(key, value(key, default)) for key, (read, default) in keys.items()}
+    values = {key: read(key, value(key, default)) for key, (read, default) in spec.keys.items()}
     _reject_unknown(f"{kind} config keys", config, known)
     for ci, d in enumerate(cell_dicts):
-        other = sorted(set(d) & (_SIGNAL_FIELDS - set(reads)))
+        other = sorted(set(d) & (_SIGNAL_FIELDS - set(spec.reads)))
         if other:
             raise ValueError(f"cell {ci}: {kind} cells do not read {other}")
-    if kind == "power":
-        threshold(values["sigma"], 1, values["delta"])  # the test's own sigma and delta checks
-        # power.csv and mu50.csv key their rows by (family, n, rho[, mu]), so
-        # two cells that share (family, n, rho) would write two rows with one key.
-        seen = {}
-        for ci, cell in enumerate(cells):
-            _require_power_cell(ci, cell, values["trials"], values["tree"])
-            n = cell.side**cell.dims if cell.family == "torus" else cell.n
-            key = (cell.family, n, cell.rho)
-            if key in seen:
-                raise ValueError(f"cells {seen[key]} and {ci} share (family, n, rho) = {key}; "
-                                 f"their power rows would share one key")
-            seen[key] = ci
-    elif kind == "sparsity":
-        _require_sparsity_cells(cells, values["signals"])
-    elif values["samples"] < 1:
-        raise ValueError(f"samples must be >= 1 for at least one tree draw, "
-                         f"got {values['samples']}")
+    spec.check(cells, values)
     return kind, seed, cells, values
 
 
@@ -773,96 +857,8 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> tuple
     _require_workers(workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    tables, schema, summary = _KINDS[kind].run(cells, values, seed, workers)
 
-    if kind == "power":
-        trials = values["trials"]
-        blocks = [
-            power_curve(
-                cell,
-                trials=trials,
-                sigma=values["sigma"],
-                delta=values["delta"],
-                tree=values["tree"],
-                master_seed=seed,
-                cell_index=ci,
-                workers=workers,
-            )
-            for ci, cell in enumerate(cells)
-        ]
-        aggregates = aggregate_records(blocks, trials)
-        mu50 = mu_at_power(aggregates)
-        tables = [
-            ("trials.csv", TRIAL_COLUMNS, (row for pc in blocks for row in _trial_rows(pc, seed))),
-            ("power.csv", AGGREGATE_COLUMNS, _dict_rows(aggregates, AGGREGATE_COLUMNS)),
-            ("mu50.csv", MU50_COLUMNS, _dict_rows(mu50, MU50_COLUMNS)),
-        ]
-        schema = [
-            "trials.csv: one row per (trial, mu); columns " + ", ".join(TRIAL_COLUMNS),
-            "  reject/truth are 0/1; statistic is the max coefficient magnitude;",
-            "  cut is the realized boundary size of the trial's signal shape.",
-            "power.csv: per (family, n, rho, mu) aggregates; columns "
-            + ", ".join(AGGREGATE_COLUMNS),
-            "  power = rejections/trials; type_i repeats the cell's mu=0 rate;",
-            "  risk = type_i + 1 - power (alternative rows only).",
-            "mu50.csv: linear interpolation of the mu where power crosses 0.5;"
-            " columns " + ", ".join(MU50_COLUMNS),
-        ]
-        summary = {
-            "cells": len(cells),
-            "rows": sum(pc.stats.size for pc in blocks),
-            "mu50": {f"{m['family']}/n={m['n']}": m["mu50"] for m in mu50},
-        }
-    elif kind == "sparsity":
-        points, fits = sparsity_experiment(
-            cells, signals=values["signals"], master_seed=seed, workers=workers
-        )
-        tables = [
-            ("points.csv", SPARSITY_COLUMNS, _attr_rows(points, SPARSITY_COLUMNS)),
-            ("fits.csv", FIT_COLUMNS, _attr_rows(fits, FIT_COLUMNS)),
-        ]
-        schema = [
-            "points.csv: one row per sampled (tree, signal) pair; columns "
-            + ", ".join(SPARSITY_COLUMNS),
-            "  levels = per-edge activation budget of the drawn tree;",
-            "  bound = cut * levels + 1 dominates sparsity for every row.",
-            "fits.csv: least squares of sparsity on cut*levels per cell; columns "
-            + ", ".join(FIT_COLUMNS),
-        ]
-        summary = {f.family: {"slope": f.slope, "r2": f.r2, "points": f.points} for f in fits}
-    else:
-        samples, deltas, set_labels = values["samples"], values["deltas"], values["sets"]
-        graphs = [cell.build_graph() for cell in cells]
-        # The sets draw no random numbers, so an empty one fails here, before
-        # any solve or tree draw, and the tree stream stays as it is.
-        edge_sets = []
-        for cell, g in zip(cells, graphs):
-            try:
-                edge_sets.append([_named_edge_set(g, label) for label in set_labels])
-            except ValueError as exc:
-                raise ValueError(f"{cell.family} n={g.n}: {exc}") from None
-        rows_out: list[list] = []
-        failed = 0
-        gen = as_rng(seed)
-        for cell, g, sets in zip(cells, graphs, edge_sets):
-            profile = all_edge_resistances(g)
-            tree_ids = ust_edge_ids(g, samples, gen)
-            for label, edge_set in zip(set_labels, sets):
-                rows = ust_concentration_check(g, edge_set, deltas, tree_ids, profile=profile)
-                for r in rows:
-                    failed += not r.passed
-                    rows_out.append(
-                        [cell.family, g.n, label, *(getattr(r, c) for c in CONCENTRATION_COLUMNS)]
-                    )
-        tables = [("concentration.csv", ["family", "n", "set"] + CONCENTRATION_COLUMNS, rows_out)]
-        schema = [
-            "concentration.csv: empirical tail of tree-overlap counts vs the",
-            "  multiplicative bound; columns family, n, set, "
-            + ", ".join(CONCENTRATION_COLUMNS),
-            "  passed means empirical <= bound + band (3 binomial SE at the bound).",
-        ]
-        summary = {"rows": len(rows_out), "failed": failed}
-
-    # Each kind names its CSVs as (file name, columns, rows), in write order.
     # A failed write removes the files this call wrote before it, so the
     # caller has no names to clean up and out_dir keeps no partial run.
     written: list[str] = []
@@ -876,22 +872,6 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> tuple
             (out / name).unlink(missing_ok=True)
         raise
     return summary, written + ["schema.txt"]
-
-
-def _named_edge_set(g: Graph, label: str) -> np.ndarray:
-    """Deterministic edge sets used by the concentration experiment; never empty."""
-    ea = g.edges
-    if label == "edge":
-        edge_set = ea[:1]
-    elif label == "star":
-        edge_set = ea[(ea == 0).any(axis=1)]
-    else:  # "ball": the config reader admits no other label
-        indptr, indices = g.csr
-        inside = np.isin(np.arange(g.n), [0, *indices[: indptr[1]]])
-        edge_set = ea[inside[ea[:, 0]] != inside[ea[:, 1]]]
-    if not len(edge_set):
-        raise ValueError(f"edge set {label!r} is empty")
-    return edge_set
 
 
 # =============================================================================

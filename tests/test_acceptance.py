@@ -238,23 +238,25 @@ def test_c05_ust_edge_frequencies():
 def test_c06_overlap_concentration():
     rng = _rng(6)
     deltas = (0.25, 0.5, 1.0, 2.0)
-    rows_all = []
+    passed, margins = [], []
     for g in (gen_torus(8, 2), gen_knn(200, 6, 2, 21)[0]):
         tree_ids = ust_edge_ids(g, 20000, rng)
         star = [e for e in g.edges if 0 in e]
         ball_members = {0, *(v for e in star for v in e)}
         ball = [e for e in g.edges if (e[0] in ball_members) != (e[1] in ball_members)]
         for edge_set in ([g.edges[0]], star, ball):
-            rows_all.extend(ust_concentration_check(g, edge_set, deltas, tree_ids))
-    failures = [r for r in rows_all if not r.passed]
-    worst = max((r.empirical - r.bound) for r in rows_all)
+            rows = ust_concentration_check(g, edge_set, deltas, tree_ids)
+            passed += rows["passed"].tolist()
+            margins += (rows["empirical"] - rows["bound"]).tolist()
+    failures = passed.count(False)
+    worst = max(margins)
     ok = not failures
     _report(
         6,
         "overlap concentration",
         ok,
         f"2 graphs x 3 edge sets x {len(deltas)} deltas over 20000 draws: "
-        f"{len(rows_all) - len(failures)}/{len(rows_all)} points with empirical "
+        f"{len(passed) - failures}/{len(passed)} points with empirical "
         f"tail <= bound + 3se (worst margin {worst:+.4f})",
     )
 
@@ -310,24 +312,25 @@ def test_c08_sparsity_scatter_fits():
     points, fits = sparsity_experiment(
         cells, signals=config["signals"], master_seed=config["seed"]
     )
-    violations = sum(1 for p in points if p.sparsity > p.bound)
-    torus = next(f for f in fits if f.family == "torus")
-    complete = next(f for f in fits if f.family == "complete")
+    violations = int(np.count_nonzero(points["sparsity"] > points["bound"]))
+    families = fits["family"].tolist()
+    slope = dict(zip(families, fits["slope"].tolist()))
+    r2 = dict(zip(families, fits["r2"].tolist()))
     elapsed = time.perf_counter() - start
     ok = (
         violations == 0
-        and 0.02 <= torus.slope <= 0.5
-        and torus.r2 >= 0.5
-        and abs(complete.slope) <= torus.slope / 10.0
+        and 0.02 <= slope["torus"] <= 0.5
+        and r2["torus"] >= 0.5
+        and abs(slope["complete"]) <= slope["torus"] / 10.0
         and elapsed < 300.0
     )
     _report(
         8,
         "sparsity scatter",
         ok,
-        f"{len(points)} points, {violations} above the bound line; torus slope "
-        f"{torus.slope:.4f} in [0.02, 0.5] with R2 {torus.r2:.3f} >= 0.5; "
-        f"complete slope {complete.slope:.5f} <= torus/10; {elapsed:.0f}s (< 300s)",
+        f"{len(points['signal'])} points, {violations} above the bound line; torus slope "
+        f"{slope['torus']:.4f} in [0.02, 0.5] with R2 {r2['torus']:.3f} >= 0.5; "
+        f"complete slope {slope['complete']:.5f} <= torus/10; {elapsed:.0f}s (< 300s)",
     )
 
 

@@ -683,6 +683,49 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
         assert "samples" in err and "at least one tree" in err
         assert not out.exists()
 
+    @staticmethod
+    def run_printed(tmp_path, capsys, config):
+        """Run config through the CLI; return its exit code, the printed
+        summary lines and stderr."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        return code, [line for line in captured.out.splitlines() if line.startswith("  ")], \
+            captured.err
+
+    def test_power_summary_keeps_every_mu50_row(self, tmp_path, capsys):
+        # Two torus side 6 cells used to print one mu50 entry, 'torus/n=36'.
+        cells = [{"family": "torus", "side": 6, "rho": rho, "mu_grid": [0.0, 9.0]}
+                 for rho in (4.0, 8.0)]
+        code, lines, _ = self.run_printed(
+            tmp_path, capsys, {"kind": "power", "seed": 3, "trials": 4, "cells": cells})
+        assert code == 0
+        (mu50,) = [line for line in lines if line.startswith("  mu50: ")]
+        assert "'torus/n=36/rho=4.0': " in mu50 and "'torus/n=36/rho=8.0': " in mu50
+        assert len((tmp_path / "o" / "mu50.csv").read_text().splitlines()) == 3
+
+    def test_sparsity_summary_keeps_every_fit_row(self, tmp_path, capsys):
+        # Torus side 6 and side 8 cells used to print the side-8 fit only, as 'torus'.
+        cells = [{"family": "torus", "side": side, "rho_lo": 4, "rho_hi": 16} for side in (6, 8)]
+        code, lines, _ = self.run_printed(
+            tmp_path, capsys, {"kind": "sparsity", "seed": 3, "signals": 8, "cells": cells})
+        assert code == 0
+        assert [line.split(": ")[0] for line in lines] == ["  cell 0 torus/n=36",
+                                                           "  cell 1 torus/n=64"]
+        assert len((tmp_path / "o" / "fits.csv").read_text().splitlines()) == 3
+
+    def test_degenerate_sparsity_fit_names_its_cell(self, tmp_path, capsys):
+        # Every feasible ball on a 4x4 torus has cut 4, so cell 1's points
+        # share one abscissa.
+        cells = [{"family": "torus", "side": 6, "rho_lo": 4, "rho_hi": 16},
+                 {"family": "torus", "side": 4, "rho_lo": 4, "rho_hi": 4}]
+        code, _, err = self.run_printed(
+            tmp_path, capsys, {"kind": "sparsity", "seed": 3, "signals": 6, "cells": cells})
+        assert code == 2
+        assert err.startswith("error: cell 1 (torus n=16): all points share one abscissa")
+        assert not (tmp_path / "o" / "points.csv").exists()
+
     @pytest.mark.parametrize(
         "edit, message",
         [

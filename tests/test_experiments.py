@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import re
+import types
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ import pytest
 from treewavelets import (
     CellSpec,
     FitUndefinedError,
-    SparsityPoint,
     activation_bound,
     aggregate_records,
     all_edge_resistances,
@@ -21,6 +21,7 @@ from treewavelets import (
     bfs_spanning_tree,
     build_basis,
     build_graph,
+    concentration_experiment,
     detect,
     fit_sparsity_points,
     gen_complete,
@@ -49,6 +50,22 @@ def assert_same_cell(a, b):
     assert (a.cell, a.n, a.threshold) == (b.cell, b.n, b.threshold)
     for name in ("trial", "tree_seed", "cut", "stats"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def assert_same_columns(a, b):
+    """Column dicts of arrays have no usable ==: compare the names in order,
+    then each column by value and dtype."""
+    assert list(a) == list(b)
+    for name in a:
+        assert a[name].dtype == b[name].dtype, name
+        assert np.array_equal(a[name], b[name], equal_nan=a[name].dtype.kind == "f"), name
+
+
+def records(columns):
+    """One namespace per row of a column dict, its fields as Python values."""
+    names = list(columns)
+    return [types.SimpleNamespace(**dict(zip(names, row)))
+            for row in zip(*(columns[c].tolist() for c in names))]
 
 
 class TestTreeKind:
@@ -392,16 +409,18 @@ class TestSparsityExperiment:
              "sampler": "two_level"}
         )
         points, fits = sparsity_experiment([cell], signals=50, master_seed=1)
-        assert len(points) == 50 and len(fits) == 1
+        assert list(points) == experiments.SPARSITY_COLUMNS
+        assert list(fits) == experiments.FIT_COLUMNS
+        assert len(points["signal"]) == 50 and len(fits["slope"]) == 1
         g = gen_torus(6, 2)
-        for p in points:
+        for p in records(points):
+            assert (p.family, p.n) == ("torus", 36)
             assert p.sparsity <= p.bound == p.cut * p.levels + 1
             assert p.tree_cut <= p.cut <= p.rho_target
             tree = sample_ust(g, p.tree_seed)
             assert activation_bound(tree) == p.levels
             assert tree.max_degree == p.tree_degree
-        fit = fits[0]
-        assert fit.points == 50 and math.isfinite(fit.slope)
+        assert fits["points"].tolist() == [50] and math.isfinite(fits["slope"][0])
 
     def test_deterministic(self):
         cell = CellSpec.from_dict(
@@ -410,7 +429,8 @@ class TestSparsityExperiment:
         )
         a = sparsity_experiment([cell], signals=12, master_seed=2)
         b = sparsity_experiment([cell], signals=12, master_seed=2)
-        assert a == b
+        for x, y in zip(a, b):
+            assert_same_columns(x, y)
 
     def test_worker_pool_gives_the_same_points(self):
         cell = CellSpec.from_dict(
@@ -418,7 +438,9 @@ class TestSparsityExperiment:
              "sampler": "two_level"}
         )
         a = sparsity_experiment([cell], signals=12, master_seed=2, workers=2)
-        assert a == sparsity_experiment([cell], signals=12, master_seed=2, workers=1)
+        b = sparsity_experiment([cell], signals=12, master_seed=2, workers=1)
+        for x, y in zip(a, b):
+            assert_same_columns(x, y)
 
     def test_workers_below_one_rejected(self):
         cell = CellSpec.from_dict(
@@ -438,28 +460,19 @@ class TestSparsityExperiment:
 
 
 class TestFitSparsityPoints:
-    @staticmethod
-    def point(i, cut, levels, sparsity):
-        return SparsityPoint(
-            family="f", n=16, signal=i, tree_seed=0, tree_degree=3,
-            levels=levels, rho_target=cut, cut=cut, tree_cut=cut,
-            sparsity=sparsity, bound=cut * levels + 1,
-        )
-
     def test_exact_line_recovered(self):
-        pts = [self.point(i, cut, 2, 3 * cut * 2 // 4 + 5) for i, cut in enumerate((4, 8, 12, 16))]
-        fit = fit_sparsity_points(pts)
+        x = np.array([cut * 2 for cut in (4, 8, 12, 16)])  # cut * levels, levels 2
+        slope, intercept, r2 = fit_sparsity_points(x, 3 * x // 4 + 5)
         # y = 0.75 x + 5 exactly on these points.
-        assert fit.slope == pytest.approx(0.75, abs=1e-12)
-        assert fit.intercept == pytest.approx(5.0, abs=1e-9)
-        assert fit.r2 == pytest.approx(1.0, abs=1e-12)
+        assert slope == pytest.approx(0.75, abs=1e-12)
+        assert intercept == pytest.approx(5.0, abs=1e-9)
+        assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_abscissa_is_undefined(self):
-        pts = [self.point(i, 6, 2, s) for i, s in enumerate((3, 7))]
         with pytest.raises(FitUndefinedError, match="abscissa"):
-            fit_sparsity_points(pts)
+            fit_sparsity_points(np.array([12, 12]), np.array([3, 7]))
         with pytest.raises(FitUndefinedError, match="no points"):
-            fit_sparsity_points([])
+            fit_sparsity_points(np.array([]), np.array([]))
 
 
 class TestUstEdgeIds:
@@ -496,7 +509,8 @@ class TestConcentration:
     def test_triangle_edge_exact_resistance(self):
         g = self.triangle()
         rows = ust_concentration_check(g, [(0, 1)], [0.4], ust_edge_ids(g, 2000, 0))
-        (row,) = rows
+        assert list(rows) == experiments.CONCENTRATION_COLUMNS
+        (row,) = records(rows)
         # Two of the three spanning trees contain any given edge.
         trees = enumerate_spanning_trees(3, g.edges)
         assert sum((0, 1) in t for t in trees) / len(trees) == pytest.approx(2 / 3)
@@ -506,7 +520,7 @@ class TestConcentration:
     def test_triangle_bound_and_empirical(self):
         g = self.triangle()
         rows = ust_concentration_check(g, [(0, 1)], [0.4], ust_edge_ids(g, 3000, 1))
-        (row,) = rows
+        (row,) = records(rows)
         # exp((2/3)(0.4 - 1.4 ln 1.4)), evaluated directly.
         assert row.bound == pytest.approx(0.9537305521583674, abs=1e-12)
         # Count >= 1.4 * (2/3) means the edge is in the tree: probability 2/3.
@@ -519,7 +533,7 @@ class TestConcentration:
         trees = [sample_ust(g, s) for s in range(50)]
         rows = ust_concentration_check(g, [(0, 1)], [0.4], self.tree_ids(g, trees))
         manual = sum(1 for t in trees if (0, 1) in edge_tuples(t))
-        assert rows[0].empirical == pytest.approx(manual / 50)
+        assert rows["empirical"][0] == pytest.approx(manual / 50)
 
     def test_whole_edge_set_is_certain(self):
         # Every spanning tree has exactly n - 1 = 2 of the triangle's edges,
@@ -527,7 +541,7 @@ class TestConcentration:
         # reaches (1 + delta) r_set.
         g = self.triangle()
         rows = ust_concentration_check(g, g.edges, [0.25, 1.0], ust_edge_ids(g, 500, 2))
-        for row in rows:
+        for row in records(rows):
             assert row.r_set == pytest.approx(2.0, abs=1e-10)
             assert row.empirical == 0.0
             assert row.passed
@@ -540,9 +554,9 @@ class TestConcentration:
         deltas = [0.25, 0.5, 1.0]
         rows = ust_concentration_check(g, star, deltas, ids)
         flipped = ust_concentration_check(g, [(v, u) for u, v in star], deltas, ids)
-        assert rows == flipped
+        assert_same_columns(rows, flipped)
         counts = [sum(e in star for e in edge_tuples(t)) for t in trees]
-        for row in rows:
+        for row in records(rows):
             assert row.set_size == 4
             assert row.empirical == sum(c >= row.tail_at for c in counts) / 40
 
@@ -558,6 +572,39 @@ class TestConcentration:
         }
         for label, edges in want.items():
             assert [tuple(e) for e in _named_edge_set(g, label).tolist()] == edges
+
+    def test_experiment_rows_are_the_checks_of_one_stream(self):
+        cells = [CellSpec(family="torus", side=4), CellSpec(family="complete", n=7)]
+        deltas, sets = [0.5, 1.0], ["edge", "star"]
+        got = concentration_experiment(cells, samples=30, deltas=deltas, sets=sets,
+                                       master_seed=3)
+        assert list(got) == ["family", "n", "set", *experiments.CONCENTRATION_COLUMNS]
+        # The cells draw their trees in order from one stream.
+        gen = np.random.default_rng(3)
+        want = []
+        for cell in cells:
+            g = cell.build_graph()
+            ids = ust_edge_ids(g, 30, gen)
+            for label in sets:
+                checked = ust_concentration_check(g, _named_edge_set(g, label), deltas, ids)
+                want += [{"family": cell.family, "n": g.n, "set": label, **vars(r)}
+                         for r in records(checked)]
+        assert [vars(r) for r in records(got)] == want
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"samples": 0}, "samples must be >= 1"), ({"deltas": [0.5, 0.0]}, "positive"),
+         ({"sets": ["edge", "bal"]}, "unknown edge-set label 'bal'"),
+         ({"sets": ["star", "star"]}, "repeats a label")],
+        ids=["samples", "deltas", "unknown-set", "repeated-set"],
+    )
+    def test_experiment_checks_arguments_before_any_graph(self, monkeypatch, bad, message):
+        ran = []
+        monkeypatch.setattr(experiments.CellSpec, "generate", lambda cell: ran.append(cell))
+        kw = {"samples": 5, "deltas": [0.5], "sets": ["edge"], **bad}
+        with pytest.raises(ValueError, match=message):
+            concentration_experiment([CellSpec(family="torus", side=4)], master_seed=0, **kw)
+        assert ran == []
 
     def test_bad_delta_fails_before_any_solve(self, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -638,7 +685,8 @@ class TestRunExperiment:
         for row in rows:
             assert int(row["sparsity"]) <= int(row["bound"])
         assert (tmp_path / "fits.csv").exists()
-        assert result["torus"]["points"] == 12
+        assert list(result) == ["cell 0 torus/n=36"]
+        assert result["cell 0 torus/n=36"]["points"] == 12
 
     def test_concentration_outputs(self, tmp_path):
         config = {

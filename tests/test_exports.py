@@ -75,3 +75,36 @@ def test_no_module_imports_a_name_it_never_uses():
         if (found := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """Parameters of functions and lambdas that their bodies never read.
+
+    ``self``, ``cls`` and names that start with ``_`` are exempt: an
+    underscore marks a parameter kept for a caller's signature. Defaults
+    and decorators are not the body, so a read there does not count.
+    """
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *(a for a in (args.vararg, args.kwarg) if a is not None)]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"line {node.lineno}: {name}({p.arg})" for p in params
+                   if p.arg not in read and p.arg not in ("self", "cls")
+                   and not p.arg.startswith("_")]
+    return unread
+
+
+def test_no_function_has_a_parameter_it_never_reads():
+    unread = {
+        path.name: found
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (found := _unread_parameters(path.read_text()))
+    }
+    assert unread == {}
