@@ -31,7 +31,7 @@ import numpy as np
 
 from ._version import __version__
 from .detection import detect, gen_two_level_signal, snr_condition, threshold
-from .experiments import _FAMILY_FIELDS, CellSpec, _read_config, preset_config, run_experiment
+from .experiments import _FAMILIES, CellSpec, _read_config, preset_config, run_experiment
 from .graphs import (
     build_graph,
     cut_size,
@@ -121,11 +121,16 @@ def _manifest(path: Path, command: str, params: dict, seed: int | None, inputs: 
 # =============================================================================
 
 
+def _gen_flags(family: str) -> dict[str, str]:
+    """A family's gen flags, each mapped to the cell field it sets: a flag per
+    field of the family, except that graph_seed is --seed."""
+    return {"seed" if f == "graph_seed" else f: f for f in _FAMILIES[family].fields}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     out = Path(args.out)
     family = args.family
-    # A family's flags are the fields of a cell of that family; --seed is graph_seed.
-    field = {"seed" if f == "graph_seed" else f: f for f in _FAMILY_FIELDS[family]}
+    field = _gen_flags(family)
     values = {flag: getattr(args, flag) for flag in field}
     params: dict = {"family": family, "out": str(out), **values}
     comments = [" ".join([family, *(f"{flag}={v}" for flag, v in values.items())])]
@@ -490,25 +495,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a graph")
     fam = p_gen.add_subparsers(dest="family", required=True)
-    p_torus = fam.add_parser("torus", help="d-dimensional torus lattice")
-    p_torus.add_argument("--side", type=int, required=True)
-    p_torus.add_argument("--dims", type=int, default=2)
-    p_complete = fam.add_parser("complete", help="complete graph")
-    p_complete.add_argument("--n", type=int, required=True)
-    p_knn = fam.add_parser("knn", help="symmetrized k-nearest-neighbor graph")
-    p_knn.add_argument("--n", type=int, required=True)
-    p_knn.add_argument("--k", type=int, required=True)
-    p_knn.add_argument("--dim", type=int, default=2)
-    p_knn.add_argument("--seed", type=int, required=True)
-    p_eps = fam.add_parser("epsilon", help="fixed-radius geometric graph")
-    p_eps.add_argument("--n", type=int, required=True)
-    p_eps.add_argument("--eps", type=float, required=True)
-    p_eps.add_argument("--dim", type=int, default=2)
-    p_eps.add_argument("--seed", type=int, required=True)
-    for p in (p_torus, p_complete, p_knn, p_eps):
+    cell_fields = CellSpec.__dataclass_fields__
+    for family, spec in _FAMILIES.items():
+        p = fam.add_parser(family, help=spec.help)
+        flags = _gen_flags(family)
+        for flag, name in flags.items():
+            # A field with a nonzero default keeps it as the flag's; the rest are required.
+            default = cell_fields[name].default
+            p.add_argument(f"--{flag}", type={"int": int, "float": float}[cell_fields[name].type],
+                           required=not default, default=default or None)
         p.add_argument("--out", required=True, help="edge-list output path")
-    for p in (p_knn, p_eps):
-        p.add_argument("--points", help="coordinate CSV path (default: alongside)")
+        if "seed" in flags:  # the seeded families draw points
+            p.add_argument("--points", help="coordinate CSV path (default: alongside)")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_basis = sub.add_parser("basis", help="build a wavelet basis and check it")

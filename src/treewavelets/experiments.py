@@ -70,23 +70,38 @@ _SAMPLERS = {
 }
 
 
-# The graph fields each family reads, in its generator's argument order. A
-# graph field of another family is rejected (by key in a config, off its
-# default otherwise): the cell would not build the graph it names.
-_FAMILY_FIELDS = {
-    "torus": ("side", "dims"),
-    "complete": ("n",),
-    "knn": ("n", "k", "dim", "graph_seed"),
-    "epsilon": ("n", "eps", "dim", "graph_seed"),
+@dataclass(frozen=True)
+class _Family:
+    """What one graph family reads, checks and builds.
+
+    ``fields`` names the cell fields it reads, in its generator's argument
+    order; a graph field of another family is rejected (by key in a config,
+    off its default otherwise): the cell would not build the graph it names.
+    ``check(*values)`` makes the generator's range checks when a cell is
+    read. ``build(*values)`` returns (graph, points or None); it looks its
+    generator up in this module when called, so a wrapper installed there
+    is the one called. ``help`` is the family's ``gen`` description.
+    """
+
+    fields: tuple
+    check: Callable
+    build: Callable
+    help: str
+
+
+_FAMILIES = {
+    "torus": _Family(("side", "dims"), _require_torus_args,
+                     lambda *args: (gen_torus(*args), None), "d-dimensional torus lattice"),
+    "complete": _Family(("n",), _require_vertex_count,
+                        lambda *args: (gen_complete(*args), None), "complete graph"),
+    # The seed, last, needs no generator check: the cell checks it for every family.
+    "knn": _Family(("n", "k", "dim", "graph_seed"), lambda *args: _require_knn_args(*args[:-1]),
+                   lambda *args: gen_knn(*args), "symmetrized k-nearest-neighbor graph"),
+    "epsilon": _Family(("n", "eps", "dim", "graph_seed"),
+                       lambda *args: _require_epsilon_args(*args[:-1]),
+                       lambda *args: gen_epsilon(*args), "fixed-radius geometric graph"),
 }
-_GRAPH_FIELDS = {f for reads in _FAMILY_FIELDS.values() for f in reads}
-# Each family's generator range checks, made when a cell is read.
-_FAMILY_CHECKS = {
-    "torus": lambda c: _require_torus_args(c.side, c.dims),
-    "complete": lambda c: _require_vertex_count(c.n),
-    "knn": lambda c: _require_knn_args(c.n, c.k, c.dim),
-    "epsilon": lambda c: _require_epsilon_args(c.n, c.eps, c.dim),
-}
+_GRAPH_FIELDS = {f for family in _FAMILIES.values() for f in family.fields}
 
 
 @dataclass(frozen=True)
@@ -120,11 +135,11 @@ class CellSpec:
                 raise ValueError(f"cell field {f.name!r} must be a string, got {value!r}")
         mu_grid = _config_list("mu_grid", self.mu_grid)
         object.__setattr__(self, "mu_grid", tuple(_config_number("mu_grid values", v) for v in mu_grid))
-        if self.family not in _FAMILY_FIELDS:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown graph family {self.family!r}")
         set_fields = [f.name for f in fields(self) if getattr(self, f.name) != f.default]
         _reject_other_family(self.family, set_fields)
-        _FAMILY_CHECKS[self.family](self)
+        _FAMILIES[self.family].check(*self._graph_args())
         if self.graph_seed < 0:  # numpy would reject it unnamed, once the graph is built
             raise ValueError(f"cell field 'graph_seed' must be >= 0, got {self.graph_seed}")
         if self.sampler not in _SAMPLERS:
@@ -135,16 +150,13 @@ class CellSpec:
         for mu in self.mu_grid:
             _require_positive("mu_grid values", mu, zero_ok=True)
 
+    def _graph_args(self) -> list:
+        return [getattr(self, f) for f in _FAMILIES[self.family].fields]
+
     def generate(self) -> tuple[Graph, np.ndarray | None]:
         """The cell's graph, with its point coordinates for the geometric
         families (None for torus and complete)."""
-        if self.family == "torus":
-            return gen_torus(self.side, self.dims), None
-        if self.family == "complete":
-            return gen_complete(self.n), None
-        if self.family == "knn":
-            return gen_knn(self.n, self.k, self.dim, self.graph_seed)
-        return gen_epsilon(self.n, self.eps, self.dim, self.graph_seed)
+        return _FAMILIES[self.family].build(*self._graph_args())
 
     def build_graph(self) -> Graph:
         return self.generate()[0]
@@ -156,14 +168,14 @@ class CellSpec:
         _reject_unknown("cell fields", d, cls.__dataclass_fields__)
         if "family" not in d:
             raise ValueError(f"a cell needs key 'family', got {d!r}")
-        if isinstance(d["family"], str) and d["family"] in _FAMILY_FIELDS:  # else cls rejects it
+        if isinstance(d["family"], str) and d["family"] in _FAMILIES:  # else cls rejects it
             _reject_other_family(d["family"], d)
         return cls(**d)
 
 
 def _reject_other_family(family: str, named) -> None:
     """Raise ValueError naming every graph field in named that family does not read."""
-    other = sorted(set(named) & (_GRAPH_FIELDS - set(_FAMILY_FIELDS[family])))
+    other = sorted(set(named) & (_GRAPH_FIELDS - set(_FAMILIES[family].fields)))
     if other:
         raise ValueError(f"{family} cells do not read {other}")
 
@@ -773,16 +785,13 @@ class _Kind:
     ``check(cells, values)`` makes the kind's checks that need no graph;
     ``run(cells, values, seed, workers)`` returns the kind's CSVs as
     (file name, columns, rows) in write order, its schema lines and its
-    summary. A kind unpacks as (keys, reads), the shape of its configs.
+    summary.
     """
 
     keys: dict
     reads: tuple
     check: Callable
     run: Callable
-
-    def __iter__(self):
-        return iter((self.keys, self.reads))
 
 
 _KINDS = {
@@ -882,7 +891,6 @@ def run_experiment(config: dict, out_dir: str | Path, workers: int = 1) -> tuple
 def preset_config(name: str, seed: int) -> dict:
     """Built-in experiment configurations at desk scale."""
     if name == "paper-fig1":
-        eps512 = 2.0 * math.sqrt(math.log(512) / (math.pi * 512))
         return {
             "kind": "sparsity",
             "seed": seed,
@@ -891,73 +899,26 @@ def preset_config(name: str, seed: int) -> dict:
                 {"family": "torus", "side": 32, "dims": 2, "rho_lo": 8, "rho_hi": 128, "sampler": "two_level"},
                 {"family": "complete", "n": 256, "rho_lo": 255, "rho_hi": 4080, "sampler": "prior"},
                 {"family": "knn", "n": 512, "k": 8, "dim": 2, "graph_seed": 11, "rho_lo": 24, "rho_hi": 192, "sampler": "two_level"},
-                {"family": "epsilon", "n": 512, "eps": eps512, "dim": 2, "graph_seed": 12, "rho_lo": 24, "rho_hi": 256, "sampler": "two_level"},
+                {"family": "epsilon", "n": 512, "eps": _radius(512), "dim": 2, "graph_seed": 12, "rho_lo": 24, "rho_hi": 256, "sampler": "two_level"},
             ],
         }
     if name == "paper-fig2":
-        cells = []
-        for side in (8, 16, 24):
-            n = side * side
-            cells.append(
-                {
-                    "family": "torus",
-                    "side": side,
-                    "dims": 2,
-                    "rho": float(math.isqrt(n)),
-                    "sampler": "two_level",
-                    "mu_grid": _mu_grid(8.0 * math.sqrt(side)),
-                }
-            )
+        cells = [{"family": "torus", "side": side, "dims": 2, "rho": float(side), "sampler": "two_level",
+                  "mu_grid": _mu_grid(8.0 * math.sqrt(side))} for side in (8, 16, 24)]
         # The spike-supported complete cells cross 50% power in a narrow
         # absolute band, so they share one fine fixed grid.
-        for n in (64, 256, 1024):
-            cells.append(
-                {
-                    "family": "complete",
-                    "n": n,
-                    "rho": float(n),
-                    "sampler": "prior",
-                    "mu_grid": [0.0, 2.0, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5,
-                                6.0, 6.5, 7.0, 8.0, 10.0],
-                }
-            )
-        for i, n in enumerate((128, 256, 512)):
-            cells.append(
-                {
-                    "family": "knn",
-                    "n": n,
-                    "k": 8,
-                    "dim": 2,
-                    "graph_seed": 31 + i,
-                    "rho": float(round(n ** (2.0 / 3.0))),
-                    "sampler": "two_level",
-                    "mu_grid": _mu_grid(2.2 * n ** (1.0 / 3.0)),
-                }
-            )
-        for i, n in enumerate((128, 256, 512)):
-            eps = 2.0 * math.sqrt(math.log(n) / (math.pi * n))
-            cells.append(
-                {
-                    "family": "epsilon",
-                    "n": n,
-                    "eps": eps,
-                    "dim": 2,
-                    "graph_seed": 41 + i,
-                    "rho": float(round(n ** 0.8)),
-                    "sampler": "two_level",
-                    "mu_grid": [0.0, 2.5, 3.5, 4.0, 4.5, 5.0, 5.25, 5.5,
-                                5.75, 6.0, 6.25, 6.5, 7.0, 7.5, 8.5, 10.0],
-                }
-            )
-        return {
-            "kind": "power",
-            "seed": seed,
-            "sigma": 1.0,
-            "delta": 0.05,
-            "trials": 400,
-            "tree": {"kind": "ust"},
-            "cells": cells,
-        }
+        cells += [{"family": "complete", "n": n, "rho": float(n), "sampler": "prior",
+                   "mu_grid": [0.0, 2.0, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 8.0, 10.0]}
+                  for n in (64, 256, 1024)]
+        cells += [{"family": "knn", "n": n, "k": 8, "dim": 2, "graph_seed": 31 + i,
+                   "rho": float(round(n ** (2.0 / 3.0))), "sampler": "two_level",
+                   "mu_grid": _mu_grid(2.2 * n ** (1.0 / 3.0))} for i, n in enumerate((128, 256, 512))]
+        cells += [{"family": "epsilon", "n": n, "eps": _radius(n), "dim": 2, "graph_seed": 41 + i,
+                   "rho": float(round(n ** 0.8)), "sampler": "two_level",
+                   "mu_grid": [0.0, 2.5, 3.5, 4.0, 4.5, 5.0, 5.25, 5.5, 5.75, 6.0, 6.25, 6.5, 7.0,
+                               7.5, 8.5, 10.0]} for i, n in enumerate((128, 256, 512))]
+        return {"kind": "power", "seed": seed, "sigma": 1.0, "delta": 0.05, "trials": 400,
+                "tree": {"kind": "ust"}, "cells": cells}
     if name == "concentration":
         return {
             "kind": "concentration",
@@ -970,6 +931,12 @@ def preset_config(name: str, seed: int) -> dict:
             ],
         }
     raise ValueError(f"unknown preset {name!r}")
+
+
+def _radius(n: int) -> float:
+    """The presets' epsilon-graph radius on n points: twice the connectivity
+    radius sqrt(ln n / (pi n)) of the unit square."""
+    return 2.0 * math.sqrt(math.log(n) / (math.pi * n))
 
 
 def _mu_grid(scale: float) -> list[float]:

@@ -375,9 +375,16 @@ def require_connected(g: Graph) -> None:
 # is read, before any graph of the run is built.
 
 
+# Up to this vertex count every pair key u * n + v (u, v < n) fits int64.
+_MAX_VERTICES = math.isqrt(2**63)
+
+
 def _require_vertex_count(n: int) -> None:
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
+    if n > _MAX_VERTICES:
+        raise ValueError(f"vertex count must be <= {_MAX_VERTICES} so that pair keys "
+                         f"u*n + v fit int64, got {n}")
 
 
 def _require_torus_args(side: int, dims: int) -> None:
@@ -385,6 +392,9 @@ def _require_torus_args(side: int, dims: int) -> None:
         raise ValueError(f"torus side must be >= 3, got {side}")
     if dims < 1:
         raise ValueError(f"torus dims must be >= 1, got {dims}")
+    # 3**64 is over the bound, and capping side keeps the power small.
+    if dims > 63 or min(int(side), _MAX_VERTICES + 1) ** int(dims) > _MAX_VERTICES:
+        raise ValueError(f"torus side**dims must be <= {_MAX_VERTICES}, got {side}**{dims}")
 
 
 def _require_point_args(n: int, dim: int) -> None:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, manifests, determinism."""
 
+import argparse
 import copy
 import hashlib
 import json
@@ -30,7 +31,7 @@ from treewavelets import (
 )
 import treewavelets
 from treewavelets import experiments
-from treewavelets.cli import _components_after_removal, _ortho_residual, main
+from treewavelets.cli import _components_after_removal, _ortho_residual, build_parser, main
 
 
 def sha256(path):
@@ -78,6 +79,12 @@ class TestGen:
         out = tmp_path / "g.txt"
         assert main(["gen", "torus", "--side", "2", "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_torus_over_the_vertex_bound_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        assert main(["gen", "torus", "--side", "3", "--dims", "30000000", "--out", str(out)]) == 2
+        assert "torus side**dims must be <= 3037000499" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     # (flags, comment line, manifest params besides family/out/points, sha256
@@ -208,6 +215,14 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         assert code == 2
         assert unread in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [graph]
+
+    def test_vertex_count_over_the_bound_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("4000000000 1\n0 1\n")
+        assert main(["basis", "--graph", str(path), "--seed", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: vertex count must be <= 3037000499 so that pair keys u*n + v fit int64, "
+            "got 4000000000\n")
 
     def test_disconnected_graph_exits_2(self, tmp_path, capsys):
         path = tmp_path / "two_parts.txt"
@@ -750,6 +765,27 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
         assert message in capsys.readouterr().err
         assert not (out / "trials.csv").exists()
 
+    @pytest.mark.parametrize("seed_flag", [[], ["--seed", "3"]], ids=["config-seed", "seed-flag"])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, seed_flag):
+        config = tmp_path / "config.json"
+        config.write_text("[1]")
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(config), "--out", str(out), *seed_flag]) == 2
+        assert capsys.readouterr().err == "error: config must be a JSON object, got [1]\n"
+        assert not out.exists()
+
+    def test_torus_over_the_vertex_bound_exits_2_before_out(self, tmp_path, capsys):
+        # side**dims is never computed: 3**30000000 has over 14 million digits.
+        config = self.config(tmp_path)
+        payload = json.loads(config.read_text())
+        payload["cells"][0].update(side=3, dims=30_000_000)
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: torus side**dims must be <= 3037000499, got 3**30000000\n")
+        assert not out.exists()
+
     def test_integer_rho_writes_one_form_in_every_csv(self, tmp_path):
         config = self.config(tmp_path)
         config.write_text(config.read_text().replace('"rho": 8.0', '"rho": 8'))
@@ -792,7 +828,7 @@ print(json.dumps({"random_on_import": random_on_import, "codes": codes,
 
 
 # A valid value for every config key, graph field and signal field. The
-# battery below reads the keys and fields from ``_KINDS``, ``_FAMILY_FIELDS``
+# battery below reads the keys and fields from ``_KINDS``, ``_FAMILIES``
 # and the ``CellSpec`` fields, so one added there without a value here fails
 # with a KeyError. Each graph field's value differs from its CellSpec default,
 # so that setting it on a cell of another family is an error.
@@ -819,7 +855,8 @@ _VALID = {
 _OUT_OF_RANGE = {
     "kind": ["powr"], "cells": [[]], "tree": [{"kind": "dfs"}, {"kind": "bfs", "root": 0}],
     "delta": [1.0], "signals": [1], "deltas": [[]], "sets": [[], ["edg"], ["edge", "edge"]],
-    "family": ["tours"], "side": [2], "k": [30], "rho_lo": [5], "rho_hi": [1],
+    "family": ["tours"], "side": [2], "dims": [14, 30_000_000], "n": [3_037_000_500],
+    "k": [30], "rho_lo": [5], "rho_hi": [1],
     "sampler": ["bal"], "mu_grid": [[], [0.0, 0.0]],
 }
 
@@ -884,11 +921,11 @@ def _battery_cases(kind):
     config of this kind: each top-level key, then each field of a second cell
     of every family. The first cell is valid, so a check made late would run
     its trials."""
-    keys, reads = experiments._KINDS[kind]
-    signal = {f: _GOOD[f] for f in reads}
-    for family, graph_fields in experiments._FAMILY_FIELDS.items():
-        cell = {"family": family, **{f: _GOOD[f] for f in graph_fields}, **signal}
-        config = {"kind": kind, "seed": _GOOD["seed"], **{k: _GOOD[k] for k in keys},
+    spec = experiments._KINDS[kind]
+    signal = {f: _GOOD[f] for f in spec.reads}
+    for family, graph in experiments._FAMILIES.items():
+        cell = {"family": family, **{f: _GOOD[f] for f in graph.fields}, **signal}
+        config = {"kind": kind, "seed": _GOOD["seed"], **{k: _GOOD[k] for k in spec.keys},
                   "cells": [{"family": "torus", "side": 4, **signal}, cell]}
         if family == "torus":  # the top-level keys, once per kind
             for key in config:
@@ -897,8 +934,8 @@ def _battery_cases(kind):
         for field in cell:
             for label, text in _value_cases(config, ("cells", 1, field), field):
                 yield f"{family}-{field}-{label}", config, text
-        other_family = experiments._GRAPH_FIELDS - set(graph_fields)
-        for field in sorted(other_family | (experiments._SIGNAL_FIELDS - set(reads))):
+        other_family = experiments._GRAPH_FIELDS - set(graph.fields)
+        for field in sorted(other_family | (experiments._SIGNAL_FIELDS - set(spec.reads))):
             text = json.dumps(_with(config, ("cells", 1, field), _GOOD[field]))
             yield f"{family}-other-{field}", config, text
             # Rejected by key: at its default the field would build the same graph.
@@ -937,7 +974,7 @@ def test_boundary_battery_exits_2_before_out_or_any_trial(tmp_path, capsys, monk
             failures.append(f"{case}: exit {code}, --out {'made' if out.exists() else 'absent'}, "
                             f"{len(ran)} graphs or trials started, {err.strip()!r}")
         ran.clear()
-    assert len(bases) == len(experiments._FAMILY_FIELDS)
+    assert len(bases) == len(experiments._FAMILIES)
     assert not failures, f"{len(failures)} holes:\n" + "\n".join(failures)
 
 
@@ -1037,3 +1074,35 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.strip() == "0.1.0"
+
+    # Each gen family's help and its options as {flag: (dest, required, type, default)}.
+    GEN_SURFACE = {
+        "torus": ("d-dimensional torus lattice", {
+            "--side": ("side", True, int, None), "--dims": ("dims", False, int, 2),
+            "--out": ("out", True, None, None)}),
+        "complete": ("complete graph", {
+            "--n": ("n", True, int, None), "--out": ("out", True, None, None)}),
+        "knn": ("symmetrized k-nearest-neighbor graph", {
+            "--n": ("n", True, int, None), "--k": ("k", True, int, None),
+            "--dim": ("dim", False, int, 2), "--seed": ("seed", True, int, None),
+            "--out": ("out", True, None, None), "--points": ("points", False, None, None)}),
+        "epsilon": ("fixed-radius geometric graph", {
+            "--n": ("n", True, int, None), "--eps": ("eps", True, float, None),
+            "--dim": ("dim", False, int, 2), "--seed": ("seed", True, int, None),
+            "--out": ("out", True, None, None), "--points": ("points", False, None, None)}),
+    }
+
+    def test_gen_surface(self):
+        def subcommands(parser):
+            (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return action, action.choices
+
+        _, commands = subcommands(build_parser())
+        action, families = subcommands(commands["gen"])
+        assert {a.dest: a.help for a in action._choices_actions} == {
+            family: help for family, (help, _) in self.GEN_SURFACE.items()}
+        for family, (_, options) in self.GEN_SURFACE.items():
+            got = {flag: (a.dest, a.required, a.type, a.default)
+                   for a in families[family]._actions if not isinstance(a, argparse._HelpAction)
+                   for flag in a.option_strings}
+            assert got == options, family

@@ -229,6 +229,11 @@ class TestTwoLevelSignal:
         x = gen_two_level_signal(g, rho=5, mu=1.0, rng=rng)
         assert 0 < np.count_nonzero(x.values > 0) < 6
 
+    def test_one_vertex_graph_is_infeasible(self):
+        with pytest.raises(InfeasibleSignalError) as exc:
+            gen_two_level_signal(build_graph(1, []), rho=1.0, mu=1.0, rng=0)
+        assert str(exc.value) == "a mean-zero two-level signal needs n >= 2"
+
 
 class TestPriorSignal:
     def test_support_size_formula(self):
@@ -307,6 +312,17 @@ class TestSnrCondition:
             snr_condition("remark1", n=4, d=2)
         with pytest.raises(ValueError, match="r_max"):
             snr_condition("theorem3", n=4, d=2)
+
+    @pytest.mark.parametrize(
+        "n, delta, message",
+        [(0, 0.05, "n must be >= 1, got 0"),
+         (4, 0.0, "delta must lie in (0, 1), got 0.0"),
+         (4, 1.0, "delta must lie in (0, 1), got 1.0")],
+    )
+    def test_n_and_delta_ranges(self, n, delta, message):
+        with pytest.raises(ValueError) as exc:
+            snr_condition("remark1", n=n, d=2, delta=delta, rho=1.0)
+        assert str(exc.value) == message
 
     def test_remark1_levels_agree_with_activation_bound(self):
         # Both read max(1, ceil(log2 d)) * max(1, ceil(log2 n)) for a tree of

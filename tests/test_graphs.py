@@ -32,6 +32,7 @@ from treewavelets.graphs import (
     _candidate_bound,
     _component_roots,
     _parse_edge_list,
+    _require_torus_args,
     signal_values,
 )
 
@@ -98,6 +99,14 @@ class TestBuildGraph:
     def test_names_first_offending_edge(self, edges, message):
         with pytest.raises(ValueError, match=message):
             build_graph(3, edges)
+
+    def test_vertex_count_bounded_where_pair_keys_fit_int64(self):
+        # Past the bound, u * n + v wraps: these edges came back out of order.
+        with pytest.raises(ValueError) as exc:
+            build_graph(4_000_000_000, [(0, 1), (3_000_000_000, 3_000_000_001)])
+        assert str(exc.value) == ("vertex count must be <= 3037000499 so that pair keys "
+                                  "u*n + v fit int64, got 4000000000")
+        assert 3_037_000_499**2 - 1 < 2**63 <= 3_037_000_500**2 - 1
 
 
 def _loop_build(n, edges):
@@ -567,6 +576,21 @@ class TestTorus:
         with pytest.raises(ValueError):
             gen_torus(2, 2)
 
+    @pytest.mark.parametrize(
+        "side, dims",
+        [(3, 30_000_000), (3, 64), (5, 14), (3_037_000_500, 1), (np.int64(3_037_000_500), np.int64(2))],
+    )
+    def test_vertex_count_over_the_bound_rejected_without_the_power(self, side, dims):
+        with pytest.raises(ValueError) as exc:
+            gen_torus(side, dims)
+        assert str(exc.value) == f"torus side**dims must be <= 3037000499, got {side}**{dims}"
+
+    def test_vertex_count_at_the_bound_passes_the_check(self):
+        _require_torus_args(3_037_000_499, 1)
+        _require_torus_args(3, 19)  # 3**19 < 3037000499 < 3**20
+        with pytest.raises(ValueError, match="side\\*\\*dims"):
+            _require_torus_args(3, 20)
+
 
 class TestComplete:
     def test_all_pairs(self):
@@ -815,6 +839,20 @@ class TestEdgeListIO:
         g = read_edge_list(path)
         assert edge_tuples(g) == ((0, 1), (1, 2))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("3 1\n0 1 2\n", "{path}:2: expected two integers, got '0 1 2'"),
+         ("# a comment\n3 1\n0 x\n", "{path}:3: expected two integers, got '0 x'"),
+         ("# a comment only\n\n", "{path}: missing 'n m' header line")],
+        ids=["three-fields", "not-an-integer", "no-header"],
+    )
+    def test_reader_names_the_bad_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_edge_list(path)
+        assert str(exc.value) == message.format(path=path)
+
 
 class TestWriteCsv:
     def test_numpy_scalars_written_as_python_values(self, tmp_path):
@@ -841,3 +879,24 @@ class TestPointsIO:
         path.write_text("0,1.0,2.0\n")
         with pytest.raises(ValueError, match="header"):
             read_points(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("id,x0\n0,1.0\n", "{path}: missing 'vertex,x0,...' header"),
+         ("vertex,x0,x1\n0,1.0,2.0\n1,3.0\n", "{path}:3: expected 3 fields"),
+         ("vertex,x0\n0,1.0\n\n2,3.0\n", "{path}:4: vertex ids must be 0..n-1 in order")],
+        ids=["bad-header", "field-count", "vertex-order"],
+    )
+    def test_reader_names_the_bad_line(self, tmp_path, text, message):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_points(path)
+        assert str(exc.value) == message.format(path=path)
+
+    def test_writer_needs_2d_points(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        with pytest.raises(ValueError) as exc:
+            write_points(np.zeros(3), path)
+        assert str(exc.value) == "points must be 2-d, got shape (3,)"
+        assert not path.exists()

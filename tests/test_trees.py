@@ -375,6 +375,13 @@ class TestTreeIO:
         with pytest.raises(ValueError, match="digest"):
             read_tree(path, other)
 
+    def test_vertex_count_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "tree.txt"
+        path.write_text("3 2\n0 1\n1 2\n")  # no tree-of tag, so the count is checked
+        with pytest.raises(ValueError) as exc:
+            read_tree(path, build_graph(4, [(0, 1), (1, 2), (2, 3)]))
+        assert str(exc.value) == f"{path}: tree has 3 vertices, graph has 4"
+
 
 def _host(kind):
     return gen_torus(16, 2) if kind == "torus" else gen_knn(200, 6, 2, 3)[0]
